@@ -326,10 +326,33 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor(out, True, (x,), backward_fn)
 
 
+#: Longest axis :func:`_axis_max` folds slice by slice.
+_SHORT_AXIS = 16
+
+
+def _axis_max(data: np.ndarray, axis: int) -> np.ndarray:
+    """``data.max(axis=axis, keepdims=True)``, fast for short axes.
+
+    NumPy reduces a short axis one tiny row at a time; folding
+    ``np.maximum`` over the axis's slices makes every step one pass over
+    the whole array instead (~10x faster for the 10 output capsules the
+    routing softmax normalises over).  A maximum is exact whatever the
+    order, so the values are the same.
+    """
+    length = data.shape[axis]
+    if data.ndim == 1 or length == 0 or length > _SHORT_AXIS:
+        return data.max(axis=axis, keepdims=True)
+    slices = np.moveaxis(data, axis, 0)
+    out = slices[0].copy()
+    for piece in slices[1:]:
+        np.maximum(out, piece, out=out)
+    return np.expand_dims(out, axis)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis`` (Eq. 1 of the paper)."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - _axis_max(x.data, axis)
     exp = np.exp(shifted)
     out = exp / exp.sum(axis=axis, keepdims=True)
     if not (grad_enabled() and x.requires_grad):

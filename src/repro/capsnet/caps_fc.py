@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, grad_enabled
 from repro.capsnet.routing import dynamic_routing
 from repro.nn import init
 from repro.nn.module import Module, Parameter
@@ -70,14 +70,50 @@ class CapsFC(Module):
                 f"({self.in_caps}, {self.in_dim}), got {u.shape[1:]}"
             )
         weight = q.weight(self.name, "weight", self.weight)
-        # û_{j|i} = W_ij × u_i via broadcast matmul:
-        # (1, I, J, D_out, D_in) @ (B, I, 1, D_in, 1) -> (B, I, J, D_out, 1)
-        u_col = u.reshape(u.shape[0], self.in_caps, 1, self.in_dim, 1)
-        votes = weight.expand_dims(0) @ u_col
-        votes = votes.squeeze(-1)  # (B, I, J, D_out)
+        votes = self.votes(u, weight)
         return dynamic_routing(
             votes, iterations=self.routing_iterations, q=q, layer=self.name
         )
+
+    def votes(self, u: Tensor, weight: Tensor) -> Tensor:
+        """Votes ``û_{j|i} = W_ij × u_i`` as ``(B, I, J, D_out)``.
+
+        One GEMM per input capsule: ``(I, B, D_in) @ (I, D_in, J·D_out)``
+        feeds every sample and every output capsule of capsule ``i``
+        through a single matrix product, instead of ``B·I·J`` separate
+        ``D_out × D_in`` matrix-vector products.  The products are
+        written through an ``(I, B, ·)`` view straight into a contiguous
+        ``(B, I, J, D_out)`` array, the layout the routing contractions
+        are fastest on, so no transposed copy is made.  Each vote is the
+        same ``D_in``-term dot product as before; on fixed-point grid
+        inputs every product and partial sum is exact in float32, so the
+        votes are bit-identical to the broadcast form, and on FP32 inputs
+        they match it to float32 roundoff.
+        """
+        batch = u.shape[0]
+        fan_out = self.out_caps * self.out_dim
+        u_t = u.data.transpose(1, 0, 2)  # (I, B, D_in)
+        w_t = weight.data.reshape(self.in_caps, fan_out, self.in_dim).transpose(
+            0, 2, 1
+        )  # (I, D_in, J·D_out)
+        out = np.empty(
+            (batch, self.in_caps, fan_out), dtype=np.result_type(u.data, w_t)
+        )
+        np.matmul(u_t, w_t, out=out.transpose(1, 0, 2))
+        out = out.reshape(batch, self.in_caps, self.out_caps, self.out_dim)
+        if not (grad_enabled() and (u.requires_grad or weight.requires_grad)):
+            return Tensor(out)
+
+        def backward_fn(grad: np.ndarray) -> None:
+            grad_t = grad.reshape(batch, self.in_caps, fan_out).transpose(1, 0, 2)
+            if weight.requires_grad or weight._backward_fn:
+                grad_w = np.matmul(u_t.transpose(0, 2, 1), grad_t)
+                weight._accumulate(grad_w.transpose(0, 2, 1).reshape(weight.shape))
+            if u.requires_grad or u._backward_fn:
+                grad_u = np.matmul(grad_t, w_t.transpose(0, 2, 1))
+                u._accumulate(grad_u.transpose(1, 0, 2))
+
+        return Tensor(out, True, (u, weight), backward_fn)
 
     def vote_macs(self) -> int:
         """MACs for the vote computation of one sample (step 1 of Fig. 6)."""

@@ -21,6 +21,16 @@ specialization acts.  The vote tensor is quantized with the layer's
 ``QDR`` (red in Fig. 9) immediately after it is produced, i.e. the
 precision is lowered *before* each compute-intensive squash/softmax, as
 the paper prescribes.
+
+Cost: under Algorithm 1 this layer is the inner loop of the whole
+search, re-run for every candidate wordlength, and its quantization
+hooks are a large share of its time.  Each hook is one :meth:`RoundingScheme.apply` call, which
+rounds float32 arrays of formats up to 23 bits on a float32 carrier
+(see :mod:`repro.quant.rounding`), bit-identical to float64 rounding.
+Votes are expected as a contiguous ``(B, I, J, D)`` array (as
+:meth:`~repro.capsnet.caps_fc.CapsFC.votes` builds them); the
+``(B, J, I, D)`` view the contractions use is taken here, which keeps
+their matmuls faster than a strided layout handed in by the caller.
 """
 
 from __future__ import annotations

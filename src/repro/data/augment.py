@@ -17,7 +17,6 @@ reproducible.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 
 def random_shift(
@@ -44,6 +43,7 @@ def random_rotate(
     images: np.ndarray, rng: np.random.Generator, max_degrees: float = 2.0
 ) -> np.ndarray:
     """Rotate each image by a uniform angle in [-max_degrees, max_degrees]."""
+    from scipy import ndimage  # deferred: keeps `import repro` scipy-free
     out = np.empty_like(images)
     angles = rng.uniform(-max_degrees, max_degrees, size=len(images))
     for i, angle in enumerate(angles):
@@ -65,6 +65,7 @@ def random_hflip(
 
 def resize_bilinear(images: np.ndarray, size: int) -> np.ndarray:
     """Bilinear resize of a batch to ``size×size`` (paper footnote 4)."""
+    from scipy import ndimage  # deferred: keeps `import repro` scipy-free
     n, c, h, w = images.shape
     if h == size and w == size:
         return images.astype(np.float32, copy=False)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.loader import Dataset
 
@@ -98,6 +97,7 @@ def _texture(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _render_cifar(label: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    from scipy import ndimage  # deferred: keeps `import repro` scipy-free
     shape, hue, texture = CLASS_STYLES[label]
     mask = _shape_mask(shape, size, rng)
     mask = ndimage.rotate(

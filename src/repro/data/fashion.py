@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.loader import Dataset
 
@@ -134,6 +133,7 @@ _BUILDERS: Dict[int, Callable] = {
 def _render_garment(
     label: int, image_size: int, rng: np.random.Generator
 ) -> np.ndarray:
+    from scipy import ndimage  # deferred: keeps `import repro` scipy-free
     y, x = _grid(image_size)
     mask = _BUILDERS[label](y, x, rng).astype(np.float32)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.glyphs import all_digit_glyphs
 from repro.data.loader import Dataset
@@ -25,6 +24,7 @@ def _render_digit(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Render one jittered glyph onto an ``image_size²`` canvas."""
+    from scipy import ndimage  # deferred: keeps `import repro` scipy-free
     # Scale the 7x5 glyph to a target height of ~60-75% of the canvas.
     target_h = image_size * rng.uniform(0.58, 0.78)
     zoom = target_h / glyph.shape[0]

@@ -144,7 +144,8 @@ class FixedPointSanitizer:
     ) -> None:
         """Inspect a pre-clip integer-code buffer from a rounding kernel.
 
-        ``codes`` is the float64 scratch holding rounded (but not yet
+        ``codes`` is the scratch buffer (float32 or float64 carrier, see
+        :mod:`repro.quant.rounding`) holding rounded (but not yet
         saturated) integer codes; out-of-range entries are the values a
         hardware datapath would clip (overflow), NaNs are poison.
         NaN comparisons are false, so the two counts never overlap.

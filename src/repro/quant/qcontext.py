@@ -61,9 +61,16 @@ def scaled_quantize(
     (:class:`FixedPointQuant`) and the fine-tuning STE context
     (:class:`~repro.framework.finetune.StraightThroughQuant`), so their
     forward values are bit-identical by construction.
+
+    The divide comes first and the rescale multiplies the freshly
+    allocated quantizer output in place, so the result is bit-identical
+    to ``scale * quantize(data / scale, ...)`` (float32 underflow of the
+    divide included) without a second output buffer.
     """
     if scale != 1.0:
-        return scale * quantize(data / scale, fmt, scheme)
+        out = quantize(data / scale, fmt, scheme)
+        out *= scale
+        return out
     return quantize(data, fmt, scheme)
 
 

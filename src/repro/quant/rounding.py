@@ -17,6 +17,27 @@ Each scheme maps real values onto the grid of a
 
 All schemes saturate out-of-range values to the format's min/max, as a
 fixed-point hardware datapath would.
+
+Carrier dtype
+-------------
+:meth:`RoundingScheme.apply` rounds in a private scratch buffer, the
+*carrier*.  It is float32 when the input is float32 and the format's
+wordlength is at most :data:`FLOAT32_CARRIER_MAX_WORDLENGTH` (23), and
+float64 otherwise.  Both carriers give bit-identical outputs:
+
+* ``y = x · 2^QF`` is exact in float32 (a power-of-two scale of a
+  float32), and so is every floor, ``rint`` and every clipped code
+  (``|code| ≤ 2^22``) and its rescale.  Where a pre-clip code differs
+  between carriers, ``|y| ≥ 2^23`` (or ``y`` overflowed to ±inf), so
+  the code saturates to the same bound either way.
+* Two steps are *not* exact in float32: RTN's ``y + 1/2``, whose floor
+  differs from float64 arithmetic for a single input that is pinned
+  first (see :class:`RoundToNearest`), and SR's residue ``y − floor(y)``,
+  which is always taken in float64 (see :class:`StochasticRounding`).
+
+The SR draw stream is the same on both carriers.  The narrower scratch
+buffer halves the memory traffic of the hottest kernel of every
+quantized forward.
 """
 
 from __future__ import annotations
@@ -27,6 +48,22 @@ import numpy as np
 
 from repro.lint.sanitizer import active_sanitizer
 from repro.quant.fixed_point import FixedPointFormat
+
+#: Widest format rounded on a float32 carrier: its clipped codes satisfy
+#: ``|code| ≤ 2^22``, so a float32 ``y`` whose rounding could differ from
+#: float64 arithmetic (``|y| ≥ 2^23``) saturates on both carriers.
+FLOAT32_CARRIER_MAX_WORDLENGTH = 23
+
+#: ``0.5 − 2^-25``, the largest float32 below one half (see
+#: :class:`RoundToNearest`).
+_F32_BELOW_HALF = np.nextafter(np.float32(0.5), np.float32(0.0))
+
+
+def carrier_dtype(dtype: np.dtype, fmt: FixedPointFormat) -> type:
+    """Scratch dtype :meth:`RoundingScheme.apply` rounds ``dtype`` in."""
+    if dtype == np.float32 and fmt.wordlength <= FLOAT32_CARRIER_MAX_WORDLENGTH:
+        return np.float32
+    return np.float64
 
 
 class RoundingScheme:
@@ -45,9 +82,10 @@ class RoundingScheme:
     def _round_codes(self, scaled: np.ndarray) -> np.ndarray:
         """Map real-valued integer-grid coordinates to integer codes.
 
-        ``scaled`` is a float64 scratch buffer owned by the caller;
-        implementations may round in place and return it (every caller
-        passes a freshly allocated array).
+        ``scaled`` is a float32 or float64 scratch buffer (the carrier)
+        owned by the caller; implementations may round in place and
+        return it (every caller passes a freshly allocated array).  The
+        returned codes keep the carrier dtype.
         """
         raise NotImplementedError
 
@@ -56,15 +94,17 @@ class RoundingScheme:
 
         This is the hottest call of every quantized evaluation, so the
         scale → round → clip → rescale pipeline is fused onto a single
-        float64 scratch buffer: one allocation for the scratch plus the
-        final dtype cast, instead of a fresh temporary per step.  The
-        arithmetic is unchanged op for op, so outputs are bit-identical
-        to the unfused pipeline.
+        scratch buffer: one allocation for the scratch plus the final
+        dtype cast, instead of a fresh temporary per step.  The scratch
+        is float32 for float32 inputs of at most 23-bit formats and
+        float64 otherwise (see the module docstring for why both give
+        the same bits).  Outputs are bit-identical to the unfused
+        float64 pipeline.
         """
         values = np.asarray(values)
         scale = 2.0**fmt.fractional_bits
-        scaled = values.astype(np.float64)  # private scratch copy
-        scaled *= scale
+        work = carrier_dtype(values.dtype, fmt)
+        scaled = np.multiply(values, scale, dtype=work)  # private scratch
         codes = self._round_codes(scaled)
         sanitizer = active_sanitizer()
         if sanitizer is not None:
@@ -89,12 +129,25 @@ class Truncation(RoundingScheme):
 
 
 class RoundToNearest(RoundingScheme):
-    """RTN — round half-up (paper Eq. 3: ``xq = floor(x + eps/2)``)."""
+    """RTN — round half-up (paper Eq. 3: ``xq = floor(x + eps/2)``).
+
+    On a float32 carrier (``|y| < 2^23``) ``y + 1/2`` can round.
+    Rounding is monotone and integers are representable, so ``floor``
+    changes only if the sum rounds up onto the next integer.  That
+    happens for exactly one input, ``y = 1/2 − 2^-25``, whose sum
+    ``1 − 2^-25`` is a tie that rounds to the even neighbour 1.0 (an
+    exhaustive check over every float32 with ``|y| < 2^23`` finds no
+    other).  That input is pinned to 0 (same code) before the add.
+    """
 
     name = "RTN"
     complexity = 1
 
     def _round_codes(self, scaled: np.ndarray) -> np.ndarray:
+        if scaled.dtype == np.float32:
+            tie = scaled == _F32_BELOW_HALF
+            if tie.any():
+                scaled[tie] = 0.0
         scaled += 0.5
         return np.floor(scaled, out=scaled)
 
@@ -146,9 +199,14 @@ class StochasticRounding(RoundingScheme):
 
     def _round_codes(self, scaled: np.ndarray) -> np.ndarray:
         floor = np.floor(scaled)
-        scaled -= floor  # fractional residue, reusing the scratch buffer
+        # The residue is always taken in float64: in float32, y − floor(y)
+        # rounds for y ∈ (−1/2, 0) (e.g. 1 − 2^-30 becomes 1.0), which
+        # would move the draw threshold.  A float64 carrier reuses its
+        # scratch buffer.
+        out = scaled if scaled.dtype == np.float64 else None
+        residue = np.subtract(scaled, floor, out=out, dtype=np.float64)
         draws = self.rng.random(size=scaled.shape)
-        floor += draws < scaled
+        floor += draws < residue
         return floor
 
     def __repr__(self) -> str:

@@ -14,6 +14,7 @@ from repro.autograd import (
     vector_norm,
 )
 from repro.autograd.ops_nn import (
+    _axis_max,
     avg_pool2d,
     col2im,
     conv_output_shape,
@@ -192,6 +193,29 @@ class TestSoftmax:
 
     def test_gradcheck(self, rng):
         assert gradcheck(lambda a: softmax(a, axis=-1), [rng.standard_normal((3, 5))])
+
+    @pytest.mark.parametrize(
+        "shape,axis", [((6, 5, 10), 2), ((6, 5, 10), -1), ((4, 3, 7), 0),
+                       ((3, 40), 1), ((2, 1), 1), ((9,), 0)]
+    )
+    def test_short_axis_max_identical_to_reduction(self, shape, axis, rng):
+        """The sliced max fold gives the exact softmax of the reduction
+        form, for float32 and float64, with ±inf and NaN present."""
+        for dtype in (np.float32, np.float64):
+            x = rng.standard_normal(shape).astype(dtype)
+            x.flat[::7] = np.inf
+            x.flat[3::11] = -np.inf
+            x.flat[5::13] = np.nan
+            x.flat[1::17] = -0.0
+            np.testing.assert_array_equal(
+                _axis_max(x, axis), x.max(axis=axis, keepdims=True)
+            )
+            with np.errstate(invalid="ignore"):
+                expected = np.exp(x - x.max(axis=axis, keepdims=True))
+                expected = expected / expected.sum(axis=axis, keepdims=True)
+                out = softmax(Tensor(x), axis=axis).data
+            assert out.dtype == dtype
+            np.testing.assert_array_equal(out, expected)
 
     def test_log_softmax_consistent(self, rng):
         x = rng.standard_normal((3, 5))

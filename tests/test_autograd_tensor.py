@@ -235,7 +235,8 @@ class TestMatmul:
         assert gradcheck(lambda x, y: x @ y, [a, b])
 
     def test_broadcast_batched_gradcheck(self):
-        # This broadcast pattern is exactly the CapsFC vote computation.
+        # The broadcast pattern of the former CapsFC vote kernel (now one
+        # GEMM per input capsule, gradchecked in test_capsnet_layers_models).
         rng = np.random.default_rng(9)
         w = rng.standard_normal((1, 3, 5, 2, 4))
         u = rng.standard_normal((2, 3, 1, 4, 1))

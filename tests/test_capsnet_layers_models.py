@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
+from repro.autograd.gradcheck import gradcheck
 from repro.capsnet import (
     CapsFC,
     ConvCaps2d,
@@ -15,6 +16,7 @@ from repro.capsnet import (
     mask_capsules,
     presets,
 )
+from repro.capsnet.routing import dynamic_routing
 from repro.nn import margin_loss
 from repro.quant import RecordingContext
 
@@ -46,6 +48,55 @@ class TestCapsFC:
         layer = CapsFC(12, 4, 5, 6, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             layer(Tensor(rng.standard_normal((3, 9, 4)).astype(np.float32)))
+
+    @staticmethod
+    def _broadcast_votes(u, weight):
+        """The former vote kernel: B·I·J matrix-vector products via
+        ``(1, I, J, D_out, D_in) @ (B, I, 1, D_in, 1)``."""
+        batch, in_caps, in_dim = u.shape
+        u_col = u.reshape(batch, in_caps, 1, in_dim, 1)
+        return np.matmul(weight[None], u_col)[..., 0]
+
+    @pytest.mark.parametrize("bits", [4, 8, 12])
+    def test_gemm_votes_bit_identical_on_grid(self, bits, rng):
+        """On fixed-point grid inputs every product and partial sum is
+        exact in float32, so the one-GEMM votes equal the broadcast form
+        bit for bit whatever the summation order."""
+        layer = CapsFC(36, 8, 10, 16, rng=np.random.default_rng(1))
+        eps = 2.0 ** -(bits - 1)
+        weight = np.clip(np.round(layer.weight.data / eps) * eps, -1.0, 1.0 - eps)
+        # Capsule-like activations: Σ|u| < 4 keeps partial sums in 24 bits.
+        u = np.round(rng.uniform(-0.45, 0.45, size=(16, 36, 8)) / eps) * eps
+        weight, u = weight.astype(np.float32), u.astype(np.float32)
+        votes = layer.votes(Tensor(u), Tensor(weight)).data
+        assert votes.shape == (16, 36, 10, 16)
+        assert votes.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(
+            votes.view(np.uint32), self._broadcast_votes(u, weight).view(np.uint32)
+        )
+
+    def test_gemm_votes_match_fp32_to_roundoff(self, rng):
+        layer = CapsFC(36, 8, 10, 16, rng=np.random.default_rng(2))
+        u = rng.standard_normal((16, 36, 8)).astype(np.float32)
+        weight = layer.weight.data
+        votes = layer.votes(Tensor(u), layer.weight).data
+        assert votes.dtype == np.float32
+        np.testing.assert_allclose(
+            votes, self._broadcast_votes(u, weight), rtol=1e-5, atol=1e-6
+        )
+
+    def test_gradcheck_through_layer(self, rng):
+        """Float64 gradients of votes + routing w.r.t. input and weight."""
+        layer = CapsFC(3, 4, 2, 3, routing_iterations=2,
+                       rng=np.random.default_rng(3))
+        u = rng.standard_normal((2, 3, 4)) * 0.5
+        weight = layer.weight.data.astype(np.float64)
+
+        def forward(u_t, w_t):
+            votes = layer.votes(u_t, w_t)
+            return dynamic_routing(votes, iterations=layer.routing_iterations)
+
+        assert gradcheck(forward, [u, weight])
 
     def test_mac_counters(self):
         layer = CapsFC(12, 4, 5, 6, routing_iterations=3,

@@ -1,9 +1,15 @@
 """Tests for the synthetic datasets, augmentation, architecture stats
 and baselines."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import deepcaps_stats, fig1_comparison, shallowcaps_stats
 from repro.autograd import Tensor
 from repro.baselines import LeNet5, alexnet_stats, lenet5_stats, sweep_uniform_bits
@@ -85,6 +91,21 @@ class TestDatasets:
         assert sum(len(labels) for _, labels in batches) == 50
         with pytest.raises(ValueError):
             DataLoader(train, batch_size=0)
+
+
+def test_import_repro_does_not_load_scipy():
+    """scipy is imported lazily by the dataset renderers and augmenters
+    that use it, so it stays off the cold-start path of ``import repro``."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    code = "import sys, repro; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestAugment:

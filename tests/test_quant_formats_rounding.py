@@ -16,7 +16,9 @@ from repro.quant import (
     quantize,
     quantize_to_int,
 )
+from repro.quant.qcontext import scaled_quantize
 from repro.quant.quantize import quantization_error, sqnr_db
+from repro.quant.rounding import carrier_dtype
 
 
 class TestFixedPointFormat:
@@ -138,6 +140,121 @@ def format_and_values(draw):
     return FixedPointFormat(qi, qf), np.array(values)
 
 
+@st.composite
+def carrier_edge_format_and_values(draw):
+    """Formats on both sides of the float32-carrier bound (22–25 bits,
+    plus short ones) with values at the carrier's edges."""
+    wordlength = draw(st.sampled_from([4, 8, 12, 22, 23, 24, 25]))
+    qi = draw(st.integers(min_value=1, max_value=3))
+    fmt = FixedPointFormat(qi, wordlength - qi)
+    codes = np.array(
+        draw(
+            st.lists(
+                st.integers(min_value=fmt.int_min - 3, max_value=fmt.int_max + 3),
+                min_size=1,
+                max_size=10,
+            )
+        ),
+        dtype=np.float64,
+    )
+    ties = ((codes + 0.5) * fmt.eps).astype(np.float32)
+    plain = np.array(
+        draw(
+            st.lists(
+                st.floats(
+                    min_value=-4.0 * 2.0**qi,
+                    max_value=4.0 * 2.0**qi,
+                    allow_nan=False,
+                    width=32,
+                ),
+                min_size=1,
+                max_size=10,
+            )
+        ),
+        dtype=np.float32,
+    )
+    tiny = np.finfo(np.float32).smallest_subnormal
+    big = np.float32(2.0 ** (qi - 1))
+    edges = np.array(
+        [
+            0.0,
+            -0.0,
+            tiny,
+            -tiny,
+            tiny * 3,
+            -tiny * 2**20,
+            # The float32 just below a half code (see RoundToNearest).
+            np.nextafter(np.float32(0.5), np.float32(0.0)) * np.float32(fmt.eps),
+            big,
+            -big,
+            big * 2,
+            -big * 3,
+            np.float32(3e38),
+            np.float32(-3e38),
+        ],
+        dtype=np.float32,
+    )
+    values = np.concatenate(
+        [
+            plain,
+            ties,
+            np.nextafter(ties, np.float32(np.inf)),
+            np.nextafter(ties, np.float32(-np.inf)),
+            edges,
+        ]
+    )
+    return fmt, values
+
+
+def _bits(array):
+    """Raw bit pattern (distinguishes ±0, compares NaN payloads)."""
+    return array.view(np.uint32 if array.dtype == np.float32 else np.uint64)
+
+
+def _assert_apply_matches_reference(fmt, values):
+    """``apply`` equals the unfused float64 pipeline bit for bit."""
+    scale = 2.0**fmt.fractional_bits
+
+    def reference_apply(rounder, vals):
+        codes = rounder(vals.astype(np.float64) * scale)
+        codes = np.clip(codes, fmt.int_min, fmt.int_max)
+        return (codes / scale).astype(vals.dtype)
+
+    rounders = {
+        "TRN": lambda s: np.floor(s),
+        "RTN": lambda s: np.floor(s + 0.5),
+        "RTNE": lambda s: np.rint(s),
+    }
+    with np.errstate(invalid="ignore", over="ignore"):
+        for dtype in (np.float32, np.float64):
+            vals = values.astype(dtype)
+            for name, rounder in rounders.items():
+                out = get_rounding_scheme(name).apply(vals, fmt)
+                expected = reference_apply(rounder, vals)
+                assert out.dtype == vals.dtype
+                np.testing.assert_array_equal(np.isnan(out), np.isnan(expected))
+                finite = ~np.isnan(expected)
+                np.testing.assert_array_equal(
+                    _bits(out[finite]), _bits(expected[finite])
+                )
+            # SR: same seed => same draws => identical outputs.
+            sr = get_rounding_scheme("SR", seed=11)
+            rng = np.random.default_rng(11)
+
+            def sr_rounder(s):
+                floor = np.floor(s)
+                residue = s - floor
+                draws = rng.random(size=s.shape)
+                return floor + (draws < residue)
+
+            out = sr.apply(vals, fmt)
+            expected = reference_apply(sr_rounder, vals)
+            assert out.dtype == vals.dtype
+            np.testing.assert_array_equal(np.isnan(out), np.isnan(expected))
+            finite = ~np.isnan(expected)
+            np.testing.assert_array_equal(_bits(out[finite]), _bits(expected[finite]))
+
+
 class TestRoundingProperties:
     @given(format_and_values())
     @settings(max_examples=100, deadline=None)
@@ -177,47 +294,88 @@ class TestRoundingProperties:
         floats = dequantize_from_int(codes, fmt)
         assert np.allclose(floats, quantize(values, fmt), atol=1e-12)
 
-    @given(format_and_values())
-    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(format_and_values(), carrier_edge_format_and_values()))
+    @settings(max_examples=150, deadline=None)
     def test_fused_apply_matches_unfused_reference(self, fmt_values):
-        """The fused (in-place scratch) apply pipeline is bit-identical
-        to the original temporary-per-step formulation, for both float
-        dtypes and every scheme (SR with matched seeds)."""
+        """The fused apply pipeline — in-place scratch, float32 carrier
+        for float32 inputs of ≤ 23-bit formats — is bit-identical to the
+        original float64 temporary-per-step formulation, for both float
+        dtypes and every scheme (SR with matched seeds).  Formats of
+        22–25 bits straddle the carrier bound; values include half-code
+        ties, saturating magnitudes, subnormals and signed zeros."""
+        _assert_apply_matches_reference(*fmt_values)
+
+    @given(carrier_edge_format_and_values())
+    @settings(max_examples=50, deadline=None)
+    def test_fused_apply_matches_reference_on_nonfinite(self, fmt_values):
         fmt, values = fmt_values
+        specials = np.array([np.inf, -np.inf, np.nan, -np.nan])
+        _assert_apply_matches_reference(fmt, np.concatenate([values, specials]))
 
-        def reference_apply(scheme, rounder, vals):
-            vals = np.asarray(vals)
-            scale = 2.0**fmt.fractional_bits
-            codes = rounder(vals.astype(np.float64) * scale)
-            codes = np.clip(codes, fmt.int_min, fmt.int_max)
-            return (codes / scale).astype(vals.dtype)
+    def test_rtn_float32_carrier_below_half_tie(self):
+        """float32 ``y + 0.5`` rounds ``0.5 − 2^-25`` up to 1.0; RTN must
+        still round that code coordinate to 0, like float64 arithmetic."""
+        below_half = np.nextafter(np.float32(0.5), np.float32(0.0))
+        for qf in (0, 7, 22):
+            fmt = FixedPointFormat(1, qf)
+            x = np.array([below_half, -below_half], dtype=np.float32) * np.float32(
+                fmt.eps
+            )
+            assert carrier_dtype(x.dtype, fmt) is np.float32
+            out = RoundToNearest().apply(x, fmt)
+            np.testing.assert_array_equal(out, [0.0, 0.0])
+            assert out.dtype == np.float32
 
-        rounders = {
-            "TRN": lambda s: np.floor(s),
-            "RTN": lambda s: np.floor(s + 0.5),
-            "RTNE": lambda s: np.rint(s),
-        }
+    def test_rtn_float32_carrier_sweep_matches_float64(self):
+        """Every float32 code coordinate in [1/4, 1/2) and [-1, -1/2) —
+        the binades where float32 ``y + 0.5`` is inexact — rounds as in
+        float64 arithmetic."""
+        fmt = FixedPointFormat(23, 0)  # code coordinate == value
+        for lo, hi in ((0.25, 0.5), (-1.0, -0.5)):
+            bits = np.arange(
+                np.float32(lo).view(np.int32),
+                np.float32(hi).view(np.int32),
+                dtype=np.int32,
+            )
+            values = bits.view(np.float32)
+            out = RoundToNearest().apply(values, fmt)
+            expected = np.floor(values.astype(np.float64) + 0.5).astype(np.float32)
+            np.testing.assert_array_equal(out.view(np.int32), expected.view(np.int32))
+
+    def test_sr_float32_carrier_residue_is_exact(self):
+        """SR compares its draws with the exact residue: for ``y = −2^-30``
+        float32 ``y − floor(y)`` would round ``1 − 2^-30`` up to 1.0, and a
+        draw between the two would then round up instead of down."""
+
+        class FixedDraws:
+            def random(self, size):
+                return np.full(size, 1.0 - 2.0**-31)
+
+        fmt = FixedPointFormat(1, 7)
+        x = np.array([-(2.0**-30)], dtype=np.float32) * np.float32(fmt.eps)
+        assert carrier_dtype(x.dtype, fmt) is np.float32
+        out = StochasticRounding(rng=FixedDraws()).apply(x, fmt)
+        np.testing.assert_array_equal(out, [-fmt.eps])
+
+    @given(
+        format_and_values(),
+        st.integers(min_value=-6, max_value=8),
+        st.sampled_from(["TRN", "RTN", "RTNE", "SR"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_scaled_quantize_matches_reference(self, fmt_values, exponent, name):
+        """``scaled_quantize`` rescales in place but gives the bits of
+        ``scale * quantize(data / scale)`` for power-of-two scales."""
+        fmt, values = fmt_values
+        scale = 2.0**exponent
         for dtype in (np.float32, np.float64):
-            vals = values.astype(dtype)
-            for name, rounder in rounders.items():
-                scheme = get_rounding_scheme(name)
-                out = scheme.apply(vals, fmt)
-                expected = reference_apply(scheme, rounder, vals)
-                assert out.dtype == vals.dtype
-                np.testing.assert_array_equal(out, expected)
-            # SR: same seed => same draws => identical outputs.
-            sr = get_rounding_scheme("SR", seed=11)
-            rng = np.random.default_rng(11)
-
-            def sr_rounder(s):
-                floor = np.floor(s)
-                residue = s - floor
-                draws = rng.random(size=s.shape)
-                return floor + (draws < residue)
-
-            out = sr.apply(vals, fmt)
-            expected = reference_apply(sr, sr_rounder, vals)
-            np.testing.assert_array_equal(out, expected)
+            data = values.astype(dtype)
+            out = scaled_quantize(data, fmt, get_rounding_scheme(name, seed=3), scale)
+            expected = scale * quantize(
+                data / scale, fmt, get_rounding_scheme(name, seed=3)
+            )
+            assert out.dtype == expected.dtype == dtype
+            np.testing.assert_array_equal(_bits(out), _bits(expected))
 
     def test_apply_does_not_mutate_input(self):
         fmt = FixedPointFormat(1, 3)

@@ -37,6 +37,7 @@ from repro.quant import (
 )
 from repro.quant.fixed_point import FixedPointFormat
 from repro.quant.quantize import quantize, quantize_to_int
+from repro.quant.rounding import carrier_dtype
 from repro.serve import ModelRegistry, ServingDaemon
 
 SCHEMES = ("TRN", "RTN", "RTNE", "SR")
@@ -104,6 +105,54 @@ class TestBitIdentity:
         np.testing.assert_array_equal(plain, served.predict(images))
         # The run actually recorded quantization traffic.
         assert served.sanitizer_report()["totals"]["calls"] > 0
+
+
+class TestCarrierParity:
+    """The float32 rounding carrier reports what the float64 one does.
+
+    Feeding the same float32 values as float64 runs the identical
+    rounding on the float64 carrier, so the two sanitizer reports can be
+    compared directly.
+    """
+
+    @staticmethod
+    def _reports(values32, fmt, name):
+        assert carrier_dtype(values32.dtype, fmt) is np.float32
+        reports = []
+        for values in (values32, values32.astype(np.float64)):
+            with np.errstate(invalid="ignore", over="ignore"):
+                with FixedPointSanitizer() as sanitizer:
+                    with sanitizer.layer("L"):
+                        get_rounding_scheme(name, seed=4).apply(values, fmt)
+            reports.append(sanitizer.report())
+        return reports
+
+    @pytest.mark.parametrize("name", SCHEMES)
+    @pytest.mark.parametrize("wordlength", [8, 23])
+    def test_counters_and_ranges_identical(self, name, wordlength, rng):
+        fmt = FixedPointFormat(2, wordlength - 2)
+        # Codes overflow beyond |x| = 2, and |x · 2^QF| < 2^23 keeps the
+        # pre-clip extrema exact on both carriers.
+        values = np.clip(rng.normal(scale=2.0, size=(32, 9)), -3.99, 3.99)
+        values = values.astype(np.float32)
+        values[0, :3] = [0.0, -0.0, np.finfo(np.float32).smallest_subnormal]
+        on_f32, on_f64 = self._reports(values, fmt, name)
+        assert on_f32["layers"] == on_f64["layers"]
+        assert on_f32["ranges"] == on_f64["ranges"]
+        assert on_f32["totals"]["overflow"] > 0
+
+    @pytest.mark.parametrize("name", SCHEMES)
+    def test_counters_identical_beyond_float32_range(self, name):
+        fmt = FixedPointFormat(1, 22)
+        values = np.array(
+            [np.nan, np.inf, -np.inf, 3e38, -3e38, 1e30, 0.25, -0.75],
+            dtype=np.float32,
+        )
+        on_f32, on_f64 = self._reports(values, fmt, name)
+        assert on_f32["layers"] == on_f64["layers"]
+        totals = on_f32["totals"]
+        assert (totals["calls"], totals["elements"]) == (1, 8)
+        assert (totals["nan"], totals["overflow"]) == (1, 5)
 
 
 # ----------------------------------------------------------------------
