@@ -220,16 +220,25 @@ def _assert_apply_matches_reference(fmt, values):
         codes = np.clip(codes, fmt.int_min, fmt.int_max)
         return (codes / scale).astype(vals.dtype)
 
+    def sr_rounder(s):
+        floor = np.floor(s)
+        residue = s - floor
+        draws = rng.random(size=s.shape)
+        return floor + (draws < residue)
+
     rounders = {
         "TRN": lambda s: np.floor(s),
         "RTN": lambda s: np.floor(s + 0.5),
         "RTNE": lambda s: np.rint(s),
+        "SR": sr_rounder,
     }
     with np.errstate(invalid="ignore", over="ignore"):
         for dtype in (np.float32, np.float64):
             vals = values.astype(dtype)
             for name, rounder in rounders.items():
-                out = get_rounding_scheme(name).apply(vals, fmt)
+                # SR: same seed => same draws => identical outputs.
+                rng = np.random.default_rng(11)
+                out = get_rounding_scheme(name, seed=11).apply(vals, fmt)
                 expected = reference_apply(rounder, vals)
                 assert out.dtype == vals.dtype
                 np.testing.assert_array_equal(np.isnan(out), np.isnan(expected))
@@ -237,22 +246,6 @@ def _assert_apply_matches_reference(fmt, values):
                 np.testing.assert_array_equal(
                     _bits(out[finite]), _bits(expected[finite])
                 )
-            # SR: same seed => same draws => identical outputs.
-            sr = get_rounding_scheme("SR", seed=11)
-            rng = np.random.default_rng(11)
-
-            def sr_rounder(s):
-                floor = np.floor(s)
-                residue = s - floor
-                draws = rng.random(size=s.shape)
-                return floor + (draws < residue)
-
-            out = sr.apply(vals, fmt)
-            expected = reference_apply(sr_rounder, vals)
-            assert out.dtype == vals.dtype
-            np.testing.assert_array_equal(np.isnan(out), np.isnan(expected))
-            finite = ~np.isnan(expected)
-            np.testing.assert_array_equal(_bits(out[finite]), _bits(expected[finite]))
 
 
 class TestRoundingProperties:
@@ -327,20 +320,21 @@ class TestRoundingProperties:
             assert out.dtype == np.float32
 
     def test_rtn_float32_carrier_sweep_matches_float64(self):
-        """Every float32 code coordinate in [1/4, 1/2) and [-1, -1/2) —
-        the binades where float32 ``y + 0.5`` is inexact — rounds as in
-        float64 arithmetic."""
+        """Every float32 code coordinate in [1/4, 1/2) and (−1, −1/4] —
+        where float32 ``y + 0.5`` can round to within an ulp of an
+        integer — rounds as in float64 arithmetic."""
         fmt = FixedPointFormat(23, 0)  # code coordinate == value
-        for lo, hi in ((0.25, 0.5), (-1.0, -0.5)):
-            bits = np.arange(
-                np.float32(lo).view(np.int32),
-                np.float32(hi).view(np.int32),
-                dtype=np.int32,
-            )
-            values = bits.view(np.float32)
-            out = RoundToNearest().apply(values, fmt)
-            expected = np.floor(values.astype(np.float64) + 0.5).astype(np.float32)
-            np.testing.assert_array_equal(out.view(np.int32), expected.view(np.int32))
+        for lo, hi, sign in ((0.25, 0.5, 1), (0.25, 1.0, -1)):
+            first = int(np.float32(lo).view(np.int32))
+            last = int(np.float32(hi).view(np.int32))
+            for start in range(first, last, 1 << 22):
+                bits = np.arange(start, min(start + (1 << 22), last), dtype=np.int32)
+                values = np.float32(sign) * bits.view(np.float32)
+                out = RoundToNearest().apply(values, fmt)
+                expected = np.floor(values.astype(np.float64) + 0.5)
+                np.testing.assert_array_equal(
+                    _bits(out), _bits(expected.astype(np.float32))
+                )
 
     def test_sr_float32_carrier_residue_is_exact(self):
         """SR compares its draws with the exact residue: for ``y = −2^-30``
