@@ -328,6 +328,9 @@ def sigmoid(x: Tensor) -> Tensor:
 
 #: Longest axis :func:`_axis_max` folds slice by slice.
 _SHORT_AXIS = 16
+#: Fewest rows (reductions) for which folding beats NumPy's reduction:
+#: below it the fold's per-slice call overhead costs more than the rows.
+_MIN_FOLD_ROWS = 256
 
 
 def _axis_max(data: np.ndarray, axis: int) -> np.ndarray:
@@ -335,12 +338,16 @@ def _axis_max(data: np.ndarray, axis: int) -> np.ndarray:
 
     NumPy reduces a short axis one tiny row at a time; folding
     ``np.maximum`` over the axis's slices makes every step one pass over
-    the whole array instead (~10x faster for the 10 output capsules the
-    routing softmax normalises over).  A maximum is exact whatever the
-    order, so the values are the same.
+    all rows instead (~10x faster for the 10 output capsules the routing
+    softmax normalises over at batch 64).  A maximum is exact whatever
+    the order, so the values are the same.
     """
     length = data.shape[axis]
-    if data.ndim == 1 or length == 0 or length > _SHORT_AXIS:
+    if (
+        length == 0
+        or length > _SHORT_AXIS
+        or data.size < _MIN_FOLD_ROWS * length
+    ):
         return data.max(axis=axis, keepdims=True)
     slices = np.moveaxis(data, axis, 0)
     out = slices[0].copy()

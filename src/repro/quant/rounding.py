@@ -146,7 +146,7 @@ class RoundToNearest(RoundingScheme):
     def _round_codes(self, scaled: np.ndarray) -> np.ndarray:
         if scaled.dtype == np.float32:
             tie = scaled == _F32_BELOW_HALF
-            if tie.any():
+            if np.count_nonzero(tie):  # cheaper per call than tie.any()
                 scaled[tie] = 0.0
         scaled += 0.5
         return np.floor(scaled, out=scaled)

@@ -195,8 +195,8 @@ class TestSoftmax:
         assert gradcheck(lambda a: softmax(a, axis=-1), [rng.standard_normal((3, 5))])
 
     @pytest.mark.parametrize(
-        "shape,axis", [((6, 5, 10), 2), ((6, 5, 10), -1), ((4, 3, 7), 0),
-                       ((3, 40), 1), ((2, 1), 1), ((9,), 0)]
+        "shape,axis", [((64, 8, 10), 2), ((64, 8, 10), -1), ((7, 40, 9), 0),
+                       ((300, 1), 1), ((6, 5, 10), 2), ((3, 40), 1), ((9,), 0)]
     )
     def test_short_axis_max_identical_to_reduction(self, shape, axis, rng):
         """The sliced max fold gives the exact softmax of the reduction
