@@ -24,6 +24,14 @@ coefficient tables).  Findings reuse the qlint
 :class:`~repro.lint.findings.Finding` machinery under the QL040-series
 rules; a plan with no blocking finding is ``lowerable``.
 
+Exact contractions (``conv``/``linear`` MACs and the routing ``sum``
+that follows a ``mul``) also record a ``carrier``: the float dtype whose
+GEMM reproduces the int64 result bit for bit.  The analyzer bounds every
+partial sum of the contraction by ``B`` (Σ|w|·|x| per output plus the
+bias, or ``count · max|term|``), independent of summation order, so a
+float carrier with a ``B``-wide exact integer range cannot round — see
+:func:`choose_carrier`.  Plans without the field run on int64.
+
 Serialization follows the qprove certificate idiom: ``to_dict`` /
 ``from_dict`` round-trip losslessly through JSON so plans persist inside
 ``ModelArtifact`` metadata and ``qcapsnets lower --out`` files.
@@ -36,6 +44,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.lint.findings import Finding
 
+#: Pseudo-layer name for the input grid-rounding op.
+INPUT_LAYER = "<input>"
+
 #: Plan document version (bumped on incompatible schema changes).
 PLAN_VERSION = 1
 
@@ -46,6 +57,31 @@ KIND_FLOAT = "float"
 
 #: Findings with any of these rules block lowering (exit 1).
 BLOCKING_RULES = frozenset({"QL040", "QL041", "QL042", "QL043"})
+
+#: Float GEMM carriers, narrowest first, with the exclusive bound on
+#: integer magnitudes each represents exactly (its significand width).
+CARRIER_LIMITS = (("float32", 2 ** 24), ("float64", 2 ** 53))
+
+#: Ops that contract (multiply-accumulate) and so may carry a carrier.
+CONTRACTION_OPS = ("conv", "linear", "sum")
+
+#: Report label of a contraction without a float carrier.
+INT64_CARRIER = "int64"
+
+
+def choose_carrier(bound: int) -> Optional[str]:
+    """The narrowest float carrier in which a contraction is exact.
+
+    ``bound`` must bound the magnitude of every product and every
+    partial sum, in any order of summation.  Every integer below the
+    carrier's limit is then representable, so each float add and FMA
+    is exact and the GEMM equals the int64 result.  ``None`` (int64)
+    when no float carrier is wide enough.
+    """
+    for name, limit in CARRIER_LIMITS:
+        if bound < limit:
+            return name
+    return None
 
 
 @dataclass(frozen=True)
@@ -165,6 +201,9 @@ class OpPlan:
     accumulator_bits: Optional[int] = None
     rescale: Optional[RescalePlan] = None
     approx: Optional[ApproxPlan] = None
+    #: Float GEMM dtype proven exact for this contraction (``None``:
+    #: int64) — see :func:`choose_carrier`.
+    carrier: Optional[str] = None
 
     def to_dict(self) -> Dict[str, Any]:
         doc: Dict[str, Any] = {
@@ -172,6 +211,8 @@ class OpPlan:
             "op": self.op,
             "kind": self.kind,
         }
+        if self.carrier is not None:
+            doc["carrier"] = self.carrier
         if self.note:
             doc["note"] = self.note
         if self.in_exp is not None:
@@ -207,6 +248,9 @@ class OpPlan:
             ),
             rescale=None if rescale is None else RescalePlan.from_dict(rescale),
             approx=None if approx is None else ApproxPlan.from_dict(approx),
+            carrier=(
+                None if data.get("carrier") is None else str(data["carrier"])
+            ),
         )
 
 
@@ -234,6 +278,18 @@ class LayerPlan:
         for op in self.ops:
             counts[op.kind] = counts.get(op.kind, 0) + 1
         return counts
+
+    def carrier_mix(self) -> Dict[str, Dict[str, int]]:
+        """Contraction op name -> carrier -> count (``int64`` when the
+        op has no float carrier)."""
+        mix: Dict[str, Dict[str, int]] = {}
+        for op in self.ops:
+            if op.kind != KIND_EXACT or op.op not in CONTRACTION_OPS:
+                continue
+            carrier = op.carrier or INT64_CARRIER
+            counts = mix.setdefault(op.op, {})
+            counts[carrier] = counts.get(carrier, 0) + 1
+        return mix
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -280,6 +336,13 @@ class LoweringPlan:
             if plan.layer == name:
                 return plan
         raise KeyError(f"no lowering plan for layer '{name}'")
+
+    def input_domain(self) -> Tuple[float, float]:
+        """The certified input interval every plan bound assumes."""
+        for op in self.layer(INPUT_LAYER).ops:
+            if op.op == "quantize-input" and op.approx is not None:
+                return op.approx.domain_lo, op.approx.domain_hi
+        raise KeyError("plan has no quantize-input op")
 
     def kind_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -369,6 +432,16 @@ class LoweringPlan:
                 )
             if shifts:
                 lines.append(f"    shifts: {', '.join(shifts)}")
+            mix = layer.carrier_mix()
+            if mix:
+                lines.append("    carriers: " + ", ".join(
+                    f"{name} " + "/".join(
+                        f"{carrier}x{n}" if n > 1 else carrier
+                        for carrier, n in sorted(mix[name].items())
+                    )
+                    for name in CONTRACTION_OPS
+                    if name in mix
+                ))
             bounds = [
                 f"{op.op}≤{op.approx.error_bound:.3g}"
                 for op in layer.ops

@@ -31,6 +31,12 @@ pure integer arithmetic:
 * **accumulator widths** — per-op widths on the op's own grid, with
   the per-layer ``min_safe_bits`` imported from the qprove
   certificate; anything beyond 64-bit integer execution is QL043.
+* **GEMM carriers** — every tensor also carries a proven bound on the
+  magnitude of the codes the *integer datapath* produces (squash and
+  batch-norm outputs may stray from the float-path interval by their
+  approximation error, so the bound follows the integer ops, not the
+  interval).  Contractions turn it into an order-independent bound on
+  every partial sum and record the float carrier it makes exact.
 
 Accumulator-width convention: like the certificate's
 ``min_safe_bits``, per-op widths bound the *completed* accumulation
@@ -62,6 +68,7 @@ from repro.analysis.interval import (
     squash_interval,
 )
 from repro.analysis.lowering import (
+    INPUT_LAYER,
     KIND_APPROX,
     KIND_EXACT,
     KIND_FLOAT,
@@ -71,6 +78,7 @@ from repro.analysis.lowering import (
     LoweringPlan,
     OpPlan,
     RescalePlan,
+    choose_carrier,
 )
 from repro.analysis.qprove import (
     DEFAULT_ACCUMULATOR_BITS,
@@ -94,8 +102,6 @@ DEFAULT_INPUT_BITS = 8
 #: domain tolerates up to 128 bits; an execution plan does not.
 MAX_EXEC_BITS = 64
 
-#: Pseudo-layer name for the input grid-rounding op.
-INPUT_LAYER = "<input>"
 
 
 class LoweringError(ValueError):
@@ -118,6 +124,9 @@ class _LVal:
     iv: Interval
     exp: Optional[int]
     zero: bool = False
+    #: Proven bound on ``|code|`` over everything the integer datapath
+    #: can produce for this tensor (0 when zero or tainted).
+    code_max: int = 0
 
     @property
     def tainted(self) -> bool:
@@ -143,6 +152,24 @@ def _float_grid_exp(value: float) -> int:
         mantissa *= 2.0
         exponent -= 1
     return exponent
+
+
+def _shifted_code_max(code_max: int, shift: int) -> int:
+    """Bound on ``|shift_round(code, shift)|`` for ``|code| <= code_max``
+    under any rounding scheme (a right shift rounds to floor or ceil)."""
+    if shift <= 0:
+        return code_max << -shift
+    return -(-code_max >> shift)
+
+
+def _row_code_sums(
+    values: np.ndarray, exp: int, fan_in: Optional[int] = None
+) -> np.ndarray:
+    """Σ|code| per output row of a weight tensor on grid ``2^exp``."""
+    codes = np.rint(np.abs(values) * 2.0 ** -exp).astype(np.int64)
+    if fan_in is None:
+        return codes.reshape(codes.shape[0], -1).sum(axis=1)
+    return codes.reshape(-1, fan_in).sum(axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -232,9 +259,8 @@ class _LoweringContext(_AbstractContext):
     # -- graph entry ---------------------------------------------------
     def input(self, x: Interval) -> _LVal:
         step = 2.0 ** -self.input_bits
-        grid = Interval(
-            math.floor(x.lo / step) * step, math.ceil(x.hi / step) * step
-        )
+        code_lo, code_hi = math.floor(x.lo / step), math.ceil(x.hi / step)
+        grid = Interval(code_lo * step, code_hi * step)
         self._record(OpPlan(
             layer=INPUT_LAYER,
             op="quantize-input",
@@ -251,31 +277,51 @@ class _LoweringContext(_AbstractContext):
                 integer_bits=self.config.integer_bits,
             ),
         ))
-        return _LVal(grid, -self.input_bits)
+        return _LVal(
+            grid, -self.input_bits, code_max=max(abs(code_lo), abs(code_hi))
+        )
 
     def constant(self, layer: str, value: float) -> _LVal:
         if value == 0.0:
             return _LVal(Interval.point(0.0), None, zero=True)
-        return _LVal(Interval.point(value), _float_grid_exp(value))
+        exp = _float_grid_exp(value)
+        return _LVal(
+            Interval.point(value), exp, code_max=int(abs(value) * 2.0 ** -exp)
+        )
 
     # -- exact integer ops ---------------------------------------------
-    def _mac(self, layer, op, weight, bias, x, iv) -> _LVal:
+    def _mac(self, layer, op, weight, bias, x, iv, fan_in=None) -> _LVal:
         bias_tainted = bias is not None and bias.tainted
         if x.tainted or weight.tainted or bias_tainted:
             return self._float_op(layer, op, iv, "float-tainted operand")
         out_exp = weight.exp + x.exp
         note = "MAC over frozen integer codes"
-        if bias is not None and bias.values is not None:
+        has_bias = bias is not None and bias.values is not None
+        if has_bias:
             # The bias joins the accumulation on the finer of the two
             # grids — the coarser operand left-shifts in exactly.
             out_exp = min(out_exp, bias.exp)
             note += " (+ bias aligned by exact left shift)"
+        # Carrier bound on the output grid: Σ|w|·max|x| per row bounds
+        # every partial sum of the products in any order, the bias
+        # (joined after the GEMM) adds at most its own magnitude.  It
+        # is deliberately not the interval: a bias can cancel partial
+        # sums far larger than the final result.
+        rows = _row_code_sums(weight.values, weight.exp, fan_in)
+        bound = (
+            int(rows.max(initial=0)) * x.code_max
+        ) << (weight.exp + x.exp - out_exp)
+        if has_bias:
+            bias_codes = np.rint(np.abs(bias.values) * 2.0 ** -bias.exp)
+            bound += int(bias_codes.max(initial=0)) << (bias.exp - out_exp)
         bits = self._acc_bits(layer, op, iv, out_exp)
         self._record(OpPlan(
-            layer=layer, op=op, kind=KIND_EXACT, note=note,
+            layer=layer, op=op, kind=KIND_EXACT,
+            note=f"{note}; partial sums within ±{bound}",
             in_exp=x.exp, out_exp=out_exp, accumulator_bits=bits,
+            carrier=choose_carrier(bound),
         ))
-        return _LVal(iv, out_exp)
+        return _LVal(iv, out_exp, code_max=bound)
 
     def conv(self, layer, weight, bias, x, padding) -> _LVal:
         iv = super().conv(
@@ -295,7 +341,7 @@ class _LoweringContext(_AbstractContext):
             x.iv,
             fan_in=fan_in,
         )
-        return self._mac(layer, "linear", weight, bias, x, iv)
+        return self._mac(layer, "linear", weight, bias, x, iv, fan_in)
 
     def relu(self, layer: str, x: _LVal) -> _LVal:
         iv = super().relu(layer, x.iv)
@@ -306,7 +352,7 @@ class _LoweringContext(_AbstractContext):
             note="max(0, code) on the incoming grid",
             in_exp=x.exp, out_exp=x.exp,
         ))
-        return _LVal(iv, x.exp, zero=x.zero)
+        return _LVal(iv, x.exp, zero=x.zero, code_max=x.code_max)
 
     def avgpool(self, layer: str, x: _LVal, window: int) -> _LVal:
         iv = super().avgpool(layer, x.iv, window)
@@ -331,7 +377,7 @@ class _LoweringContext(_AbstractContext):
             ),
             in_exp=x.exp, out_exp=out_exp, accumulator_bits=bits,
         ))
-        return _LVal(iv, out_exp)
+        return _LVal(iv, out_exp, code_max=x.code_max * window)
 
     def mul(self, layer: str, a: _LVal, b: _LVal) -> _LVal:
         iv = super().mul(layer, a.iv, b.iv)
@@ -346,14 +392,14 @@ class _LoweringContext(_AbstractContext):
             note="integer product lands on the composed grid",
             in_exp=a.exp, out_exp=out_exp, accumulator_bits=bits,
         ))
-        return _LVal(iv, out_exp)
+        return _LVal(iv, out_exp, code_max=a.code_max * b.code_max)
 
     def add(self, layer: str, a: _LVal, b: _LVal) -> _LVal:
         iv = super().add(layer, a.iv, b.iv)
         if a.zero:
-            return _LVal(iv, b.exp, zero=b.zero)
+            return _LVal(iv, b.exp, zero=b.zero, code_max=b.code_max)
         if b.zero:
-            return _LVal(iv, a.exp, zero=a.zero)
+            return _LVal(iv, a.exp, zero=a.zero, code_max=a.code_max)
         if a.tainted or b.tainted:
             return self._float_op(layer, "add", iv, "float-tainted operand")
         out_exp = min(a.exp, b.exp)
@@ -363,7 +409,11 @@ class _LoweringContext(_AbstractContext):
             note="operands aligned to the finer grid by exact left shift",
             in_exp=out_exp, out_exp=out_exp, accumulator_bits=bits,
         ))
-        return _LVal(iv, out_exp)
+        code_max = (
+            _shifted_code_max(a.code_max, out_exp - a.exp)
+            + _shifted_code_max(b.code_max, out_exp - b.exp)
+        )
+        return _LVal(iv, out_exp, code_max=code_max)
 
     def sum_terms(self, layer: str, term: _LVal, count: int) -> _LVal:
         iv = super().sum_terms(layer, term.iv, count)
@@ -372,12 +422,18 @@ class _LoweringContext(_AbstractContext):
         if term.tainted:
             return self._float_op(layer, "sum", iv, "float-tainted operand")
         bits = self._acc_bits(layer, "sum", iv, term.exp)
+        # Any partial sum of ``count`` terms stays within count·max|term|.
+        bound = int(count) * term.code_max
         self._record(OpPlan(
             layer=layer, op="sum", kind=KIND_EXACT,
-            note=f"integer reduction over {count} terms",
+            note=(
+                f"integer reduction over {count} terms; partial sums "
+                f"within ±{bound}"
+            ),
             in_exp=term.exp, out_exp=term.exp, accumulator_bits=bits,
+            carrier=choose_carrier(bound),
         ))
-        return _LVal(iv, term.exp)
+        return _LVal(iv, term.exp, code_max=bound)
 
     # -- certified approximations --------------------------------------
     def batchnorm(self, layer: str, x: _LVal, bn) -> _LVal:
@@ -429,7 +485,10 @@ class _LoweringContext(_AbstractContext):
                 },
             ),
         ))
-        return _LVal(iv, out_exp)
+        code_max = (
+            int(np.abs(m).max()) * x.code_max + int(np.abs(offs).max())
+        )
+        return _LVal(iv, out_exp, code_max=code_max)
 
     def squash(self, layer: str, x: _LVal, dim: int) -> _LVal:
         iv = squash_interval(x.iv)
@@ -520,7 +579,9 @@ class _LoweringContext(_AbstractContext):
                 tables={"caps_dim": int(unit.caps_dim)},
             ),
         ))
-        return _LVal(iv, op_exp)
+        # fixed_squash scales each |code| <= isqrt(Σ code²) by a ratio
+        # below 2^frac, whatever the operand.
+        return _LVal(iv, op_exp, code_max=(1 << frac) - 1)
 
     def softmax(self, layer: str, x: _LVal, count: int) -> _LVal:
         iv = softmax_interval()
@@ -590,7 +651,7 @@ class _LoweringContext(_AbstractContext):
                 },
             ),
         ))
-        return _LVal(iv, x.exp)
+        return _LVal(iv, x.exp, code_max=fmt_sub.int_max)
 
     # -- quantization hooks --------------------------------------------
     def _hook(
@@ -672,7 +733,12 @@ class _LoweringContext(_AbstractContext):
                 value_hi=widened.hi,
             ),
         ))
-        return _LVal(iv, out_exp)
+        # The integer hook clips into ``fmt`` whatever its input was.
+        code_max = min(
+            -fmt.int_min,
+            0 if value.zero else _shifted_code_max(value.code_max, shift),
+        )
+        return _LVal(iv, out_exp, code_max=code_max)
 
 
 # ----------------------------------------------------------------------

@@ -3,12 +3,16 @@
 Where the float backend *simulates* fixed point (dequantized weights,
 float forward, grid-snapping hooks), this backend executes the
 artifact's :class:`~repro.analysis.lowering.LoweringPlan` directly on
-integer codes: frozen weight codes feed int64 convolution/matmul
+integer codes: frozen weight codes feed exact convolution/matmul
 accumulators, every hook becomes the plan's certified shift-and-round,
 squash/softmax run the bit-accurate LUT/iterative datapaths of
 :mod:`repro.hw.fixed_ref`, and dynamic routing iterates entirely on
-codes.  No float32 array exists between input quantization and the
-final label argmax.
+codes.  Between input quantization and the final label argmax, floats
+exist only inside the audited carrier helper of
+:mod:`repro.backend.int_kernels`: contractions whose plan op records a
+``carrier`` run as float32/float64 BLAS GEMMs that are exact by the
+bound the plan recorded, and come back as int64 codes.  Every sealed op
+result is integer, which the dtype tracer checks.
 
 Execution walks each model family's forward in the exact structural
 order the lowering analyzer recorded it, consuming the plan's per-layer
@@ -21,7 +25,9 @@ certified shift is exact.  Squash-operand rescales have no float-path
 counterpart and use a separate seeded stream.
 
 The backend is refused outright for artifacts that are not certified
-PASS and lowerable — see :func:`repro.backend.base.check_int_gates`.
+PASS and lowerable — see :func:`repro.backend.base.check_int_gates` —
+and refuses inputs outside the plan's certified input domain, on which
+none of the plan's widths or carrier bounds would hold.
 """
 
 from __future__ import annotations
@@ -59,9 +65,10 @@ def _walk_error(message: str) -> Exception:
 class IntBackend(InferenceBackend):
     """Integer executor of a certified lowering plan (module docstring).
 
-    Construction enforces the gates and prebuilds every softmax
-    exponential ROM the plan needs (one per distinct LUT format), so a
-    bound model never rebuilds tables per forward.
+    Construction enforces the gates, casts every weight matrix once to
+    the carriers its layer's contractions record, and prebuilds every
+    softmax exponential ROM the plan needs (one per distinct LUT
+    format), so a bound model never rebuilds tables per forward.
     """
 
     name = "int"
@@ -79,7 +86,14 @@ class IntBackend(InferenceBackend):
         self._runner = _RUNNERS[kind]
         self.plan = LoweringPlan.from_dict(artifact.lowering_plan)
         self._ops = {lp.layer: lp.ops for lp in self.plan.layers}
+        carriers: Dict[str, set] = {}
+        for layer, ops in self._ops.items():
+            for op in ops:
+                if op.op in ("conv", "linear") and op.carrier is not None:
+                    carriers.setdefault(layer, set()).add(op.carrier)
         self._weights: Dict[str, Tuple[np.ndarray, int]] = {}
+        #: (weight key, carrier) -> the weight's codes in that carrier.
+        self._carried: Dict[Tuple[str, str], np.ndarray] = {}
         for key, (codes, fmt, scale) in artifact.weight_codes.items():
             exponent = pow2_exponent(scale)
             if exponent is None:
@@ -87,10 +101,14 @@ class IntBackend(InferenceBackend):
                     f"backend 'int': weight scale for {key!r} is not a "
                     f"power of two despite a lowerable plan"
                 )
-            self._weights[key] = (
-                np.asarray(codes, np.int64),
-                exponent - fmt.fractional_bits,
-            )
+            codes = np.asarray(codes, np.int64)
+            self._weights[key] = (codes, exponent - fmt.fractional_bits)
+            layer = key.split(":", 1)[0]
+            if not key.endswith("bias"):
+                for carrier in carriers.get(layer, ()):
+                    self._carried[key, carrier] = k.carrier_cast(
+                        codes, carrier
+                    )
         #: (integer_bits, fractional_bits) -> exponential ROM, built
         #: once per bound model (LUT-cache satellite; tests assert two
         #: predicts reuse the same table object).
@@ -104,9 +122,13 @@ class IntBackend(InferenceBackend):
                         table, _ = exp_lut(FixedPointFormat(*fmt_key))
                         self.lut_tables[fmt_key] = table
 
-    def weight(self, key: str) -> Tuple[np.ndarray, int]:
-        """(codes, grid exponent) of a frozen weight tensor."""
-        return self._weights[key]
+    def weight(
+        self, key: str, carrier: Optional[str] = None
+    ) -> Tuple[np.ndarray, int]:
+        """(codes, grid exponent) of a frozen weight tensor, the codes
+        pre-cast to ``carrier`` when the plan uses it for this layer."""
+        codes, exponent = self._weights[key]
+        return self._carried.get((key, carrier), codes), exponent
 
     def table_for(self, approx) -> np.ndarray:
         """Cached exponential ROM for a lut-softmax approximation."""
@@ -192,6 +214,12 @@ class _PlanWalk:
     def seal(self, op, codes: np.ndarray, **extra) -> np.ndarray:
         """Narrow an op result to its certified width and trace it."""
         codes = k.narrow(codes, op.accumulator_bits)
+        self.record(op, codes, **extra)
+        return codes
+
+    def record(self, op, codes: np.ndarray, **extra) -> None:
+        """Check that ``codes`` (the result ``op`` produced or, for a
+        fused op, helped produce) is integer, and trace it."""
         if codes.dtype.kind not in "iu":
             raise _walk_error(
                 f"float dtype {codes.dtype} leaked into the int path at "
@@ -206,7 +234,6 @@ class _PlanWalk:
             }
             record.update(extra)
             self._trace.append(record)
-        return codes
 
     def hook(self, layer: str, site: str, codes: np.ndarray):
         """Quantization hook: certified shift-and-round + clip.
@@ -228,15 +255,30 @@ class _PlanWalk:
 
     def quantize_input(self, images: np.ndarray):
         """Snap float inputs to the plan's input grid (the path's only
-        float→int boundary)."""
+        float→int boundary).
+
+        Raises ``ValueError`` on non-finite pixels or pixels outside the
+        certified input domain: the plan's widths and carrier bounds
+        are proven for that domain only.
+        """
         op = self.take(INPUT_LAYER, "quantize-input")
-        scaled = np.asarray(images, np.float64) * 2.0 ** -op.out_exp
+        images = np.asarray(images, np.float64)
+        lo, hi = op.approx.domain_lo, op.approx.domain_hi
+        if not np.isfinite(images).all():
+            raise ValueError("int backend input has non-finite pixels")
+        if images.size and (images.min() < lo or images.max() > hi):
+            raise ValueError(
+                f"int backend input pixels span [{images.min():g}, "
+                f"{images.max():g}], outside the certified input domain "
+                f"[{lo:g}, {hi:g}]"
+            )
+        scaled = images * 2.0 ** -op.out_exp
         codes = np.rint(scaled).astype(np.int64)
         return self.seal(op, codes), op.out_exp
 
     def conv(self, codes, exp, conv_mod, weight_key, bias_key, op):
         """Integer convolution aligned onto the plan's output grid."""
-        weight, w_exp = self.backend.weight(weight_key)
+        weight, w_exp = self.backend.weight(weight_key, op.carrier)
         prod_shift = (w_exp + exp) - op.out_exp
         bias = None
         bias_shift = 0
@@ -245,19 +287,64 @@ class _PlanWalk:
             bias_shift = b_exp - op.out_exp
         out = k.int_conv2d(
             codes, weight, bias, conv_mod.stride, conv_mod.padding,
-            prod_shift=prod_shift, bias_shift=bias_shift,
+            prod_shift=prod_shift, bias_shift=bias_shift, carrier=op.carrier,
         )
         return self.seal(op, out), op.out_exp
 
     # ------------------------------------------------------------------
     # Dynamic routing (shared by CapsFC and ConvCaps3d)
     # ------------------------------------------------------------------
+    def mul_sum(self, layer: str, products, contract):
+        """One routing ``mul`` + ``sum`` pair.
+
+        ``products()`` returns the int64 product array and the axis to
+        sum it over.  When the plan gives the ``sum`` a carrier,
+        ``contract(carrier)`` computes the same sums as one batched
+        matmul on that carrier instead, so no product array is built;
+        the ``mul`` is still taken from the plan and traced, marked
+        ``fused`` into the ``sum``.
+        """
+        mul = self.take(layer, "mul")
+        total = self.take(layer, "sum")
+        if total.carrier is None:
+            terms, axis = products()
+            terms = self.seal(mul, terms)
+            return self.seal(total, np.asarray(terms, np.int64).sum(axis=axis))
+        out = contract(total.carrier)
+        self.record(mul, out, fused="sum")
+        return self.seal(total, out)
+
     def routing(self, layer: str, votes, vexp: int, iterations: int):
-        batch, in_caps, out_caps, _ = votes.shape
+        batch, in_caps, out_caps, out_dim = votes.shape
         logits = np.zeros((batch, in_caps, out_caps), dtype=np.int64)
         lexp: Optional[int] = None
         activation = None
         aexp: Optional[int] = None
+        #: carrier -> the votes as (B, J, I, D) in that carrier, cast on
+        #: first use and shared by every contraction of this call.
+        carried: Dict[str, np.ndarray] = {}
+
+        def votes_in(carrier):
+            if carrier not in carried:
+                carried[carrier] = k.carrier_cast(
+                    votes.transpose(0, 2, 1, 3), carrier
+                )
+            return carried[carrier]
+
+        def weighted_sum(carrier):
+            # s_j = Σ_i c_ij û_{j|i}: (B,J,1,I) @ (B,J,I,D) -> (B,J,D)
+            c = np.asarray(coupling).transpose(0, 2, 1)[:, :, None, :]
+            s = k.carrier_matmul(c, votes_in(carrier), carrier)
+            return s.reshape(batch, out_caps, out_dim)
+
+        def agreement(carrier):
+            # a_ij = û_{j|i} · v_j: (B,J,I,D) @ (B,J,D,1) -> (B,I,J)
+            v = np.asarray(activation)[..., None]
+            a = k.carrier_matmul(
+                votes_in(carrier), v, carrier, axes=(0, 2, 1, 3)
+            )
+            return a.reshape(batch, in_caps, out_caps)
+
         for iteration in range(iterations):
             logits, lexp = self.hook(layer, "routing:logits", logits)
             op = self.take(layer, "softmax")
@@ -267,14 +354,15 @@ class _PlanWalk:
             )
             coupling = self.seal(op, coupling, table_id=id(table))
             coupling, _ = self.hook(layer, "routing:coupling", coupling)
-            op = self.take(layer, "mul")
-            product = (
-                np.asarray(coupling, np.int64)[..., None]
-                * np.asarray(votes, np.int64)
+            pre = self.mul_sum(
+                layer,
+                lambda: (
+                    np.asarray(coupling, np.int64)[..., None]
+                    * np.asarray(votes, np.int64),
+                    1,
+                ),
+                weighted_sum,
             )
-            product = self.seal(op, product)
-            op = self.take(layer, "sum")
-            pre = self.seal(op, np.asarray(product, np.int64).sum(axis=1))
             pre, _ = self.hook(layer, "routing:preactivation", pre)
             op = self.take(layer, "squash")
             squashed = k.int_squash(
@@ -285,18 +373,17 @@ class _PlanWalk:
                 layer, "routing:activation", squashed
             )
             if iteration < iterations - 1:
-                op = self.take(layer, "mul")
-                agreement = (
-                    np.asarray(votes, np.int64)
-                    * np.asarray(activation, np.int64)[:, None, :, :]
+                agreement_codes = self.mul_sum(
+                    layer,
+                    lambda: (
+                        np.asarray(votes, np.int64)
+                        * np.asarray(activation, np.int64)[:, None, :, :],
+                        -1,
+                    ),
+                    agreement,
                 )
-                agreement = self.seal(op, agreement)
-                op = self.take(layer, "sum")
-                agreement = self.seal(
-                    op, np.asarray(agreement, np.int64).sum(axis=-1)
-                )
-                agreement, gexp = self.hook(
-                    layer, "routing:agreement", agreement
+                agreement_codes, gexp = self.hook(
+                    layer, "routing:agreement", agreement_codes
                 )
                 op = self.take(layer, "add")
                 out_exp = op.out_exp
@@ -307,7 +394,10 @@ class _PlanWalk:
                     )
                 logits = (
                     (np.asarray(logits, np.int64) << (lexp - out_exp))
-                    + (np.asarray(agreement, np.int64) << (gexp - out_exp))
+                    + (
+                        np.asarray(agreement_codes, np.int64)
+                        << (gexp - out_exp)
+                    )
                 )
                 logits = self.seal(op, logits)
                 lexp = out_exp
@@ -316,14 +406,14 @@ class _PlanWalk:
     def capsfc(self, layer: str, fc, u, exp: int):
         """Fully-connected capsules: votes + routing (ShallowCaps L3,
         DeepCaps L6)."""
-        weight, w_exp = self.backend.weight(f"{layer}:weight")
         op = self.take(layer, "linear")
+        weight, w_exp = self.backend.weight(f"{layer}:weight", op.carrier)
         shift = (w_exp + exp) - op.out_exp
         if shift < 0:
             raise _walk_error(
                 f"vote grid for {layer!r} is below the plan grid"
             )
-        votes = self.seal(op, k.int_votes(u, weight) << shift)
+        votes = self.seal(op, k.int_votes(u, weight, op.carrier) << shift)
         votes, vexp = self.hook(layer, "act", votes)
         return self.routing(layer, votes, vexp, fc.routing_iterations)
 
@@ -486,13 +576,14 @@ class _PlanWalk:
         for layer, fc in (
             ("L3", model.fc1), ("L4", model.fc2), ("L5", model.fc3)
         ):
-            weight, w_exp = self.backend.weight(f"{layer}:weight")
-            bias, b_exp = self.backend.weight(f"{layer}:bias")
             op = self.take(layer, "linear")
+            weight, w_exp = self.backend.weight(f"{layer}:weight", op.carrier)
+            bias, b_exp = self.backend.weight(f"{layer}:bias")
             out = k.int_linear(
                 codes, weight, bias,
                 prod_shift=(w_exp + exp) - op.out_exp,
                 bias_shift=b_exp - op.out_exp,
+                carrier=op.carrier,
             )
             codes = self.seal(op, out)
             exp = op.out_exp

@@ -7,6 +7,8 @@ amounts come from a certified :class:`repro.analysis.lowering
 
 * multiply-accumulate ops (conv / linear / votes) are exact on the
   product grid; biases join by exact left shift onto the common grid;
+  their GEMMs run on the plan's float *carrier* when it records one
+  (:func:`carrier_matmul`);
 * rescales mirror :func:`repro.analysis.qlower._shift_round` — the
   shift schedule the replay oracle proved bit-identical to the float
   fixed-point path for every rounding scheme;
@@ -15,11 +17,17 @@ amounts come from a certified :class:`repro.analysis.lowering
   exponential ROM so bound models build each table once, not per
   forward).
 
-The only floating point allowed in this file is the stochastic-rounding
-residue comparison, which is itself part of the certified replay recipe
-(the float path draws the same uniforms); those lines carry explicit
-``QL044`` suppressions and the qlint ``intflow`` checker guards the
-rest of the file against float leaks.
+Floats exist in exactly two places, each line with an explicit
+``QL044`` suppression, and the qlint ``intflow`` checker guards the rest
+of the file against float leaks:
+
+* the stochastic-rounding residue comparison, part of the certified
+  replay recipe (the float path draws the same uniforms);
+* the carrier helper (:func:`carrier_cast` / :func:`carrier_matmul`),
+  which runs integer GEMMs on float32/float64 BLAS.  It is exact by the
+  bound the lowering plan records for each carrier (every operand,
+  product and partial sum is an integer the carrier represents, in any
+  summation order), and it hands back int64 codes.
 """
 
 from __future__ import annotations
@@ -31,6 +39,48 @@ import numpy as np
 from repro.autograd.ops_nn import conv_output_shape, im2col
 from repro.hw.fixed_ref import fixed_squash, saturate
 from repro.quant.fixed_point import FixedPointFormat
+
+
+#: Plan carrier name -> float GEMM dtype.  The plan proves the bound
+#: (:func:`repro.analysis.lowering.choose_carrier`); this table only
+#: names the dtype.
+_CARRIER_DTYPES = {
+    "float32": np.dtype(np.float32),  # qlint: disable=QL044
+    "float64": np.dtype(np.float64),  # qlint: disable=QL044
+}
+
+
+def _carrier_dtype(carrier: Optional[str]) -> np.dtype:
+    if carrier is None:
+        return np.dtype(np.int64)
+    return _CARRIER_DTYPES[carrier]
+
+
+def carrier_cast(codes: np.ndarray, carrier: Optional[str]) -> np.ndarray:
+    """Integer codes as a C-contiguous array of the carrier dtype (int64
+    without a carrier).  Exact: the plan's bound covers every operand."""
+    return np.ascontiguousarray(codes, dtype=_carrier_dtype(carrier))
+
+
+def carrier_matmul(
+    a: np.ndarray,
+    b: np.ndarray,
+    carrier: Optional[str],
+    axes: Optional[Tuple[int, ...]] = None,
+) -> np.ndarray:
+    """``a @ b`` on integer codes, computed on ``carrier``, as int64.
+
+    With a float carrier the GEMM is BLAS; the plan's bound makes every
+    product and partial sum an exactly representable integer, so the
+    float result *is* the integer result and converts back losslessly.
+    Without one, the product runs on int64.  ``axes`` permutes the
+    product's axes; the int64 result is C-contiguous in that order.
+    """
+    dtype = _carrier_dtype(carrier)
+    product = np.matmul(np.asarray(a, dtype), np.asarray(b, dtype))
+    if axes is not None:
+        product = product.transpose(axes)
+    return np.ascontiguousarray(product, dtype=np.int64)
 
 
 def storage_dtype(bits: Optional[int]) -> np.dtype:
@@ -121,22 +171,24 @@ def int_conv2d(
     padding: Tuple[int, int],
     prod_shift: int = 0,
     bias_shift: int = 0,
+    carrier: Optional[str] = None,
 ) -> np.ndarray:
     """Integer convolution on codes; exact on the output grid.
 
     Products live on grid ``2^(e_w + e_x)``; ``prod_shift`` /
     ``bias_shift`` left-align products and bias onto the plan's output
     grid (both are exact left shifts by construction:
-    ``out_exp = min(product_exp, bias_exp)``).
+    ``out_exp = min(product_exp, bias_exp)``).  ``x`` is cast to the
+    carrier before ``im2col``, so the column matrix is built at the
+    carrier's width.
     """
     if prod_shift < 0 or bias_shift < 0:
         raise ValueError("grid alignment shifts must be left (exact)")
-    x = np.asarray(x, np.int64)
-    weight = np.asarray(weight, np.int64)
+    x = carrier_cast(x, carrier)
     kh, kw = weight.shape[2], weight.shape[3]
     cols = im2col(x, (kh, kw), stride, padding)
     w_mat = weight.reshape(weight.shape[0], -1)
-    out = np.matmul(w_mat, cols) << prod_shift
+    out = carrier_matmul(w_mat, cols, carrier) << prod_shift
     if bias is not None:
         out = out + (np.asarray(bias, np.int64) << bias_shift)[:, None]
     out_h, out_w = conv_output_shape(
@@ -151,27 +203,34 @@ def int_linear(
     bias: Optional[np.ndarray],
     prod_shift: int = 0,
     bias_shift: int = 0,
+    carrier: Optional[str] = None,
 ) -> np.ndarray:
     """Integer dense layer ``x @ W.T (+ bias)``, exact on the plan grid."""
     if prod_shift < 0 or bias_shift < 0:
         raise ValueError("grid alignment shifts must be left (exact)")
-    out = (np.asarray(x, np.int64) @ np.asarray(weight, np.int64).T)
-    out = out << prod_shift
+    out = carrier_matmul(x, np.asarray(weight).T, carrier) << prod_shift
     if bias is not None:
         out = out + (np.asarray(bias, np.int64) << bias_shift)
     return out
 
 
-def int_votes(u: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def int_votes(
+    u: np.ndarray, weight: np.ndarray, carrier: Optional[str] = None
+) -> np.ndarray:
     """Capsule vote projection ``û_{j|i} = W_ij × u_i`` on codes.
 
     ``weight`` is ``(I, J, D_out, D_in)``, ``u`` is ``(B, I, D_in)``;
-    the contraction is exact integer arithmetic, so the matmul order
-    of the float path is irrelevant here.
+    the result is ``(B, I, J, D_out)``.  Like the float path's
+    ``CapsFC.votes`` it is one GEMM per input capsule,
+    ``(I, B, D_in) @ (I, D_in, J·D_out)``; the contraction is exact, so
+    the summation order is irrelevant.
     """
-    return np.einsum(
-        "ijdk,bik->bijd", np.asarray(weight, np.int64), np.asarray(u, np.int64)
+    in_caps, out_caps, out_dim, in_dim = weight.shape
+    w_t = np.asarray(weight).reshape(in_caps, -1, in_dim).transpose(0, 2, 1)
+    votes = carrier_matmul(
+        np.asarray(u).transpose(1, 0, 2), w_t, carrier, axes=(1, 0, 2)
     )
+    return votes.reshape(votes.shape[0], in_caps, out_caps, out_dim)
 
 
 def int_relu(codes: np.ndarray) -> np.ndarray:

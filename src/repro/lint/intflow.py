@@ -1,21 +1,28 @@
 """Integer-flow checker for the int-backend kernel module (QL044).
 
-The integer backend's whole correctness claim is that nothing between
-input quantization and logit dequantization touches float arithmetic —
-the dtype tracer proves it at runtime, this analyzer proves it at
-review time.  Scoped to files named ``int_kernels.py`` (the shipped
+The integer backend's correctness claim is that, between input
+quantization and the final label argmax, floats exist only inside the
+audited carrier helper — float GEMMs that are exact by the bound the
+lowering plan records — and every op result is integer.  The dtype
+tracer checks the results at runtime; this analyzer checks the kernels
+at review time.  Scoped to files named ``int_kernels.py`` (the shipped
 kernels plus fixtures), it flags:
 
-* float dtype construction — ``np.float16/32/64``, ``np.double``,
-  ``np.half``, ``.astype`` with a float target, array constructors
-  passing a float ``dtype=``;
+* any mention of a float dtype — every load of ``np.float16/32/64``,
+  ``np.double``, ``np.half`` and friends (so ``dt = np.float32`` and a
+  default argument ``dt=np.float64`` are caught where the dtype is
+  named, not only where it is used), ``.astype`` with a float target,
+  array constructors passing a float ``dtype=``;
 * float-only numpy routines — ``np.exp``, ``np.log``, ``np.sqrt``,
   ``np.mean``, ``np.true_divide``, ``np.linspace`` and friends, whose
-  results are float regardless of input dtype.
+  results are float regardless of input dtype;
+* true division — ``/`` and ``/=`` return float even on integers (use
+  ``//`` or a shift).
 
-The one legitimate float line in the shipped kernels (the stochastic-
+The legitimate float lines of the shipped kernels — the stochastic-
 rounding residue, which certified plans define as a real-valued
-threshold) carries an explicit ``# qlint: disable=QL044``.
+threshold, and the carrier helper's dtype table — carry an explicit
+``# qlint: disable=QL044``.
 """
 
 from __future__ import annotations
@@ -95,6 +102,31 @@ class _IntFlowVisitor(ast.NodeVisitor):
         if isinstance(node, ast.Name):
             return node.id == "float"
         return False
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        # np.float32 anywhere: bound to a name, a default argument, a
+        # dict value — wherever a float dtype enters the module.
+        if self._is_numpy_attr(node, _FLOAT_DTYPES):
+            self._flag(node, (
+                f"float dtype np.{node.attr} in the integer backend kernels"
+            ))
+        self.generic_visit(node)
+
+    def visit_BinOp(self, node: ast.BinOp) -> None:
+        if isinstance(node.op, ast.Div):
+            self._flag(node, (
+                "true division '/' (float result) in the integer backend "
+                "kernels"
+            ))
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        if isinstance(node.op, ast.Div):
+            self._flag(node, (
+                "true division '/=' (float result) in the integer backend "
+                "kernels"
+            ))
+        self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.lowering import LoweringPlan
 from repro.api.artifact import ArtifactError, ModelArtifact
 from repro.api.session import ServingModel, Session, spec_input_shape
 from repro.api.spec import QuantSpec
@@ -66,6 +67,13 @@ class RegisteredModel:
         #: Expected per-sample input shape, when derivable from the spec.
         self.input_shape = (
             spec_input_shape(self.spec) if self.spec is not None else None
+        )
+        #: Pixel range the int backend is certified for (None: float
+        #: tenants accept any finite pixel).
+        self.input_range: Optional[Tuple[float, float]] = (
+            LoweringPlan.from_dict(artifact.lowering_plan).input_domain()
+            if backend == "int" and artifact.lowering_plan
+            else None
         )
         #: Stochastic rounding draws one stream across a whole forward,
         #: so coalescing requests into one batch would change per-sample

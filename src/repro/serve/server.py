@@ -61,13 +61,19 @@ class RequestError(ValueError):
 
 
 def validate_images(
-    payload: Dict[str, object], expected_shape: Optional[Tuple[int, ...]]
+    payload: Dict[str, object],
+    expected_shape: Optional[Tuple[int, ...]],
+    input_range: Optional[Tuple[float, float]] = None,
 ) -> np.ndarray:
     """Parse/validate a predict payload into a float32 batch.
 
     Rejects (as 400s): a missing/empty batch, payloads that are not
-    float32-representable numbers, an explicit non-float32 ``dtype``
-    claim, and per-sample shapes differing from ``expected_shape``.
+    float32-representable numbers, non-finite pixels, an explicit
+    non-float32 ``dtype`` claim, per-sample shapes differing from
+    ``expected_shape``, and — when ``input_range`` is given (int
+    tenants: the plan's certified input domain) — pixels outside it.
+    Rejecting here keeps one bad request from failing the coalesced
+    batch it would have joined.
     """
     if "images" not in payload:
         raise RequestError(400, "missing 'images' field")
@@ -88,6 +94,16 @@ def validate_images(
     if images.size == 0 or images.ndim == 0:
         raise RequestError(400, "empty image batch")
     images = np.ascontiguousarray(images, dtype=np.float32)
+    if not np.isfinite(images).all():
+        raise RequestError(400, "images contain non-finite pixels")
+    if input_range is not None:
+        lo, hi = input_range
+        if images.min() < lo or images.max() > hi:
+            raise RequestError(
+                400,
+                f"pixels span [{images.min():g}, {images.max():g}], "
+                f"outside the certified input range [{lo:g}, {hi:g}]",
+            )
     if images.ndim == 3 and (
         expected_shape is None or images.shape == expected_shape
     ):
@@ -189,8 +205,9 @@ class _Handler(BaseHTTPRequestHandler):
                     f"unknown model {name!r}; registered: "
                     f"{registry.names()}",
                 )
+            entry = registry.entry(name)
             images = validate_images(
-                payload, registry.entry(name).input_shape
+                payload, entry.input_shape, entry.input_range
             )
         except RequestError as error:
             self._error(error.status, str(error))

@@ -5,9 +5,14 @@ The contract of :mod:`repro.backend`:
 * backend selection is plumbed through every entry point (``bind``,
   ``Session.serve``/``predict``, the registry, the CLI tenant syntax)
   and unknown selectors fail loudly;
-* the int backend executes the certified lowering plan with **no float
-  array between input quantization and the final argmax** — proven by
-  the dtype tracer over every sealed plan op;
+* the int backend executes the certified lowering plan with every op
+  result on integer storage between input quantization and the final
+  argmax — floats exist only inside the audited carrier GEMMs, exact by
+  the bound the plan records — checked by the dtype tracer over every
+  sealed plan op of every model family; plans saved without carriers
+  run on int64 and give the same labels;
+* inputs outside the plan's certified input domain (or non-finite) are
+  refused, never silently quantized;
 * correctness: LeNet-5 plans contain only exact ops, so int-backend
   labels are bit-identical to the float path for every sample and
   every rounding scheme.  Capsule plans contain certified
@@ -22,6 +27,8 @@ The contract of :mod:`repro.backend`:
 * softmax LUT ROMs are built once at bind time and reused across
   predicts (the per-forward-rebuild regression).
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -124,6 +131,38 @@ def lenet_ready(lenet_model):
 def lenet_images():
     gen = np.random.default_rng(2024)
     return snap(gen.random((16, 1, 28, 28), dtype=np.float32))
+
+
+@pytest.fixture(scope="module")
+def deep_rtn(deep_setup):
+    return make_ready(deep_setup[0], "RTN")
+
+
+def zoo(request, family):
+    """(model, RTN int-ready artifact, images) of one model family."""
+    fixture = request.getfixturevalue
+    if family == "lenet":
+        return (
+            fixture("lenet_model"), fixture("lenet_ready")["RTN"],
+            fixture("lenet_images"),
+        )
+    if family == "shallow":
+        return (
+            fixture("trained_tiny"), fixture("shallow_ready")["RTN"],
+            fixture("shallow_images"),
+        )
+    model, images = fixture("deep_setup")
+    return model, fixture("deep_rtn"), images
+
+
+def strip_carriers(artifact):
+    """A copy of ``artifact`` whose plan predates carriers."""
+    legacy = copy.copy(artifact)
+    legacy.lowering_plan = copy.deepcopy(artifact.lowering_plan)
+    for layer in legacy.lowering_plan["layers"]:
+        for op in layer["ops"]:
+            op.pop("carrier", None)
+    return legacy
 
 
 @pytest.fixture(scope="module")
@@ -257,12 +296,12 @@ class TestIntegerPathTracer:
         assert bad == [], bad
         assert {"L1", "L2", "L3"} <= {r["layer"] for r in trace}
 
-    def test_lenet_trace_covers_the_whole_plan(
-        self, lenet_model, lenet_ready, lenet_images
-    ):
-        backend = lenet_ready["RTN"].bind(lenet_model, backend="int")
+    @pytest.mark.parametrize("family", ["lenet", "shallow", "deep"])
+    def test_trace_covers_the_whole_plan(self, family, request):
+        model, artifact, images = zoo(request, family)
+        backend = artifact.bind(model, backend="int")
         trace = []
-        backend.predict(lenet_images[:4], trace=trace)
+        backend.predict(images[:4], trace=trace)
         assert all(
             r["dtype"].startswith(("int", "uint")) for r in trace
         )
@@ -273,6 +312,42 @@ class TestIntegerPathTracer:
             for op in lp.ops
         }
         assert traced == planned
+        # Routing products run fused into their carrier sums.
+        fused = [r for r in trace if r.get("fused")]
+        assert all(r["op"] == "mul" for r in fused)
+        assert bool(fused) == (family != "lenet")
+
+    @pytest.mark.parametrize("family", ["lenet", "shallow", "deep"])
+    def test_plan_without_carriers_gives_same_labels(self, family, request):
+        """An artifact lowered before carriers existed runs every
+        contraction on int64 — and must agree label for label."""
+        model, artifact, images = zoo(request, family)
+        legacy = strip_carriers(artifact).bind(model, backend="int")
+        trace = []
+        labels = legacy.predict(images, trace=trace)
+        assert not any(r.get("fused") for r in trace)
+        assert np.array_equal(
+            labels, artifact.bind(model, backend="int").predict(images)
+        )
+
+    @pytest.mark.parametrize("pixel, match", [
+        (np.nan, "non-finite"),
+        (np.inf, "non-finite"),
+        (1.5, "outside the certified input domain"),
+        (-0.25, "outside the certified input domain"),
+    ])
+    def test_inputs_outside_the_certified_domain_are_refused(
+        self, pixel, match, trained_tiny, shallow_ready, shallow_images
+    ):
+        backend = shallow_ready["RTN"].bind(trained_tiny, backend="int")
+        images = shallow_images[:4].copy()
+        images[2, 0, 5, 5] = pixel
+        with pytest.raises(ValueError, match=match):
+            backend.predict(images)
+        # The domain's own edges are inside it.
+        images[2, 0, 5, 5] = 1.0
+        images[1, 0, 5, 5] = 0.0
+        assert len(backend.predict(images)) == 4
 
 
 # ----------------------------------------------------------------------

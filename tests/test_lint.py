@@ -13,13 +13,14 @@ The analyzer acceptance criteria:
   they are reintroduced.
 """
 
+import ast
 import inspect
 import json
 import os
 
 import pytest
 
-from repro.lint import RULES, concurrency, determinism, stagedeps
+from repro.lint import RULES, concurrency, determinism, intflow, stagedeps
 from repro.lint.cli import run_lint
 from repro.lint.findings import (
     Finding,
@@ -165,6 +166,60 @@ class TestShippedTree:
     def test_full_src_lint_exits_zero(self):
         code, lines = lint(["src"])
         assert code == 0, lines
+
+
+# ----------------------------------------------------------------------
+# Integer-flow checker (QL044)
+# ----------------------------------------------------------------------
+class TestIntFlow:
+    KERNELS = os.path.join("src", "repro", "backend", "int_kernels.py")
+
+    def test_float_dtypes_by_name_and_true_division_are_flagged(self):
+        path = fixture("bad_float_alias_int_kernels.py")
+        with open(path, encoding="utf-8") as handle:
+            source = handle.read().splitlines()
+        flagged = sorted(f.line for f in intflow.check_file(path))
+        escapes = (
+            "CARRIER = ", "def widen(", "    return codes.astype(CARRIER)"
+        )
+        expected = sorted(
+            number for number, line in enumerate(source, start=1)
+            if line.startswith(escapes)
+        )
+        assert len(expected) == 3
+        assert flagged == expected
+
+    def test_shipped_suppressions_are_exactly_the_audited_float_lines(self):
+        """The only QL044 suppressions in the shipped kernels are the
+        stochastic-rounding residue and the carrier helper's dtype
+        table, and each of them is needed."""
+        with open(self.KERNELS, encoding="utf-8") as handle:
+            source = handle.read()
+        tree = ast.parse(source)
+        audited = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and isinstance(
+                node.targets[0], ast.Name
+            ):
+                name = node.targets[0].id
+                if name == "residue" or name == "_CARRIER_DTYPES":
+                    audited.update(
+                        value.lineno for value in ast.walk(node.value)
+                        if isinstance(value, ast.Attribute)
+                        and value.attr.startswith("float")
+                    )
+        suppressed = {
+            number
+            for number, line in enumerate(source.splitlines(), start=1)
+            if "qlint: disable=QL044" in line
+        }
+        assert len(audited) == 3  # the residue + float32 + float64
+        assert suppressed == audited
+        unsuppressed = source.replace("qlint: disable=QL044", "")
+        raw = {
+            f.line for f in intflow.check_source(unsuppressed, self.KERNELS)
+        }
+        assert raw == audited
 
 
 # ----------------------------------------------------------------------

@@ -84,6 +84,37 @@ class TestLowerAndReplay:
         for entry in stats["approx_ops"]:
             assert entry["max_err"] <= entry["bound"]
 
+    @pytest.mark.parametrize("model_key", ["shallow", "deep", "lenet"])
+    def test_zoo_contractions_get_float_carriers(
+        self, model_key, trained_tiny, deep_model, lenet_model
+    ):
+        """At qw6/qa6/qdr8 every conv/linear MAC and every routing sum
+        records a float GEMM carrier, so the int backend runs its BLAS
+        path; plans saved before carriers existed read back as int64."""
+        model = {
+            "shallow": trained_tiny,
+            "deep": deep_model,
+            "lenet": lenet_model,
+        }[model_key]
+        plan = lower_artifact(make_artifact(model, "RTN"), model=model)
+        contractions = [
+            op for layer in plan.layers for op in layer.ops
+            if op.op in ("conv", "linear", "sum")
+        ]
+        assert contractions
+        assert {op.carrier for op in contractions} <= {"float32", "float64"}
+        assert "carriers: " in plan.report()
+        doc = json.loads(json.dumps(plan.to_dict()))
+        assert LoweringPlan.from_dict(doc) == plan
+        for layer in doc["layers"]:
+            for op in layer["ops"]:
+                op.pop("carrier", None)
+        legacy = LoweringPlan.from_dict(doc)
+        assert all(
+            op.carrier is None for layer in legacy.layers for op in layer.ops
+        )
+        assert " int64" in legacy.report()
+
     def test_every_config_layer_is_planned(self, trained_tiny):
         artifact = make_artifact(trained_tiny, "RTN")
         plan = lower_artifact(artifact, model=trained_tiny)

@@ -7,7 +7,9 @@ The serving acceptance criteria:
 * concurrent requests for one tenant coalesce into shared forwards
   (micro-batching) and the responses are split back per request;
 * invalid payloads (empty batches, non-float32 data, wrong shapes,
-  unknown tenants, malformed JSON) return 4xx responses, never a crash;
+  non-finite pixels, pixels outside an int tenant's certified input
+  range, unknown tenants, malformed JSON) return 4xx responses, never a
+  crash, and never fail the other requests of a coalesced batch;
 * cold tenants beyond ``max_warm`` are evicted and transparently
   re-bound on their next request.
 """
@@ -34,6 +36,7 @@ from repro.serve import (
     MicroBatcher,
     ModelRegistry,
     RegistryError,
+    RequestError,
     ServeError,
     ServingDaemon,
     validate_images,
@@ -332,6 +335,26 @@ class TestValidation:
         )
         assert batch.shape == (1,) + self.EXPECTED
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixels(self, bad):
+        images = np.zeros((2,) + self.EXPECTED)
+        images[1, 0, 3, 4] = bad
+        self._check({"images": images.tolist()}, "non-finite")
+
+    def test_pixel_range_is_checked_only_when_given(self):
+        images = np.full((1,) + self.EXPECTED, 0.5)
+        images[0, 0, 0, 0] = 1.5
+        payload = {"images": images.tolist()}
+        with pytest.raises(RequestError, match="certified input range"):
+            validate_images(payload, self.EXPECTED, (0.0, 1.0))
+        assert validate_images(payload, self.EXPECTED).shape == (1,) + (
+            self.EXPECTED
+        )
+        images[0, 0, 0, 0] = 1.0  # the domain is closed
+        assert validate_images(
+            {"images": images.tolist()}, self.EXPECTED, (0.0, 1.0)
+        ).shape == (1,) + self.EXPECTED
+
     def test_integers_accepted_as_float32(self):
         batch = validate_images(
             {"images": np.zeros((2,) + self.EXPECTED, dtype=int).tolist()},
@@ -446,6 +469,89 @@ class TestDaemonEndToEnd:
                 client.predict("rtn", np.zeros((1, 1, 3, 3), np.float32))
         served = client.predict("rtn", offline["images"][:8])
         assert np.array_equal(served, offline["rtn"][:8])
+
+
+class TestInputDomain:
+    """One request with pixels the int backend is not certified for is
+    refused on its own (400) and cannot fail the batch it would join."""
+
+    @pytest.fixture(scope="class")
+    def domain_daemon(self, trained_tiny):
+        config = QuantizationConfig.uniform(
+            list(trained_tiny.quant_layers), qw=6, qa=6, qdr=8
+        )
+        quantized = QuantizedCapsNet(
+            trained_tiny, config, get_rounding_scheme("RTN", seed=3),
+            seed=3,
+        )
+        artifact = ModelArtifact.from_quantized(
+            quantized,
+            spec=QuantSpec(
+                model="shallow-tiny", dataset="digits", seed=1
+            ).to_dict(),
+        )
+        artifact.certify(model=trained_tiny)
+        artifact.lower(model=trained_tiny)
+        registry = ModelRegistry(max_warm=2, batch_size=32)
+        registry.register("f", artifact=artifact, model=trained_tiny)
+        registry.register(
+            "i", artifact=artifact, model=trained_tiny, backend="int"
+        )
+        # A long coalescing window so concurrent requests share a batch.
+        daemon = ServingDaemon(
+            registry, port=0, max_batch=48, max_wait_ms=200.0
+        )
+        with daemon:
+            yield daemon, registry
+
+    def test_int_tenants_carry_the_certified_range(self, domain_daemon):
+        _, registry = domain_daemon
+        assert registry.entry("i").input_range == (0.0, 1.0)
+        assert registry.entry("f").input_range is None
+
+    def test_bad_request_does_not_fail_its_batch(
+        self, domain_daemon, tiny_data
+    ):
+        daemon, registry = domain_daemon
+        client = Client(daemon.url, timeout=120.0)
+        good = tiny_data[1].images[:8]
+        expected = registry.get("i").predict(good)
+        bad = good[:2].copy()
+        bad[0, 0, 0, 0] = 1.5
+        results = {}
+
+        def send(key, images):
+            try:
+                results[key] = client.predict("i", images)
+            except ServeError as error:
+                results[key] = error
+
+        threads = [
+            threading.Thread(target=send, args=("good", good)),
+            threading.Thread(target=send, args=("bad", bad)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert np.array_equal(results["good"], expected)
+        assert isinstance(results["bad"], ServeError)
+        assert results["bad"].status == 400
+        assert "certified input range" in str(results["bad"])
+
+    def test_float_tenants_refuse_only_non_finite(
+        self, domain_daemon, tiny_data
+    ):
+        daemon, _ = domain_daemon
+        client = Client(daemon.url, timeout=120.0)
+        images = tiny_data[1].images[:2].copy()
+        images[0, 0, 0, 0] = 1.5
+        assert len(client.predict("f", images)) == 2
+        images[1, 0, 0, 0] = np.nan
+        with pytest.raises(ServeError, match="non-finite") as excinfo:
+            client.predict("f", images)
+        assert excinfo.value.status == 400
 
 
 class TestClientErrors:
