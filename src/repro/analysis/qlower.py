@@ -103,7 +103,6 @@ DEFAULT_INPUT_BITS = 8
 MAX_EXEC_BITS = 64
 
 
-
 class LoweringError(ValueError):
     """The artifact/model cannot be analyzed (structure, not verdict)."""
 

@@ -37,7 +37,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.interval import pow2_exponent
-from repro.analysis.lowering import LoweringPlan
+from repro.analysis.lowering import (
+    CONTRACTION_OPS,
+    INT64_CARRIER,
+    LoweringPlan,
+)
 from repro.analysis.qlower import INPUT_LAYER
 from repro.backend import int_kernels as k
 from repro.backend.base import InferenceBackend, check_int_gates
@@ -143,9 +147,10 @@ class IntBackend(InferenceBackend):
         """Predicted labels, evaluated batch by batch on integer codes.
 
         ``trace``, when given, collects one record per executed plan op
-        (layer, op, output dtype/shape, LUT table identity) — the
-        allocation/dtype tracer the test suite uses to prove the path
-        stays integer.
+        (layer, op, output dtype/shape, LUT table identity, the carrier
+        of each contraction, ``fused`` on routing products computed
+        inside their sum) — the allocation/dtype tracer the test suite
+        uses to prove every op result stays integer.
         """
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -232,6 +237,8 @@ class _PlanWalk:
                 "dtype": str(codes.dtype),
                 "shape": tuple(codes.shape),
             }
+            if op.op in CONTRACTION_OPS:
+                record["carrier"] = op.carrier or INT64_CARRIER
             record.update(extra)
             self._trace.append(record)
 
@@ -294,23 +301,18 @@ class _PlanWalk:
     # ------------------------------------------------------------------
     # Dynamic routing (shared by CapsFC and ConvCaps3d)
     # ------------------------------------------------------------------
-    def mul_sum(self, layer: str, products, contract):
-        """One routing ``mul`` + ``sum`` pair.
+    def mul_sum(self, layer: str, contract, operand):
+        """One routing ``mul`` + ``sum`` pair as a single contraction.
 
-        ``products()`` returns the int64 product array and the axis to
-        sum it over.  When the plan gives the ``sum`` a carrier,
-        ``contract(carrier)`` computes the same sums as one batched
-        matmul on that carrier instead, so no product array is built;
-        the ``mul`` is still taken from the plan and traced, marked
-        ``fused`` into the ``sum``.
+        ``contract(operand, carrier)`` computes the sums of the votes'
+        products with ``operand`` as one batched matmul on the ``sum``
+        op's carrier (int64 without one), so the product array is never
+        built.  The ``mul`` is still taken from the plan and traced,
+        marked ``fused`` into the ``sum``.
         """
         mul = self.take(layer, "mul")
         total = self.take(layer, "sum")
-        if total.carrier is None:
-            terms, axis = products()
-            terms = self.seal(mul, terms)
-            return self.seal(total, np.asarray(terms, np.int64).sum(axis=axis))
-        out = contract(total.carrier)
+        out = contract(operand, total.carrier)
         self.record(mul, out, fused="sum")
         return self.seal(total, out)
 
@@ -320,9 +322,10 @@ class _PlanWalk:
         lexp: Optional[int] = None
         activation = None
         aexp: Optional[int] = None
-        #: carrier -> the votes as (B, J, I, D) in that carrier, cast on
-        #: first use and shared by every contraction of this call.
-        carried: Dict[str, np.ndarray] = {}
+        #: carrier -> the votes as (B, J, I, D) in that carrier (None:
+        #: int64), cast on first use and shared by every contraction of
+        #: this call.
+        carried: Dict[Optional[str], np.ndarray] = {}
 
         def votes_in(carrier):
             if carrier not in carried:
@@ -331,13 +334,13 @@ class _PlanWalk:
                 )
             return carried[carrier]
 
-        def weighted_sum(carrier):
+        def weighted_sum(coupling, carrier):
             # s_j = Σ_i c_ij û_{j|i}: (B,J,1,I) @ (B,J,I,D) -> (B,J,D)
             c = np.asarray(coupling).transpose(0, 2, 1)[:, :, None, :]
             s = k.carrier_matmul(c, votes_in(carrier), carrier)
             return s.reshape(batch, out_caps, out_dim)
 
-        def agreement(carrier):
+        def agreements(activation, carrier):
             # a_ij = û_{j|i} · v_j: (B,J,I,D) @ (B,J,D,1) -> (B,I,J)
             v = np.asarray(activation)[..., None]
             a = k.carrier_matmul(
@@ -354,15 +357,7 @@ class _PlanWalk:
             )
             coupling = self.seal(op, coupling, table_id=id(table))
             coupling, _ = self.hook(layer, "routing:coupling", coupling)
-            pre = self.mul_sum(
-                layer,
-                lambda: (
-                    np.asarray(coupling, np.int64)[..., None]
-                    * np.asarray(votes, np.int64),
-                    1,
-                ),
-                weighted_sum,
-            )
+            pre = self.mul_sum(layer, weighted_sum, coupling)
             pre, _ = self.hook(layer, "routing:preactivation", pre)
             op = self.take(layer, "squash")
             squashed = k.int_squash(
@@ -373,17 +368,9 @@ class _PlanWalk:
                 layer, "routing:activation", squashed
             )
             if iteration < iterations - 1:
-                agreement_codes = self.mul_sum(
-                    layer,
-                    lambda: (
-                        np.asarray(votes, np.int64)
-                        * np.asarray(activation, np.int64)[:, None, :, :],
-                        -1,
-                    ),
-                    agreement,
-                )
-                agreement_codes, gexp = self.hook(
-                    layer, "routing:agreement", agreement_codes
+                agreement = self.mul_sum(layer, agreements, activation)
+                agreement, gexp = self.hook(
+                    layer, "routing:agreement", agreement
                 )
                 op = self.take(layer, "add")
                 out_exp = op.out_exp
@@ -394,10 +381,7 @@ class _PlanWalk:
                     )
                 logits = (
                     (np.asarray(logits, np.int64) << (lexp - out_exp))
-                    + (
-                        np.asarray(agreement_codes, np.int64)
-                        << (gexp - out_exp)
-                    )
+                    + (np.asarray(agreement, np.int64) << (gexp - out_exp))
                 )
                 logits = self.seal(op, logits)
                 lexp = out_exp

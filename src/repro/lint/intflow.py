@@ -146,12 +146,6 @@ class _IntFlowVisitor(ast.NodeVisitor):
             self._flag(node, (
                 "astype to a float dtype in the integer backend kernels"
             ))
-        # np.float32(x) — float scalar/dtype construction.
-        elif self._is_numpy_attr(func, _FLOAT_DTYPES):
-            self._flag(node, (
-                f"float dtype construction np.{func.attr} in the "
-                f"integer backend kernels"
-            ))
         else:
             # np.zeros(..., dtype=np.float32) and friends.
             for keyword in node.keywords:

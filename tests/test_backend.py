@@ -312,10 +312,15 @@ class TestIntegerPathTracer:
             for op in lp.ops
         }
         assert traced == planned
-        # Routing products run fused into their carrier sums.
+        # Routing products are computed inside their sums, and every
+        # contraction of these qw6/qa6/qdr8 plans runs on a float GEMM.
         fused = [r for r in trace if r.get("fused")]
-        assert all(r["op"] == "mul" for r in fused)
+        assert [r["op"] for r in fused] == [
+            r["op"] for r in trace if r["op"] == "mul"
+        ]
         assert bool(fused) == (family != "lenet")
+        carriers = {r["carrier"] for r in trace if "carrier" in r}
+        assert carriers and carriers <= {"float32", "float64"}
 
     @pytest.mark.parametrize("family", ["lenet", "shallow", "deep"])
     def test_plan_without_carriers_gives_same_labels(self, family, request):
@@ -325,7 +330,7 @@ class TestIntegerPathTracer:
         legacy = strip_carriers(artifact).bind(model, backend="int")
         trace = []
         labels = legacy.predict(images, trace=trace)
-        assert not any(r.get("fused") for r in trace)
+        assert {r["carrier"] for r in trace if "carrier" in r} == {"int64"}
         assert np.array_equal(
             labels, artifact.bind(model, backend="int").predict(images)
         )
