@@ -161,14 +161,22 @@ def _shifted_code_max(code_max: int, shift: int) -> int:
     return -(-code_max >> shift)
 
 
-def _row_code_sums(
+def _max_code_sum(
     values: np.ndarray, exp: int, fan_in: Optional[int] = None
-) -> np.ndarray:
-    """Σ|code| per output row of a weight tensor on grid ``2^exp``."""
-    codes = np.rint(np.abs(values) * 2.0 ** -exp).astype(np.int64)
+) -> int:
+    """Largest Σ|code| over the output rows of a tensor on grid ``2^exp``.
+
+    Summed in float64 straight from the values: every partial sum is a
+    multiple of ``2^exp``, so it is exact while below ``2^53`` codes,
+    and a row past that stays at or above ``2^53`` (beyond every float
+    carrier) in any summation order.
+    """
+    values = np.abs(values)
     if fan_in is None:
-        return codes.reshape(codes.shape[0], -1).sum(axis=1)
-    return codes.reshape(-1, fan_in).sum(axis=1)
+        rows = values.reshape(values.shape[0], -1)
+    else:
+        rows = values.reshape(-1, fan_in)
+    return int(rows.sum(axis=1).max(initial=0.0) * 2.0 ** -exp)
 
 
 # ----------------------------------------------------------------------
@@ -306,13 +314,12 @@ class _LoweringContext(_AbstractContext):
         # (joined after the GEMM) adds at most its own magnitude.  It
         # is deliberately not the interval: a bias can cancel partial
         # sums far larger than the final result.
-        rows = _row_code_sums(weight.values, weight.exp, fan_in)
         bound = (
-            int(rows.max(initial=0)) * x.code_max
+            _max_code_sum(weight.values, weight.exp, fan_in) * x.code_max
         ) << (weight.exp + x.exp - out_exp)
         if has_bias:
-            bias_codes = np.rint(np.abs(bias.values) * 2.0 ** -bias.exp)
-            bound += int(bias_codes.max(initial=0)) << (bias.exp - out_exp)
+            bias_codes = _max_code_sum(bias.values.reshape(-1, 1), bias.exp)
+            bound += bias_codes << (bias.exp - out_exp)
         bits = self._acc_bits(layer, op, iv, out_exp)
         self._record(OpPlan(
             layer=layer, op=op, kind=KIND_EXACT,

@@ -301,23 +301,25 @@ class _PlanWalk:
     # ------------------------------------------------------------------
     # Dynamic routing (shared by CapsFC and ConvCaps3d)
     # ------------------------------------------------------------------
-    def mul_sum(self, layer: str, contract, operand):
+    def mul_sum(self, layer: str, contract, votes_in, operand):
         """One routing ``mul`` + ``sum`` pair as a single contraction.
 
-        ``contract(operand, carrier)`` computes the sums of the votes'
+        ``contract`` (:func:`~repro.backend.int_kernels
+        .routing_weighted_sum` or ``routing_agreement``) sums the votes'
         products with ``operand`` as one batched matmul on the ``sum``
-        op's carrier (int64 without one), so the product array is never
-        built.  The ``mul`` is still taken from the plan and traced,
-        marked ``fused`` into the ``sum``.
+        op's carrier (int64 without one), reading the votes from
+        ``votes_in(carrier)``; the product array is never built.  The
+        ``mul`` is still taken from the plan and traced, marked
+        ``fused`` into the ``sum``.
         """
         mul = self.take(layer, "mul")
         total = self.take(layer, "sum")
-        out = contract(operand, total.carrier)
+        out = contract(votes_in(total.carrier), operand, total.carrier)
         self.record(mul, out, fused="sum")
         return self.seal(total, out)
 
     def routing(self, layer: str, votes, vexp: int, iterations: int):
-        batch, in_caps, out_caps, out_dim = votes.shape
+        batch, in_caps, out_caps, _ = votes.shape
         logits = np.zeros((batch, in_caps, out_caps), dtype=np.int64)
         lexp: Optional[int] = None
         activation = None
@@ -334,20 +336,6 @@ class _PlanWalk:
                 )
             return carried[carrier]
 
-        def weighted_sum(coupling, carrier):
-            # s_j = Σ_i c_ij û_{j|i}: (B,J,1,I) @ (B,J,I,D) -> (B,J,D)
-            c = np.asarray(coupling).transpose(0, 2, 1)[:, :, None, :]
-            s = k.carrier_matmul(c, votes_in(carrier), carrier)
-            return s.reshape(batch, out_caps, out_dim)
-
-        def agreements(activation, carrier):
-            # a_ij = û_{j|i} · v_j: (B,J,I,D) @ (B,J,D,1) -> (B,I,J)
-            v = np.asarray(activation)[..., None]
-            a = k.carrier_matmul(
-                votes_in(carrier), v, carrier, axes=(0, 2, 1, 3)
-            )
-            return a.reshape(batch, in_caps, out_caps)
-
         for iteration in range(iterations):
             logits, lexp = self.hook(layer, "routing:logits", logits)
             op = self.take(layer, "softmax")
@@ -357,7 +345,9 @@ class _PlanWalk:
             )
             coupling = self.seal(op, coupling, table_id=id(table))
             coupling, _ = self.hook(layer, "routing:coupling", coupling)
-            pre = self.mul_sum(layer, weighted_sum, coupling)
+            pre = self.mul_sum(
+                layer, k.routing_weighted_sum, votes_in, coupling
+            )
             pre, _ = self.hook(layer, "routing:preactivation", pre)
             op = self.take(layer, "squash")
             squashed = k.int_squash(
@@ -368,7 +358,9 @@ class _PlanWalk:
                 layer, "routing:activation", squashed
             )
             if iteration < iterations - 1:
-                agreement = self.mul_sum(layer, agreements, activation)
+                agreement = self.mul_sum(
+                    layer, k.routing_agreement, votes_in, activation
+                )
                 agreement, gexp = self.hook(
                     layer, "routing:agreement", agreement
                 )

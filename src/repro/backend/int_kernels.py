@@ -233,6 +233,38 @@ def int_votes(
     return votes.reshape(votes.shape[0], in_caps, out_caps, out_dim)
 
 
+def routing_weighted_sum(
+    votes_t: np.ndarray, coupling: np.ndarray, carrier: Optional[str]
+) -> np.ndarray:
+    """Routing ``mul`` + ``sum`` ``s_j = Σ_i c_ij û_{j|i}`` as one
+    batched matmul ``(B,J,1,I) @ (B,J,I,D)``, with no product array.
+
+    ``votes_t`` is the votes as ``(B, J, I, D)`` already on the carrier
+    (:func:`carrier_cast`), ``coupling`` is ``(B, I, J)``; returns
+    ``(B, J, D)`` int64.
+    """
+    batch, out_caps, _, out_dim = votes_t.shape
+    c = np.asarray(coupling).transpose(0, 2, 1)[:, :, None, :]
+    sums = carrier_matmul(c, votes_t, carrier)
+    return sums.reshape(batch, out_caps, out_dim)
+
+
+def routing_agreement(
+    votes_t: np.ndarray, activation: np.ndarray, carrier: Optional[str]
+) -> np.ndarray:
+    """Routing ``mul`` + ``sum`` ``a_ij = û_{j|i} · v_j`` as one batched
+    matmul ``(B,J,I,D) @ (B,J,D,1)``, with no product array.
+
+    ``votes_t`` as for :func:`routing_weighted_sum`, ``activation`` is
+    ``(B, J, D)``; returns ``(B, I, J)`` int64.
+    """
+    batch, out_caps, in_caps, _ = votes_t.shape
+    agreement = carrier_matmul(
+        votes_t, np.asarray(activation)[..., None], carrier, axes=(0, 2, 1, 3)
+    )
+    return agreement.reshape(batch, in_caps, out_caps)
+
+
 def int_relu(codes: np.ndarray) -> np.ndarray:
     """ReLU on codes (sign is grid-independent)."""
     return np.maximum(codes, 0)

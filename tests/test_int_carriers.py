@@ -181,8 +181,7 @@ class TestFusedRouting:
     def test_weighted_sum_equals_mul_plus_sum(
         self, bound, seed, signed, batch, out_caps, out_dim
     ):
-        """s_j = Σ_i c_ij û_{j|i} over I = count terms, as the walker
-        fuses it: (B,J,1,I) @ (B,J,I,D) on the carrier."""
+        """s_j = Σ_i c_ij û_{j|i} over I = count terms."""
         rng = np.random.default_rng(seed)
         in_caps, a, b = BOUNDS[bound]
         coupling = operand_codes((batch, in_caps, out_caps), a, signed, rng)
@@ -191,11 +190,9 @@ class TestFusedRouting:
         )
         reference = (coupling[..., None] * votes).sum(axis=1)
         carrier = choose_carrier(bound)
-        fused = k.carrier_matmul(
-            coupling.transpose(0, 2, 1)[:, :, None, :],
-            k.carrier_cast(votes.transpose(0, 2, 1, 3), carrier),
-            carrier,
-        ).reshape(batch, out_caps, out_dim)
+        votes_t = k.carrier_cast(votes.transpose(0, 2, 1, 3), carrier)
+        fused = k.routing_weighted_sum(votes_t, coupling, carrier)
+        assert fused.dtype == np.int64
         assert np.array_equal(fused, reference)
         if not signed:
             assert reference.max() == bound
@@ -209,8 +206,7 @@ class TestFusedRouting:
     def test_agreement_equals_mul_plus_sum(
         self, bound, seed, signed, batch, in_caps, out_caps
     ):
-        """a_ij = Σ_d û_{j|i,d} v_{j,d} over D = count terms:
-        (B,J,I,D) @ (B,J,D,1), permuted back to (B,I,J)."""
+        """a_ij = Σ_d û_{j|i,d} v_{j,d} over D = count terms."""
         rng = np.random.default_rng(seed)
         out_dim, a, b = BOUNDS[bound]
         votes = operand_codes(
@@ -219,12 +215,8 @@ class TestFusedRouting:
         activation = operand_codes((batch, out_caps, out_dim), b, signed, rng)
         reference = (votes * activation[:, None, :, :]).sum(axis=-1)
         carrier = choose_carrier(bound)
-        fused = k.carrier_matmul(
-            k.carrier_cast(votes.transpose(0, 2, 1, 3), carrier),
-            activation[..., None],
-            carrier,
-            axes=(0, 2, 1, 3),
-        ).reshape(batch, in_caps, out_caps)
+        votes_t = k.carrier_cast(votes.transpose(0, 2, 1, 3), carrier)
+        fused = k.routing_agreement(votes_t, activation, carrier)
         assert fused.flags.c_contiguous
         assert np.array_equal(fused, reference)
 
