@@ -166,17 +166,19 @@ def _max_code_sum(
 ) -> int:
     """Largest Σ|code| over the output rows of a tensor on grid ``2^exp``.
 
-    Summed in float64 straight from the values: every partial sum is a
-    multiple of ``2^exp``, so it is exact while below ``2^53`` codes,
-    and a row past that stays at or above ``2^53`` (beyond every float
-    carrier) in any summation order.
+    Summed in float64 straight from the values (as a matrix-vector
+    product, fast for the short rows of capsule votes): every partial
+    sum is a multiple of ``2^exp``, so it is exact while below ``2^53``
+    codes, and a row past that stays at or above ``2^53`` (beyond every
+    float carrier) in any summation order.
     """
     values = np.abs(values)
     if fan_in is None:
         rows = values.reshape(values.shape[0], -1)
     else:
         rows = values.reshape(-1, fan_in)
-    return int(rows.sum(axis=1).max(initial=0.0) * 2.0 ** -exp)
+    sums = rows @ np.ones(rows.shape[1])
+    return int(sums.max(initial=0.0) * 2.0 ** -exp)
 
 
 # ----------------------------------------------------------------------
