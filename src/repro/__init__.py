@@ -25,7 +25,7 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured results of every table and figure.
 """
 
-__version__ = "1.1.0"
+__version__ = "1.3.0"
 
 from repro import api, autograd, capsnet, engine, nn, quant
 

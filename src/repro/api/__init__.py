@@ -29,9 +29,10 @@ Three pieces:
   integer weight codes, accuracy/memory report) with a
   :meth:`Session.serve` path for batched quantized inference.
 
-The ``qcapsnets`` CLI is a thin shell over this package; the historical
-keyword surfaces (``QCapsNets(**kwargs)``,
-``run_rounding_scheme_search``) remain as deprecation shims.
+The ``qcapsnets`` CLI is a thin shell over this package; low-level
+wiring goes through :meth:`~repro.framework.QCapsNets.build` /
+:meth:`~repro.framework.QCapsNets.from_spec` and
+:func:`~repro.framework.scheme_search`.
 """
 
 from repro.api.artifact import (

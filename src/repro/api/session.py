@@ -194,16 +194,6 @@ class Session:
         Optional ``(images, labels)`` override for the evaluation split;
         defaults to the spec's synthetic test split (generated exactly
         like the CLI's: ``train_size=1`` for test-only operations).
-    shared_cache:
-        ``True`` hosts a :class:`~repro.engine.shared_cache.
-        SharedCacheServer` in this process and tiers the session
-        executor's prefix cache over it, with ``spec.cache_bytes`` as
-        the **cross-process** byte budget.  Stage boundaries computed
-        by forked workers (``spec.workers > 1``) are then published
-        back to the session instead of dying with the child, and every
-        worker resumes from every other worker's boundaries.  Results
-        are bit-identical either way — the shared tier serves the same
-        fingerprint-matched entries the local cache would.
     """
 
     def __init__(
@@ -211,7 +201,6 @@ class Session:
         spec: Union[QuantSpec, dict, str, os.PathLike],
         model: Optional[Module] = None,
         test_data: Optional[tuple] = None,
-        shared_cache: bool = False,
     ) -> None:
         if isinstance(spec, (str, os.PathLike)):
             spec = QuantSpec.load(spec)
@@ -227,8 +216,6 @@ class Session:
         self._weights_loaded = model is not None
         self._test = test_data
         self._executor: Optional[StagedExecutor] = None
-        self._shared_cache = shared_cache
-        self._shared_server = None
         self._evaluators: Dict[str, Evaluator] = {}
         self._scales: Optional[Dict[str, float]] = None
         #: Model weight version the caches were built under (None until
@@ -304,19 +291,8 @@ class Session:
         if self._executor is None:
             model = self.model
             if callable(getattr(model, "stages", None)):
-                shared = None
-                if self._shared_cache:
-                    if self._shared_server is None:
-                        from repro.engine.shared_cache import (
-                            SharedCacheServer,
-                        )
-
-                        self._shared_server = SharedCacheServer(
-                            max_bytes=self.spec.cache_bytes
-                        )
-                    shared = self._shared_server.client()
                 self._executor = StagedExecutor(
-                    model, max_bytes=self.spec.cache_bytes, shared=shared
+                    model, max_bytes=self.spec.cache_bytes
                 )
         return self._executor
 
@@ -354,11 +330,6 @@ class Session:
         when a weight mutation is observed — training, fine-tuning or a
         state-dict load)."""
         self._executor = None
-        if self._shared_server is not None:
-            # A rebuilt executor samples the *current* weight version at
-            # init and would otherwise happily serve cross-process
-            # entries published under the pre-mutation weights.
-            self._shared_server.clear()
         self._evaluators.clear()
         self._scales = None
         self._cached_weight_version = None

@@ -39,6 +39,13 @@ class SpecError(ValueError):
     """A :class:`QuantSpec` field (or spec document) is invalid."""
 
 
+#: Spec fields that must hold a plain ``int`` (``bool`` excluded).
+_INT_FIELDS = (
+    "workers", "cache_bytes", "seed", "batch_size", "test_size",
+    "train_size", "q_init", "min_bits",
+)
+
+
 def _check(condition: bool, message: str) -> None:
     if not condition:
         raise SpecError(message)
@@ -160,6 +167,14 @@ class QuantSpec:
             _check(
                 budget > 0,
                 f"budgets_mbit entries must be positive, got {budget}",
+            )
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            # bool is an int subclass, and a float like 32.0 only fails
+            # later, deep inside numpy (range/SeedSequence).
+            _check(
+                isinstance(value, int) and not isinstance(value, bool),
+                f"{name} must be an integer, got {value!r}",
             )
         _check(self.workers >= 1, f"workers must be >= 1, got {self.workers}")
         _check(

@@ -162,7 +162,7 @@ def cmd_train(args) -> int:
 def cmd_quantize(args) -> int:
     spec = resolve_spec(args)
     _require_weights(spec, "quantize")
-    session = Session(spec, shared_cache=getattr(args, "shared_cache", False))
+    session = Session(spec)
     fp32_mbit = sum(session.model.layer_param_counts().values()) * 32 / 1e6
     print(f"FP32 accuracy {session.accuracy_fp32():.2f}%, "
           f"weights {fp32_mbit:.3f} Mbit, "
@@ -187,7 +187,7 @@ def cmd_select(args) -> int:
     """Sec. III-B rounding-scheme library search (parallel branches)."""
     spec = resolve_spec(args)
     _require_weights(spec, "select")
-    session = Session(spec, shared_cache=getattr(args, "shared_cache", False))
+    session = Session(spec)
     print(f"scheme library {list(spec.schemes)}, "
           f"budget {session.budget_mbit():.3f} Mbit, "
           f"accTOL {spec.tolerance}, workers {spec.workers}")
@@ -520,15 +520,8 @@ def _add_search_options(p) -> None:
                        help="forked workers for parallel branches/batches "
                             "(bit-identical results; default: 1)")
     group.add_argument("--cache-bytes", type=int, default=None,
-                       help="prefix-cache byte budget (with "
-                            "--shared-cache: the global cross-process "
-                            "budget; default: 256 MiB)")
-    group.add_argument("--shared-cache", action="store_true",
-                       help="host a cross-process prefix-cache server so "
-                            "forked workers publish stage boundaries back "
-                            "instead of losing them at exit "
-                            "(--cache-bytes becomes the global budget; "
-                            "bit-identical results)")
+                       help="prefix-cache byte budget per search "
+                            "process (default: 256 MiB)")
 
 
 def build_parser() -> argparse.ArgumentParser:

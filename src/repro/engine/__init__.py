@@ -48,11 +48,6 @@ from repro.engine.parallel import (
 )
 from repro.engine.plan import InferencePlan, config_signature
 from repro.engine.pool import ExecutorPool, WorkerCrash, WorkerError
-from repro.engine.shared_cache import (
-    SharedCacheServer,
-    SharedPrefixCache,
-    TieredPrefixCache,
-)
 from repro.engine.staged import (
     DEFAULT_PREFIX_CACHE_BYTES,
     PrefixCache,
@@ -73,11 +68,8 @@ __all__ = [
     "ForkPool",
     "InferencePlan",
     "PrefixCache",
-    "SharedCacheServer",
-    "SharedPrefixCache",
     "StagedExecutor",
     "StreamingEvaluator",
-    "TieredPrefixCache",
     "WorkerCrash",
     "WorkerError",
     "batch_parallel_safe",

@@ -26,9 +26,9 @@ probes.  This module recomputes only from the change down:
   deepest cached boundary whose fingerprint matches.
 
 One executor can serve *several* evaluators — the per-scheme frameworks
-of :func:`~repro.framework.selection.run_rounding_scheme_search`, the
-budget grid of :func:`~repro.framework.pareto.sweep_memory_budgets`,
-even evaluators over different test splits.  Three key refinements make
+of :func:`~repro.framework.selection.scheme_search`, the budget grid of
+:func:`~repro.framework.pareto.sweep_memory_budgets`, even evaluators
+over different test splits.  Three key refinements make
 that sharing safe and profitable:
 
 * cache keys carry a **split token** (content hash of the split plus
@@ -272,7 +272,7 @@ class PrefixCache:
     counter-neutral), ``cross_scheme_hits`` for hits whose entry was
     produced under a different rounding scheme than the consumer's
     (only scheme-free FP32 prefixes can match cross-scheme),
-    ``stores``, ``evictions``, and the live ``current_bytes``.
+    ``evictions``, ``rejected`` and the live ``current_bytes``.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_PREFIX_CACHE_BYTES):
@@ -288,7 +288,6 @@ class PrefixCache:
         #: Hits served to a consumer whose scheme differs from the
         #: producer's (scheme-free FP32 prefixes shared across branches).
         self.cross_scheme_hits = 0
-        self.stores = 0
         self.evictions = 0
         #: Entries refused because a single activation exceeds the cap.
         self.rejected = 0
@@ -350,7 +349,6 @@ class PrefixCache:
         self._entries[key] = entry
         self.current_bytes += entry.nbytes
         self._retain_weights(entry)
-        self.stores += 1
         while self.current_bytes > self.max_bytes and len(self._entries) > 1:
             self._evict_worst(exclude=key)
         # Degenerate cap: the new entry alone may overflow with weights.
@@ -431,22 +429,12 @@ class StagedExecutor:
     activations.  Note this covers the executor only: evaluators keep
     their own weight-derived memos, which the session layer invalidates
     on the same token.
-
-    ``shared`` accepts a :class:`~repro.engine.shared_cache.
-    SharedPrefixCache` client handle: the executor then fronts the
-    cross-process cache server with its local cache (a
-    :class:`~repro.engine.shared_cache.TieredPrefixCache`), so boundary
-    activations computed in *other* processes — pool workers, forked
-    search branches — are hits here and vice versa.  The handle is
-    fork-safe, so an executor built in a parent works unchanged in its
-    forked children.
     """
 
     def __init__(
         self,
         model,
         max_bytes: int = DEFAULT_PREFIX_CACHE_BYTES,
-        shared=None,
     ):
         stages = getattr(model, "stages", None)
         if not callable(stages):
@@ -466,13 +454,6 @@ class StagedExecutor:
             seen.add(stage.layer)
             self._prefix_layers.append(frozenset(seen))
         self.cache = PrefixCache(max_bytes)
-        if shared is not None:
-            # Imported here to keep the base module dependency-free of
-            # the multiprocessing plumbing (circular-import safe: the
-            # shared_cache module imports *this* one at its top level).
-            from repro.engine.shared_cache import TieredPrefixCache
-
-            self.cache = TieredPrefixCache(self.cache, shared)
         #: Model weight version the cache contents were produced under.
         self._weight_version = getattr(model, "weight_version", 0)
         #: Cache clears forced by an observed parameter mutation.
@@ -626,9 +607,6 @@ class StagedExecutor:
             "cache_hits": self.cache.hits,
             "cache_misses": self.cache.misses,
             "cache_cross_scheme_hits": self.cache.cross_scheme_hits,
-            "cache_cross_process_hits": getattr(
-                self.cache, "cross_process_hits", 0
-            ),
             "cache_entries": len(self.cache),
             "cache_bytes": self.cache.current_bytes,
             "cache_evictions": self.cache.evictions,

@@ -13,7 +13,7 @@ searches per-layer fixed-point wordlengths following Algorithm 1:
 returning ``model_satisfied`` or the pair
 (``model_memory``, ``model_accuracy``).
 
-:func:`~repro.framework.selection.run_rounding_scheme_search` executes
+:func:`~repro.framework.selection.scheme_search` executes
 the whole flow once per rounding scheme and applies the selection
 criteria of Sec. III-B.
 """
@@ -27,7 +27,6 @@ from repro.framework.results import QCapsNetsResult, QuantizedModelResult
 from repro.framework.qcapsnets import QCapsNets
 from repro.framework.selection import (
     SelectionOutcome,
-    run_rounding_scheme_search,
     scheme_search,
     select_best,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "QCapsNetsResult",
     "QuantizedModelResult",
     "SelectionOutcome",
-    "run_rounding_scheme_search",
     "scheme_search",
     "select_best",
     "StraightThroughQuant",

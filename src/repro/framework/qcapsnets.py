@@ -20,7 +20,6 @@ Flow::
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Union
 
 import numpy as np
@@ -117,40 +116,20 @@ class QCapsNets:
     staged_executor:
         Prebuilt :class:`~repro.engine.StagedExecutor` to share across
         framework instances over the same model (e.g. the per-scheme
-        branches of :func:`~repro.framework.selection.run_rounding_scheme_search`
-        or a budget grid) — see :mod:`repro.engine.staged` for the
+        branches of :func:`~repro.framework.selection.scheme_search` or a
+        budget grid) — see :mod:`repro.engine.staged` for the
         sharing semantics.  Ignored when ``evaluator`` is given.
     workers:
         Fan independent evaluation batches of this run across forked
         worker processes (deterministic schemes only; bit-identical
         results — see :mod:`repro.engine.parallel`).  Ignored when
         ``evaluator`` is given.
-
-    .. deprecated::
-        Direct keyword construction (``QCapsNets(**kwargs)``) is a
-        deprecation shim: prefer a declarative
-        :class:`repro.api.QuantSpec` driven through
-        :class:`repro.api.Session` (or, for low-level wiring,
-        :meth:`QCapsNets.build` / :meth:`QCapsNets.from_spec`).  The
-        shim is slated for removal two minor releases after v1.1.
     """
-
-    def __init__(self, *args, **kwargs):
-        warnings.warn(
-            "QCapsNets(**kwargs) keyword construction is deprecated; "
-            "declare a repro.api.QuantSpec and drive it through "
-            "repro.api.Session (or use QCapsNets.build/from_spec). "
-            "This shim will be removed two minor releases after v1.1.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._setup(*args, **kwargs)
 
     @classmethod
     def build(cls, *args, **kwargs) -> "QCapsNets":
-        """Canonical (non-deprecated) constructor — same signature as
-        the historical ``__init__``; used by :class:`repro.api.Session`
-        and the sweep/selection drivers."""
+        """Construct from explicit arguments (see the class docstring);
+        :meth:`from_spec` fills them from a :class:`repro.api.QuantSpec`."""
         self = cls.__new__(cls)
         self._setup(*args, **kwargs)
         return self

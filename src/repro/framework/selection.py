@@ -17,7 +17,6 @@ with the lowest memory; ties again break toward the simplest scheme.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -195,31 +194,3 @@ def scheme_search(
                     evaluator.share_executor(shared_executor)
             results[name] = framework.run()
     return select_best(results)
-
-
-def run_rounding_scheme_search(
-    make_framework: Callable[[str], QCapsNets],
-    schemes: Sequence[str] = ("TRN", "RTN", "SR"),
-    workers: int = 1,
-    share_executor: bool = True,
-) -> SelectionOutcome:
-    """Deprecated alias of :func:`scheme_search`.
-
-    .. deprecated::
-        Prefer :meth:`repro.api.Session.select` (one warm session across
-        every operation) or :func:`scheme_search` for low-level wiring.
-        This shim is slated for removal two minor releases after v1.1.
-    """
-    warnings.warn(
-        "run_rounding_scheme_search() is deprecated; use "
-        "repro.api.Session.select() (or repro.framework.scheme_search). "
-        "This shim will be removed two minor releases after v1.1.",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return scheme_search(
-        make_framework,
-        schemes=schemes,
-        workers=workers,
-        share_executor=share_executor,
-    )

@@ -8,8 +8,8 @@ Covers the acceptance criteria of the api_redesign issue:
   with a clear error;
 * one ``Session`` reuses one ``StagedExecutor`` across ``quantize()`` +
   ``select()`` + ``sweep()`` (cross-call cache hits asserted);
-* the old keyword surfaces (``QCapsNets(...)`` /
-  ``run_rounding_scheme_search(...)``) still work via shims that warn.
+* the low-level ``QCapsNets.build(...)`` surface returns exactly what
+  the session does.
 """
 
 import json
@@ -27,11 +27,7 @@ from repro.api import (
     Session,
     SpecError,
 )
-from repro.framework import (
-    QCapsNets,
-    QCapsNetsResult,
-    run_rounding_scheme_search,
-)
+from repro.framework import QCapsNets, QCapsNetsResult
 from repro.quant import (
     QuantizationConfig,
     QuantizedCapsNet,
@@ -97,10 +93,23 @@ class TestQuantSpec:
         (dict(cache_bytes=0), "cache_bytes"),
         (dict(batch_size=0), "batch_size"),
         (dict(model="shallow-tiny", dataset="cifar"), "grayscale"),
+        (dict(workers=2.5), "workers must be an integer"),
+        (dict(workers=True), "workers must be an integer"),
+        (dict(cache_bytes=1024.0), "cache_bytes must be an integer"),
+        (dict(seed=1.5), "seed must be an integer"),
+        (dict(batch_size=32.0), "batch_size must be an integer"),
+        (dict(test_size=False), "test_size must be an integer"),
+        (dict(train_size=100.0), "train_size must be an integer"),
+        (dict(q_init=8.0), "q_init must be an integer"),
+        (dict(min_bits=True), "min_bits must be an integer"),
     ])
     def test_validation_messages(self, overrides, match):
         with pytest.raises(SpecError, match=match):
             QuantSpec(**overrides)
+
+    def test_from_dict_rejects_float_integer_fields(self):
+        with pytest.raises(SpecError, match="batch_size must be an integer"):
+            QuantSpec.from_dict({"model": "shallow-tiny", "batch_size": 32.0})
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(SpecError, match="unknown spec field"):
@@ -258,52 +267,23 @@ class TestSession:
         assert stats["resumes"] > 0
         assert stats["stages_skipped"] > 0
 
-    def test_shared_cache_quantize_bit_identical(
-        self, tiny_spec, trained_tiny, tiny_data
-    ):
-        """``shared_cache=True`` tiers the session executor over a
-        cross-process cache server: same search result bit-for-bit,
-        with the server actually holding published boundaries."""
-        from repro.engine import TieredPrefixCache, config_signature
-
-        _, test = tiny_data
-        data = (test.images[:128], test.labels[:128])
-        spec = tiny_spec.with_overrides(batch_size=32, workers=2)
-        plain = Session(spec, model=trained_tiny, test_data=data).quantize()
-        shared_session = Session(
-            spec, model=trained_tiny, test_data=data, shared_cache=True
-        )
-        shared = shared_session.quantize()
-        assert isinstance(shared_session.executor.cache, TieredPrefixCache)
-        assert plain.models().keys() == shared.models().keys()
-        for label, model in plain.models().items():
-            other = shared.models()[label]
-            assert other.accuracy == model.accuracy
-            assert config_signature(other.config) == config_signature(
-                model.config
-            )
-        stats = shared_session.executor.cache.shared_stats()
-        assert stats["stores"] > 0
-        assert stats["current_bytes"] <= stats["max_bytes"]
-
     def test_quantize_matches_deprecated_surface(self, session, trained_tiny):
-        """The session path returns exactly what the old surface did."""
+        """The session path returns exactly what direct ``build`` does."""
         result = session.quantize()
         images, labels = session.test_data
-        with pytest.warns(DeprecationWarning):
-            legacy = QCapsNets(
-                trained_tiny, images, labels,
-                accuracy_tolerance=session.spec.tolerance,
-                memory_budget_mbit=session.budget_mbit(),
-                scheme="RTN",
-                batch_size=session.spec.batch_size,
-                seed=session.spec.seed,
-            ).run()
-        assert legacy.path == result.path
+        direct = QCapsNets.build(
+            trained_tiny, images, labels,
+            accuracy_tolerance=session.spec.tolerance,
+            memory_budget_mbit=session.budget_mbit(),
+            scheme="RTN",
+            batch_size=session.spec.batch_size,
+            seed=session.spec.seed,
+        ).run()
+        assert direct.path == result.path
         for name, model in result.models().items():
-            assert legacy.models()[name].accuracy == model.accuracy
+            assert direct.models()[name].accuracy == model.accuracy
             assert (
-                legacy.models()[name].config.to_dict()
+                direct.models()[name].config.to_dict()
                 == model.config.to_dict()
             )
 
@@ -436,17 +416,6 @@ class TestSession:
 
 
 class TestDeprecationShims:
-    def test_qcapsnets_keyword_construction_warns_but_works(
-        self, trained_tiny, tiny_data
-    ):
-        _, test = tiny_data
-        with pytest.warns(DeprecationWarning, match="QuantSpec"):
-            framework = QCapsNets(
-                trained_tiny, test.images[:64], test.labels[:64],
-                accuracy_tolerance=0.5, memory_budget_mbit=1.0,
-            )
-        assert framework.evaluator is not None
-
     def test_build_does_not_warn(self, trained_tiny, tiny_data):
         _, test = tiny_data
         with warnings.catch_warnings():
@@ -455,25 +424,6 @@ class TestDeprecationShims:
                 trained_tiny, test.images[:64], test.labels[:64],
                 accuracy_tolerance=0.5, memory_budget_mbit=1.0,
             )
-
-    def test_run_rounding_scheme_search_warns_and_forwards(self):
-        class _StubFramework:
-            evaluator = None
-
-            def __init__(self, name):
-                self.name = name
-
-            def run(self):
-                return QCapsNetsResult(
-                    scheme_name=self.name, accuracy_fp32=0.0,
-                    accuracy_target=0.0, memory_budget_bits=1, path="B",
-                )
-
-        with pytest.warns(DeprecationWarning, match="Session.select"):
-            outcome = run_rounding_scheme_search(
-                _StubFramework, schemes=("TRN", "RTN")
-            )
-        assert outcome.per_scheme.keys() == {"TRN", "RTN"}
 
 
 class TestResultSerialization:

@@ -262,7 +262,7 @@ class TestSearchEquivalence:
         _, test = tiny_data
 
         def run(use_engine):
-            return QCapsNets(
+            return QCapsNets.build(
                 trained_tiny, test.images, test.labels,
                 accuracy_tolerance=0.03, memory_budget_mbit=budget_mbit,
                 scheme=scheme, batch_size=32, use_engine=use_engine,

@@ -1,296 +1,21 @@
-"""Tests for the cross-process serving substrate (PR 7 tentpole).
+"""Tests for the persistent executor pool (:mod:`repro.engine.pool`).
 
-Two subsystems, one contract each:
-
-* :mod:`repro.engine.shared_cache` — a stage boundary published by any
-  process is a *hit* in every other process sharing the server, the
-  global byte budget holds whatever the clients do, and a dead or
-  unreachable server degrades to cache misses, never wrong results;
-* :mod:`repro.engine.pool` — N long-lived forked executors behind
-  shared-memory payload lanes: a worker exception surfaces as
-  :class:`WorkerError` (worker survives), a worker *death* as
-  :class:`WorkerCrash` (slot respawnable), and payloads that outgrow
-  the lanes fall back to inline pipe transfer.
+N long-lived forked executors behind shared-memory payload lanes: a
+worker exception surfaces as :class:`WorkerError` (worker survives), a
+worker *death* as :class:`WorkerCrash` (slot respawnable), and payloads
+that outgrow the lanes fall back to inline pipe transfer.
 """
 
-import multiprocessing
 import os
-import pickle
-import traceback
 
 import numpy as np
 import pytest
 
-from repro.autograd.tensor import Tensor, no_grad
-from repro.capsnet import ShallowCaps, presets
-from repro.engine import (
-    ExecutorPool,
-    PrefixCache,
-    SharedCacheServer,
-    StagedExecutor,
-    TieredPrefixCache,
-    WorkerCrash,
-    WorkerError,
-    fork_available,
-)
-from repro.engine.staged import CacheEntry
-from repro.quant import QuantizationConfig, get_rounding_scheme
-from repro.quant.qcontext import FixedPointQuant
+from repro.engine import ExecutorPool, WorkerCrash, WorkerError, fork_available
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="requires the fork start method"
 )
-
-
-def _entry(value, shape=(4, 4), scheme="RTN"):
-    activation = np.full(shape, value, dtype=np.float32)
-    weights = {("L1", "w", 0): Tensor(activation * np.float32(2.0))}
-    return CacheEntry(activation, None, weights, scheme=scheme)
-
-
-def _assert_entries_equal(left: CacheEntry, right: CacheEntry) -> None:
-    np.testing.assert_array_equal(left.activation, right.activation)
-    assert left.scheme == right.scheme
-    assert left.rng_state == right.rng_state
-    assert set(left.weights) == set(right.weights)
-    for key, tensor in left.weights.items():
-        np.testing.assert_array_equal(tensor.data, right.weights[key].data)
-
-
-def _run_child(target) -> int:
-    """Fork ``target`` and return its exit code (0 = all asserts held)."""
-
-    def main():
-        try:
-            target()
-        except BaseException:
-            traceback.print_exc()
-            os._exit(1)
-        os._exit(0)
-
-    process = multiprocessing.get_context("fork").Process(target=main)
-    process.start()
-    process.join(60)
-    if process.is_alive():  # pragma: no cover - hung child
-        process.terminate()
-        process.join()
-        pytest.fail("forked child did not finish")
-    return process.exitcode
-
-
-# ----------------------------------------------------------------------
-# SharedCacheServer / SharedPrefixCache
-# ----------------------------------------------------------------------
-class TestSharedCache:
-    def test_same_process_roundtrip(self):
-        server = SharedCacheServer(max_bytes=1 << 20)
-        try:
-            client = server.client()
-            entry = _entry(1.5)
-            assert client.put(("k", 0), entry)
-            fetched = client.get(("k", 0))
-            assert fetched is not None
-            got, producer = fetched
-            assert producer == os.getpid()
-            _assert_entries_equal(got, entry)
-            # Same-process hits never count as cross-process.
-            assert server.stats()["cross_process_hits"] == 0
-            assert client.cross_process_hits == 0
-        finally:
-            server.close()
-
-    def test_put_skips_already_published(self):
-        server = SharedCacheServer(max_bytes=1 << 20)
-        try:
-            client = server.client()
-            assert client.put(("k",), _entry(1.0))
-            assert not client.put(("k",), _entry(2.0))
-            assert server.stats()["stores"] == 1
-            got, _ = client.get(("k",))
-            np.testing.assert_array_equal(
-                got.activation, np.full((4, 4), 1.0, np.float32)
-            )
-        finally:
-            server.close()
-
-    @needs_fork
-    def test_cross_fork_roundtrip_counts_cross_process_hits(self):
-        """The acceptance wording: worker A's entry is worker B's hit."""
-        server = SharedCacheServer(max_bytes=1 << 20)
-        try:
-            client = server.client()
-            parent_entry = _entry(1.0)
-            assert client.put(("k", "parent"), parent_entry)
-
-            def child():
-                # The forked child reuses the inherited handle — it must
-                # reconnect in the new pid, not share the parent socket.
-                fetched = client.get(("k", "parent"))
-                assert fetched is not None
-                entry, producer = fetched
-                assert producer != os.getpid()
-                _assert_entries_equal(entry, parent_entry)
-                assert client.put(("k", "child"), _entry(2.0))
-
-            assert _run_child(child) == 0
-            fetched = client.get(("k", "child"))
-            assert fetched is not None
-            entry, producer = fetched
-            assert producer != os.getpid()
-            np.testing.assert_array_equal(
-                entry.activation, np.full((4, 4), 2.0, np.float32)
-            )
-            stats = server.stats()
-            # Child read the parent's entry + parent read the child's.
-            assert stats["cross_process_hits"] == 2
-            assert stats["stores"] == 2
-        finally:
-            server.close()
-
-    def test_eviction_respects_global_budget(self):
-        server = SharedCacheServer(max_bytes=4096)
-        try:
-            client = server.client()
-            for index in range(6):
-                client.put(("k", index), _entry(float(index), shape=(16, 16)))
-            stats = server.stats()
-            assert stats["evictions"] > 0
-            assert stats["current_bytes"] <= stats["max_bytes"]
-            assert stats["entries"] >= 1
-        finally:
-            server.close()
-
-    def test_oversized_entry_rejected(self):
-        server = SharedCacheServer(max_bytes=4096)
-        try:
-            client = server.client()
-            assert not client.put(("big",), _entry(1.0, shape=(64, 64)))
-            stats = server.stats()
-            assert stats["rejected"] == 1
-            assert stats["current_bytes"] == 0
-            assert client.get(("big",)) is None
-        finally:
-            server.close()
-
-    def test_client_pickles_by_address(self):
-        server = SharedCacheServer(max_bytes=1 << 20)
-        try:
-            client = server.client()
-            assert client.put(("k",), _entry(3.0))
-            restored = pickle.loads(pickle.dumps(client))
-            fetched = restored.get(("k",))
-            assert fetched is not None
-            np.testing.assert_array_equal(
-                fetched[0].activation, np.full((4, 4), 3.0, np.float32)
-            )
-        finally:
-            server.close()
-
-    def test_closed_server_degrades_to_miss(self):
-        server = SharedCacheServer(max_bytes=1 << 20)
-        client = server.client()
-        assert client.put(("k",), _entry(1.0))
-        server.close()
-        # A fresh handle cannot even connect; everything is a miss and
-        # a failed publish — never an exception.
-        fresh = server.client()
-        assert fresh.get(("k",)) is None
-        assert not fresh.put(("k2",), _entry(2.0))
-        assert fresh.failures >= 2
-        # The pre-existing connection sees the cleared, closed store.
-        assert client.get(("k",)) is None
-        assert not client.put(("k3",), _entry(3.0))
-
-    def test_validates_budget(self):
-        with pytest.raises(ValueError, match="max_bytes"):
-            SharedCacheServer(max_bytes=0)
-
-
-class TestTieredPrefixCache:
-    def test_materializes_shared_entries_locally(self):
-        server = SharedCacheServer(max_bytes=1 << 20)
-        try:
-            writer = TieredPrefixCache(PrefixCache(1 << 20), server.client())
-            reader = TieredPrefixCache(PrefixCache(1 << 20), server.client())
-            entry = _entry(3.0)
-            writer.put(("k",), entry)
-
-            # Local miss, shared hit: peek reports presence, get serves
-            # the entry and materializes it in the local tier.
-            assert reader.peek(("k",)) is not None
-            got = reader.get(("k",), scheme="RTN")
-            assert got is not None
-            _assert_entries_equal(got, entry)
-            assert reader.shared_hits == 1
-            assert reader.hits == 1
-            assert reader.misses == 0  # the local miss was served after all
-
-            again = reader.get(("k",))
-            assert again is got  # second lookup is a pure local hit
-            assert reader.local.hits == 1
-            assert reader.shared_hits == 1
-        finally:
-            server.close()
-
-    def test_clear_reaches_both_tiers(self):
-        server = SharedCacheServer(max_bytes=1 << 20)
-        try:
-            tiered = TieredPrefixCache(PrefixCache(1 << 20), server.client())
-            tiered.put(("k",), _entry(1.0))
-            tiered.clear()
-            assert tiered.get(("k",)) is None
-            assert server.stats()["entries"] == 0
-        finally:
-            server.close()
-
-
-# ----------------------------------------------------------------------
-# StagedExecutor over the shared tier (cross-process stage boundaries)
-# ----------------------------------------------------------------------
-@needs_fork
-class TestStagedExecutorSharedTier:
-    def test_child_boundary_is_parent_hit(self, trained_tiny, tiny_data):
-        """A boundary computed in a forked worker must be a hit in the
-        parent's executor — bit-identical to a cold local run."""
-        _, test = tiny_data
-        model = ShallowCaps(presets.shallowcaps_tiny())
-        model.load_state_dict(trained_tiny.state_dict())
-        model.eval()
-        images = test.images[:16]
-        config = QuantizationConfig.uniform(
-            list(model.quant_layers), qw=6, qa=6
-        )
-
-        def run_once(executor):
-            context = FixedPointQuant(
-                config, get_rounding_scheme("RTN", seed=0)
-            )
-            context.reset()
-            with no_grad():
-                return executor.run(0, Tensor(images), context)
-
-        reference = run_once(StagedExecutor(model))
-
-        server = SharedCacheServer(max_bytes=64 << 20)
-        try:
-            def child():
-                executor = StagedExecutor(model, shared=server.client())
-                run_once(executor)
-                stats = executor.stats()
-                assert stats["cache_cross_process_hits"] == 0
-                assert stats["stages_skipped"] == 0  # cold in the child
-
-            assert _run_child(child) == 0
-
-            executor = StagedExecutor(model, shared=server.client())
-            out = run_once(executor)
-            stats = executor.stats()
-            assert stats["cache_cross_process_hits"] >= 1
-            assert stats["resumes"] == 1
-            assert stats["stages_skipped"] > 0
-            np.testing.assert_array_equal(out.data, reference.data)
-        finally:
-            server.close()
 
 
 # ----------------------------------------------------------------------

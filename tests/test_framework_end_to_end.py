@@ -7,7 +7,7 @@ import pytest
 from repro.framework import (
     Evaluator,
     QCapsNets,
-    run_rounding_scheme_search,
+    scheme_search,
     select_best,
 )
 from repro.framework.results import QCapsNetsResult, QuantizedModelResult
@@ -95,7 +95,7 @@ class TestSelectionCriteria:
 class TestQCapsNetsEndToEnd:
     def test_path_a_satisfies_both_constraints(self, trained_tiny, tiny_data):
         _, test = tiny_data
-        framework = QCapsNets(
+        framework = QCapsNets.build(
             trained_tiny, test.images, test.labels,
             accuracy_tolerance=0.03, memory_budget_mbit=0.12, scheme="RTN",
         )
@@ -111,7 +111,7 @@ class TestQCapsNetsEndToEnd:
 
     def test_path_b_returns_trade_off_pair(self, trained_tiny, tiny_data):
         _, test = tiny_data
-        framework = QCapsNets(
+        framework = QCapsNets.build(
             trained_tiny, test.images, test.labels,
             accuracy_tolerance=0.02, memory_budget_mbit=0.02, scheme="RTN",
         )
@@ -129,7 +129,7 @@ class TestQCapsNetsEndToEnd:
 
     def test_eq6_descending_wordlengths(self, trained_tiny, tiny_data):
         _, test = tiny_data
-        framework = QCapsNets(
+        framework = QCapsNets.build(
             trained_tiny, test.images, test.labels,
             accuracy_tolerance=0.02, memory_budget_mbit=0.02, scheme="RTN",
         )
@@ -139,7 +139,7 @@ class TestQCapsNetsEndToEnd:
 
     def test_uniform_model_reported(self, trained_tiny, tiny_data):
         _, test = tiny_data
-        result = QCapsNets(
+        result = QCapsNets.build(
             trained_tiny, test.images, test.labels,
             accuracy_tolerance=0.03, memory_budget_mbit=0.12, scheme="TRN",
         ).run()
@@ -151,15 +151,15 @@ class TestQCapsNetsEndToEnd:
     def test_input_validation(self, trained_tiny, tiny_data):
         _, test = tiny_data
         with pytest.raises(ValueError):
-            QCapsNets(trained_tiny, test.images, test.labels,
-                      accuracy_tolerance=-0.1, memory_budget_mbit=1.0)
+            QCapsNets.build(trained_tiny, test.images, test.labels,
+                            accuracy_tolerance=-0.1, memory_budget_mbit=1.0)
         with pytest.raises(ValueError):
-            QCapsNets(trained_tiny, test.images, test.labels,
-                      accuracy_tolerance=0.1, memory_budget_mbit=0.0)
+            QCapsNets.build(trained_tiny, test.images, test.labels,
+                            accuracy_tolerance=0.1, memory_budget_mbit=0.0)
 
     def test_summary_mentions_models(self, trained_tiny, tiny_data):
         _, test = tiny_data
-        result = QCapsNets(
+        result = QCapsNets.build(
             trained_tiny, test.images, test.labels,
             accuracy_tolerance=0.03, memory_budget_mbit=0.12,
         ).run()
@@ -199,13 +199,13 @@ class TestRoundingSchemeSearch:
         _, test = tiny_data
 
         def make(scheme_name):
-            return QCapsNets(
+            return QCapsNets.build(
                 trained_tiny, test.images, test.labels,
                 accuracy_tolerance=0.03, memory_budget_mbit=0.12,
                 scheme=scheme_name,
             )
 
-        outcome = run_rounding_scheme_search(make, schemes=("TRN", "RTN"))
+        outcome = scheme_search(make, schemes=("TRN", "RTN"))
         assert set(outcome.per_scheme) == {"TRN", "RTN"}
         assert outcome.path in ("A", "B")
         assert outcome.summary()

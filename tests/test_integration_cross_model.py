@@ -61,7 +61,7 @@ class TestLeNetThroughFramework:
         model, test, fp32_accuracy = lenet_setup
         assert fp32_accuracy > 60.0  # trained enough to be meaningful
         budget = sum(model.layer_param_counts().values()) * 32 / 1e6 / 6
-        result = QCapsNets(
+        result = QCapsNets.build(
             model, test.images, test.labels,
             accuracy_tolerance=0.03, memory_budget_mbit=budget,
             scheme="RTN", accuracy_fp32=fp32_accuracy,
@@ -75,7 +75,7 @@ class TestLeNetThroughFramework:
         model, test, fp32_accuracy = lenet_setup
         assert model.routing_layers == []
         budget = sum(model.layer_param_counts().values()) * 32 / 1e6 / 5
-        result = QCapsNets(
+        result = QCapsNets.build(
             model, test.images, test.labels,
             accuracy_tolerance=0.05, memory_budget_mbit=budget,
             scheme="RTN", accuracy_fp32=fp32_accuracy,
@@ -99,7 +99,7 @@ class TestDeepCapsThroughFramework:
         )
         fp32_accuracy = evaluate_accuracy(model, test.images, test.labels)
         budget = sum(model.layer_param_counts().values()) * 32 / 1e6 / 4
-        result = QCapsNets(
+        result = QCapsNets.build(
             model, test.images, test.labels,
             accuracy_tolerance=0.06, memory_budget_mbit=budget,
             scheme="RTN", accuracy_fp32=fp32_accuracy,
@@ -121,7 +121,7 @@ class TestQuantizedStateIsolation:
             name: param.data.copy()
             for name, param in trained_tiny.named_parameters()
         }
-        QCapsNets(
+        QCapsNets.build(
             trained_tiny, test.images, test.labels,
             accuracy_tolerance=0.03, memory_budget_mbit=0.1, scheme="SR",
         ).run()

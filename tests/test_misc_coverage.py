@@ -45,12 +45,12 @@ class TestStep1ToleranceFraction:
         """With a 0% step-1 fraction, step 1 must stay at the FP32
         accuracy floor, pushing the uniform wordlength up."""
         _, test = tiny_data
-        strict = QCapsNets(
+        strict = QCapsNets.build(
             trained_tiny, test.images, test.labels,
             accuracy_tolerance=0.05, memory_budget_mbit=0.1,
             scheme="RTN", step1_tolerance_fraction=0.0,
         ).run()
-        loose = QCapsNets(
+        loose = QCapsNets.build(
             trained_tiny, test.images, test.labels,
             accuracy_tolerance=0.05, memory_budget_mbit=0.1,
             scheme="RTN", step1_tolerance_fraction=1.0,

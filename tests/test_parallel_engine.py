@@ -27,7 +27,7 @@ from repro.engine.parallel import _shards, speculative_chunks
 from repro.framework import (
     Evaluator,
     QCapsNets,
-    run_rounding_scheme_search,
+    scheme_search,
     sweep_memory_budgets,
 )
 from repro.quant import QuantizationConfig, get_rounding_scheme
@@ -206,7 +206,7 @@ class TestParallelBatches:
 class TestParallelSchemeSweep:
     def _make_factory(self, model, test):
         def make(scheme_name):
-            return QCapsNets(
+            return QCapsNets.build(
                 model, test.images, test.labels,
                 accuracy_tolerance=0.03, memory_budget_mbit=0.12,
                 scheme=scheme_name, batch_size=32,
@@ -219,10 +219,10 @@ class TestParallelSchemeSweep:
         _, test = tiny_data
         make = self._make_factory(trained_tiny, test)
         reference = _outcome_key(
-            run_rounding_scheme_search(make, schemes=SCHEMES)
+            scheme_search(make, schemes=SCHEMES)
         )
         for workers in (1, 2, 3):
-            outcome = run_rounding_scheme_search(
+            outcome = scheme_search(
                 make, schemes=SCHEMES, workers=workers
             )
             assert _outcome_key(outcome) == reference, f"workers={workers}"
@@ -231,7 +231,7 @@ class TestParallelSchemeSweep:
         _, test = tiny_data
         make = self._make_factory(trained_tiny, test)
         with pytest.raises(ValueError, match="duplicate"):
-            run_rounding_scheme_search(make, schemes=("TRN", "RTN", "TRN"))
+            scheme_search(make, schemes=("TRN", "RTN", "TRN"))
 
     def test_shared_executor_serves_cross_scheme_fp32(
         self, trained_tiny, tiny_data
@@ -248,7 +248,7 @@ class TestParallelSchemeSweep:
             executors.append(framework.evaluator.staged_executor)
             return framework
 
-        outcome = run_rounding_scheme_search(
+        outcome = scheme_search(
             spying_make, schemes=("TRN", "RTN", "SR")
         )
         assert set(outcome.per_scheme) == {"TRN", "RTN", "SR"}
@@ -258,7 +258,7 @@ class TestParallelSchemeSweep:
         # branch's executor...
         # (the factory's own executors were replaced on adoption)
         # ...and the shared outcome equals the unshared one.
-        unshared = run_rounding_scheme_search(
+        unshared = scheme_search(
             make, schemes=("TRN", "RTN", "SR"), share_executor=False
         )
         assert _outcome_key(outcome) == _outcome_key(unshared)

@@ -551,7 +551,7 @@ class TestSearchEquivalenceWithPrefixCache:
         _, test = tiny_data
 
         def run(use_prefix_cache):
-            return QCapsNets(
+            return QCapsNets.build(
                 trained_tiny, test.images, test.labels,
                 accuracy_tolerance=0.03, memory_budget_mbit=budget_mbit,
                 scheme=scheme, batch_size=32,
