@@ -1,12 +1,12 @@
 """qlower — static integer-lowering analyzer for quantized artifacts.
 
-Walks the exact same per-stage mirror of the forward pass that the
-qprove range certifier uses (:mod:`repro.analysis.qprove`), but
-propagates a richer abstract value: alongside the certified value
-interval, every tensor carries the *power-of-two grid* its elements
-live on (``value = code · 2^exp`` with integer codes).  From that the
-analyzer proves, op by op, whether the forward pass can execute in
-pure integer arithmetic:
+Runs the same model walkers as the qprove range certifier
+(:mod:`repro.analysis.qprove`) and the int backend that executes the
+resulting plan, but propagates a richer abstract value: alongside the
+certified value interval, every tensor carries the *power-of-two grid*
+its elements live on (``value = code · 2^exp`` with integer codes).
+From that the analyzer proves, op by op, whether the forward pass can
+execute in pure integer arithmetic:
 
 * **float-taint dataflow** — a parameter with no frozen integer codes,
   a passthrough quantization hook, or a non-power-of-two scale breaks
@@ -47,7 +47,8 @@ level.
 The result is a :class:`~repro.analysis.lowering.LoweringPlan`; a plan
 with no blocking finding is ``lowerable`` and its shift/LUT schedule
 is certified against the float fixed-point simulation by
-:func:`replay_plan`.
+:func:`replay_plan`, which runs the int backend's own kernels
+(:mod:`repro.backend.int_kernels`).
 """
 
 from __future__ import annotations
@@ -142,15 +143,6 @@ class _LWeight:
     @property
     def tainted(self) -> bool:
         return self.values is not None and self.exp is None
-
-
-def _float_grid_exp(value: float) -> int:
-    """The exponent placing a nonzero float exactly on a 2^exp grid."""
-    mantissa, exponent = math.frexp(value)
-    while mantissa != math.floor(mantissa):
-        mantissa *= 2.0
-        exponent -= 1
-    return exponent
 
 
 def _shifted_code_max(code_max: int, shift: int) -> int:
@@ -290,13 +282,8 @@ class _LoweringContext(_AbstractContext):
             grid, -self.input_bits, code_max=max(abs(code_lo), abs(code_hi))
         )
 
-    def constant(self, layer: str, value: float) -> _LVal:
-        if value == 0.0:
-            return _LVal(Interval.point(0.0), None, zero=True)
-        exp = _float_grid_exp(value)
-        return _LVal(
-            Interval.point(value), exp, code_max=int(abs(value) * 2.0 ** -exp)
-        )
+    def zero_logits(self, layer: str, votes: _LVal) -> _LVal:
+        return _LVal(Interval.point(0.0), None, zero=True)
 
     # -- exact integer ops ---------------------------------------------
     def _mac(self, layer, op, weight, bias, x, iv, fan_in=None) -> _LVal:
@@ -331,13 +318,13 @@ class _LoweringContext(_AbstractContext):
         ))
         return _LVal(iv, out_exp, code_max=bound)
 
-    def conv(self, layer, weight, bias, x, padding) -> _LVal:
+    def conv(self, layer, weight, bias, x, conv) -> _LVal:
         iv = super().conv(
             layer,
             weight.values,
             None if bias is None else bias.values,
             x.iv,
-            padding,
+            conv,
         )
         return self._mac(layer, "conv", weight, bias, x, iv)
 
@@ -362,8 +349,9 @@ class _LoweringContext(_AbstractContext):
         ))
         return _LVal(iv, x.exp, zero=x.zero, code_max=x.code_max)
 
-    def avgpool(self, layer: str, x: _LVal, window: int) -> _LVal:
-        iv = super().avgpool(layer, x.iv, window)
+    def avgpool(self, layer: str, x: _LVal, kernel: int) -> _LVal:
+        iv = super().avgpool(layer, x.iv, kernel)
+        window = kernel * kernel
         if x.tainted:
             return self._float_op(
                 layer, "avgpool", iv, "float-tainted operand"
@@ -498,7 +486,7 @@ class _LoweringContext(_AbstractContext):
         )
         return _LVal(iv, out_exp, code_max=code_max)
 
-    def squash(self, layer: str, x: _LVal, dim: int) -> _LVal:
+    def squash(self, layer: str, x: _LVal, dim: int, axis: int) -> _LVal:
         iv = squash_interval(x.iv)
         if x.tainted:
             return self._float_op(
@@ -915,37 +903,6 @@ def lower_artifact(
 # ----------------------------------------------------------------------
 # Soundness oracle: replay the plan against the float fixed-point path
 # ----------------------------------------------------------------------
-def _shift_round(
-    codes: np.ndarray, shift: int, scheme: str, rng: np.random.Generator
-) -> np.ndarray:
-    """Integer mirror of the float rescale ``round(code / 2^shift)``.
-
-    Bit-identical to :meth:`repro.quant.rounding.RoundingScheme.apply`
-    on the same codes for every scheme (SR consumes one draw array from
-    ``rng``, matching the float path's single ``rng.random`` call).
-    """
-    codes = np.asarray(codes, dtype=np.int64)
-    if shift <= 0:
-        return codes << (-shift)
-    s = shift
-    if scheme == "TRN" or scheme == "exact":
-        return codes >> s
-    if scheme == "RTN":
-        return (codes + (np.int64(1) << (s - 1))) >> s
-    if scheme == "RTNE":
-        q = codes >> s
-        r = codes - (q << s)
-        half = np.int64(1) << (s - 1)
-        up = (r > half) | ((r == half) & ((q & np.int64(1)) == 1))
-        return q + up.astype(np.int64)
-    if scheme == "SR":
-        q = codes >> s
-        residue = (codes - (q << s)).astype(np.float64) / float(2 ** s)
-        draws = rng.random(size=codes.shape)
-        return q + (draws < residue).astype(np.int64)
-    raise ValueError(f"unknown rounding scheme '{scheme}'")
-
-
 def _sample_codes(
     lo: float,
     hi: float,
@@ -971,6 +928,7 @@ def _sample_codes(
 def _replay_rescale(
     plan: LoweringPlan, op: OpPlan, opseed: int, samples: int
 ) -> Optional[str]:
+    from repro.backend import int_kernels as k
     from repro.quant.qcontext import scaled_quantize
     from repro.quant.rounding import get_rounding_scheme
 
@@ -983,8 +941,8 @@ def _replay_rescale(
     scheme = get_rounding_scheme(plan.scheme, seed=opseed)
     values = codes.astype(np.float64) * 2.0 ** r.in_exp
     float_path = scaled_quantize(values, fmt, scheme, r.scale)
-    out = _shift_round(
-        codes, r.shift, r.rounding, np.random.default_rng(opseed)
+    out = k.shift_round(
+        codes, r.shift, r.rounding, gen=np.random.default_rng(opseed)
     )
     out = np.clip(out, fmt.int_min, fmt.int_max)
     int_path = out.astype(np.float64) * 2.0 ** r.out_exp
@@ -1001,21 +959,18 @@ def _replay_rescale(
 def _replay_squash(
     plan: LoweringPlan, op: OpPlan, opseed: int, samples: int
 ) -> Tuple[Optional[str], float]:
-    from repro.hw.fixed_ref import fixed_squash
+    from repro.backend import int_kernels as k
 
     a = op.approx
     r = op.rescale
     dim = int(a.tables.get("caps_dim", 1))
-    fmt_op = FixedPointFormat(a.integer_bits, a.operand_bits)
     rng = np.random.default_rng(opseed)
     codes = _sample_codes(
         r.value_lo, r.value_hi, r.in_exp, samples, rng, shape=(dim,)
     )
     if codes is None:
         return None, 0.0
-    operand = _shift_round(codes, r.shift, r.rounding, rng)
-    operand = np.clip(operand, fmt_op.int_min, fmt_op.int_max)
-    out = fixed_squash(operand, fmt_op, axis=-1)
+    out = k.int_squash(codes, r, a, gen=rng)
     got = out.astype(np.float64) * 2.0 ** a.operand_exp
     v = codes.astype(np.float64) * 2.0 ** r.in_exp
     norm = np.sqrt((v * v).sum(axis=-1, keepdims=True))
@@ -1033,7 +988,8 @@ def _replay_squash(
 def _replay_softmax(
     plan: LoweringPlan, op: OpPlan, opseed: int, samples: int
 ) -> Tuple[Optional[str], float]:
-    from repro.hw.fixed_ref import fixed_softmax
+    from repro.backend import int_kernels as k
+    from repro.hw.fixed_ref import exp_lut
 
     a = op.approx
     n = int(a.tables.get("num_inputs", 2))
@@ -1047,8 +1003,7 @@ def _replay_softmax(
     if codes is None:
         return None, 0.0
     codes = np.clip(codes, fmt_logits.int_min, fmt_logits.int_max)
-    shifted = codes - codes.max(axis=-1, keepdims=True)
-    out = fixed_softmax(shifted, fmt_sub, axis=-1)
+    out = k.int_softmax(codes, a, plan.integer_bits, exp_lut(fmt_sub)[0])
     got = out.astype(np.float64) * 2.0 ** op.out_exp
     v = codes.astype(np.float64) * 2.0 ** a.operand_exp
     v = v - v.max(axis=-1, keepdims=True)

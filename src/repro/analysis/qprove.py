@@ -30,8 +30,16 @@ What is proven / assumed
   integer codes (exact by construction, no rounding events at serve
   time).
 
-Supported model families: ``ShallowCaps``, ``DeepCaps``, ``LeNet5``
-(everything :func:`repro.api.session.build_model` can produce).
+Model walkers
+-------------
+Each supported model family (``ShallowCaps``, ``DeepCaps``, ``LeNet5``:
+everything :func:`repro.api.session.build_model` can produce) is
+described once, by a ``_walk_*`` function over the structural op
+vocabulary of :class:`_AbstractContext`.  Three contexts interpret the
+same walkers: intervals here (certificates), intervals plus grids in
+:mod:`repro.analysis.qlower` (lowering plans), and integer codes in
+:mod:`repro.backend.int_backend` (execution).  A new family needs one
+walker to be certified, lowered and served on integers.
 """
 
 from __future__ import annotations
@@ -364,22 +372,25 @@ class _AbstractContext:
         """The model input (identity in the value domain)."""
         return x
 
-    def constant(self, layer: str, value: float) -> Interval:
-        """An exact scalar constant (routing logits/activation init)."""
-        return Interval.point(value)
+    def layout(self, x: Interval, fn: Callable) -> Interval:
+        """Reshape/transpose ``fn`` of a concrete tensor (identity on
+        abstract values)."""
+        return x
 
-    def conv(self, layer, weight, bias, x, padding) -> Interval:
-        return conv_interval(weight, bias, x, padding)
+    def conv(self, layer, weight, bias, x, conv) -> Interval:
+        return conv_interval(weight, bias, x, conv.padding)
 
     def linear(self, layer, weight, bias, x, fan_in=None) -> Interval:
+        """Dense layer; with ``fan_in`` the capsule vote projection
+        (one ``W_ij`` per input capsule, rows of ``fan_in``)."""
         w = weight if fan_in is None else weight.reshape(-1, fan_in)
         return linear_interval(w, bias, x)
 
     def relu(self, layer: str, x: Interval) -> Interval:
         return relu_interval(x)
 
-    def avgpool(self, layer: str, x: Interval, window: int) -> Interval:
-        # The mean of `window` values drawn from an interval stays
+    def avgpool(self, layer: str, x: Interval, kernel: int) -> Interval:
+        # The mean of a window of values drawn from an interval stays
         # inside it, so pooling is interval-preserving.
         return x
 
@@ -389,7 +400,7 @@ class _AbstractContext:
             np.asarray(bn.gamma.data), np.asarray(bn.beta.data), bn.eps,
         )
 
-    def squash(self, layer: str, x: Interval, dim: int) -> Interval:
+    def squash(self, layer: str, x: Interval, dim: int, axis: int) -> Interval:
         return squash_interval(x)
 
     def softmax(self, layer: str, x: Interval, count: int) -> Interval:
@@ -404,10 +415,33 @@ class _AbstractContext:
     def sum_terms(self, layer: str, term: Interval, count: int) -> Interval:
         return sum_of_terms(term, count)
 
+    def zero_logits(self, layer: str, votes) -> Interval:
+        """The all-zero routing logits ``b_ij`` of ``votes``."""
+        return Interval.point(0.0)
+
+    def weighted_sum(self, layer: str, coupling, votes, count: int):
+        """Routing ``s_j = Σ_i c_ij û_{j|i}`` over ``count`` inputs."""
+        return self.sum_terms(layer, self.mul(layer, coupling, votes), count)
+
+    def agreement(self, layer: str, votes, activation, count: int):
+        """Routing agreement ``û_{j|i} · v_j`` over ``count`` dims."""
+        return self.sum_terms(
+            layer, self.mul(layer, votes, activation), count
+        )
+
 
 # ----------------------------------------------------------------------
 # Structural walkers (mirror the models' staged forward passes)
 # ----------------------------------------------------------------------
+def _capsule_rows(maps: np.ndarray) -> np.ndarray:
+    """Capsule maps ``(B, types, dim, H, W)`` as rows ``(B, types·H·W,
+    dim)``."""
+    batch, types, dim, height, width = maps.shape
+    return maps.transpose(0, 1, 3, 4, 2).reshape(
+        batch, types * height * width, dim
+    )
+
+
 def _walk_routing(
     ctx: _AbstractContext,
     layer: str,
@@ -417,29 +451,27 @@ def _walk_routing(
     out_caps: int,
     out_dim: int,
 ):
-    """Unrolled :func:`repro.capsnet.routing.dynamic_routing`."""
+    """Unrolled :func:`repro.capsnet.routing.dynamic_routing` over
+    votes ``(B, I, J, D)``."""
     votes = ctx.act(layer, votes)
-    logits = ctx.constant(layer, 0.0)
-    activation = ctx.constant(layer, 0.0)
+    logits = ctx.zero_logits(layer, votes)
     for iteration in range(iterations):
         logits = ctx.routing(layer, "logits", logits)
         coupling = ctx.routing(
             layer, "coupling", ctx.softmax(layer, logits, out_caps)
         )
-        term = ctx.mul(layer, coupling, votes)
         preactivation = ctx.routing(
-            layer, "preactivation", ctx.sum_terms(layer, term, in_caps)
+            layer, "preactivation",
+            ctx.weighted_sum(layer, coupling, votes, in_caps),
         )
         activation = ctx.routing(
-            layer, "activation", ctx.squash(layer, preactivation, out_dim)
+            layer, "activation",
+            ctx.squash(layer, preactivation, out_dim, -1),
         )
         if iteration < iterations - 1:
             agreement = ctx.routing(
-                layer,
-                "agreement",
-                ctx.sum_terms(
-                    layer, ctx.mul(layer, votes, activation), out_dim
-                ),
+                layer, "agreement",
+                ctx.agreement(layer, votes, activation, out_dim),
             )
             logits = ctx.add(layer, logits, agreement)
     return activation
@@ -464,11 +496,15 @@ def _walk_convcaps2d(layer, ctx: _AbstractContext, x):
     bias = ctx.weight(
         layer.name, f"{layer.weight_tag}.bias", layer.conv.bias
     )
-    out = ctx.squash(
-        layer.name,
-        ctx.conv(layer.name, weight, bias, x, layer.conv.padding),
-        layer.out_dim,
+    # (B, types, dim, H, W) -> (B, types·dim, H, W) -> capsules again.
+    flat = ctx.layout(x, lambda a: a.reshape(a.shape[0], -1, *a.shape[3:]))
+    out = ctx.layout(
+        ctx.conv(layer.name, weight, bias, flat, layer.conv),
+        lambda a: a.reshape(
+            a.shape[0], layer.out_types, layer.out_dim, *a.shape[2:]
+        ),
     )
+    out = ctx.squash(layer.name, out, layer.out_dim, 2)
     if layer.quantize_output:
         out = ctx.act(layer.name, out)
     return out
@@ -478,28 +514,53 @@ def _walk_convcaps3d(layer, ctx: _AbstractContext, x):
     weight = ctx.weight(
         layer.name, f"{layer.weight_tag}.weight", layer.conv.weight
     )
-    votes = ctx.conv(layer.name, weight, None, x, layer.conv.padding)
-    return _walk_routing(
-        ctx, layer.name, votes, layer.routing_iterations,
-        in_caps=layer.in_types, out_caps=layer.out_types,
-        out_dim=layer.out_dim,
+    in_types, out_types, out_dim = (
+        layer.in_types, layer.out_types, layer.out_dim
     )
+    grid: Dict[str, Any] = {}
+
+    def to_votes(a):
+        # (B·I, J·D, H', W') -> (B·H'·W', I, J, D): route per location.
+        _, _, height, width = a.shape
+        grid.update(batch=a.shape[0] // in_types, hw=(height, width))
+        votes = a.reshape(-1, in_types, out_types, out_dim, height, width)
+        return votes.transpose(0, 4, 5, 1, 2, 3).reshape(
+            -1, in_types, out_types, out_dim
+        )
+
+    def from_routed(a):
+        # (B·H'·W', J, D) -> (B, J, D, H', W').
+        routed = a.reshape(grid["batch"], *grid["hw"], out_types, out_dim)
+        return routed.transpose(0, 3, 4, 1, 2)
+
+    # The projection is shared across input types: fold them into B.
+    folded = ctx.layout(x, lambda a: a.reshape(-1, *a.shape[2:]))
+    votes = ctx.layout(
+        ctx.conv(layer.name, weight, None, folded, layer.conv), to_votes
+    )
+    routed = _walk_routing(
+        ctx, layer.name, votes, layer.routing_iterations,
+        in_caps=in_types, out_caps=out_types, out_dim=out_dim,
+    )
+    return ctx.layout(routed, from_routed)
 
 
 def _walk_shallow(model, ctx: _AbstractContext, x):
     w1 = ctx.weight("L1", "weight", model.conv1.weight)
     b1 = ctx.weight("L1", "bias", model.conv1.bias)
-    x = ctx.relu("L1", ctx.conv("L1", w1, b1, x, model.conv1.padding))
+    x = ctx.relu("L1", ctx.conv("L1", w1, b1, x, model.conv1))
     x = ctx.act("L1", x)
 
     primary = model.primary
     w2 = ctx.weight(primary.name, "weight", primary.conv.weight)
     b2 = ctx.weight(primary.name, "bias", primary.conv.bias)
-    x = ctx.squash(
-        primary.name,
-        ctx.conv(primary.name, w2, b2, x, primary.conv.padding),
-        primary.caps_dim,
+    x = ctx.layout(
+        ctx.conv(primary.name, w2, b2, x, primary.conv),
+        lambda a: _capsule_rows(a.reshape(
+            a.shape[0], primary.caps_types, primary.caps_dim, *a.shape[2:]
+        )),
     )
+    x = ctx.squash(primary.name, x, primary.caps_dim, -1)
     x = ctx.act(primary.name, x)
 
     return _walk_capsfc(model.digit, ctx, x)
@@ -508,10 +569,12 @@ def _walk_shallow(model, ctx: _AbstractContext, x):
 def _walk_deep(model, ctx: _AbstractContext, x):
     w1 = ctx.weight("L1", "weight", model.conv1.weight)
     b1 = ctx.weight("L1", "bias", model.conv1.bias)
-    x = ctx.conv("L1", w1, b1, x, model.conv1.padding)
+    x = ctx.conv("L1", w1, b1, x, model.conv1)
     x = ctx.batchnorm("L1", x, model.bn1)
     x = ctx.relu("L1", x)
     x = ctx.act("L1", x)
+    dim0 = model.config.cell_dims[0]
+    x = ctx.layout(x, lambda a: a.reshape(a.shape[0], -1, dim0, *a.shape[2:]))
 
     for cell in model._cells:
         trunk = _walk_convcaps2d(cell.conv1, ctx, x)
@@ -523,11 +586,12 @@ def _walk_deep(model, ctx: _AbstractContext, x):
         else:
             lateral = _walk_convcaps2d(cell.skip, ctx, trunk)
         x = ctx.squash(
-            cell.name, ctx.add(cell.name, main, lateral), cell.conv3.out_dim
+            cell.name, ctx.add(cell.name, main, lateral),
+            cell.conv3.out_dim, 2,
         )
         x = ctx.act(cell.name, x)
 
-    return _walk_capsfc(model.class_caps, ctx, x)
+    return _walk_capsfc(model.class_caps, ctx, ctx.layout(x, _capsule_rows))
 
 
 def _walk_lenet(model, ctx: _AbstractContext, x):
@@ -535,9 +599,10 @@ def _walk_lenet(model, ctx: _AbstractContext, x):
         w = ctx.weight(name, "weight", conv.weight)
         b = ctx.weight(name, "bias", conv.bias)
         # relu then 2x2 average pooling.
-        x = ctx.relu(name, ctx.conv(name, w, b, x, conv.padding))
-        x = ctx.avgpool(name, x, 4)
+        x = ctx.relu(name, ctx.conv(name, w, b, x, conv))
+        x = ctx.avgpool(name, x, 2)
         x = ctx.act(name, x)
+    x = ctx.layout(x, lambda a: a.reshape(a.shape[0], -1))
     for name, fc in (("L3", model.fc1), ("L4", model.fc2), ("L5", model.fc3)):
         w = ctx.weight(name, "weight", fc.weight)
         b = ctx.weight(name, "bias", fc.bias)
@@ -560,8 +625,8 @@ def _resolve_walker(model) -> Callable:
     if isinstance(model, LeNet5):
         return _walk_lenet
     raise CertificationError(
-        f"qprove has no abstract walker for model type "
-        f"{type(model).__name__}; supported: ShallowCaps, DeepCaps, LeNet5"
+        f"no model walker for model type {type(model).__name__}; "
+        f"supported: ShallowCaps, DeepCaps, LeNet5"
     )
 
 

@@ -14,15 +14,21 @@ exist only inside the audited carrier helper of
 bound the plan recorded, and come back as int64 codes.  Every sealed op
 result is integer, which the dtype tracer checks.
 
-Execution walks each model family's forward in the exact structural
-order the lowering analyzer recorded it, consuming the plan's per-layer
-op list as a FIFO — any drift between model and plan is a hard error,
-not a silent wrong answer.  Stochastic rounding stays in lockstep with
-the float path: the float context draws one uniform array per
-activation/routing hook, so the walker draws the identical stream
-(same seed, same shapes, same order) and burns the draw when the
-certified shift is exact.  Squash-operand rescales have no float-path
-counterpart and use a separate seeded stream.
+The backend holds no model code of its own: :class:`_PlanWalk` is one
+more interpreter of the model walkers in :mod:`repro.analysis.qprove`,
+the same walkers the range certifier and the lowering analyzer run on
+abstract values, so the integer side describes each model family
+once.  Every structural op consumes the next op of its layer's plan (a
+FIFO) — any drift between walker and plan is a hard error, not a
+silent wrong answer.  The prediction head follows the output rank:
+capsules ``(B, J, D)`` or logits ``(B, J)``.
+
+Stochastic rounding stays in lockstep with the float path: the float
+context draws one uniform array per activation/routing hook, so the
+walk draws the identical stream (same seed, same shapes, same order)
+and burns the draw when the certified shift is exact.  Squash-operand
+rescales have no float-path counterpart and use a separate seeded
+stream.
 
 The backend is refused outright for artifacts that are not certified
 PASS and lowerable — see :func:`repro.backend.base.check_int_gates` —
@@ -32,6 +38,7 @@ none of the plan's widths or carrier bounds would hold.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,10 +46,11 @@ import numpy as np
 from repro.analysis.interval import pow2_exponent
 from repro.analysis.lowering import (
     CONTRACTION_OPS,
+    INPUT_LAYER,
     INT64_CARRIER,
     LoweringPlan,
 )
-from repro.analysis.qlower import INPUT_LAYER
+from repro.analysis.qprove import CertificationError, _resolve_walker
 from repro.backend import int_kernels as k
 from repro.backend.base import InferenceBackend, check_int_gates
 from repro.hw.fixed_ref import exp_lut
@@ -51,13 +59,6 @@ from repro.quant.fixed_point import FixedPointFormat
 #: Seed-stream separator for squash-operand rescales (int-only ops with
 #: no float-path draw to mirror); XORed with the artifact seed.
 _OP_STREAM = 0x51A5
-
-#: Model class name -> walker method on :class:`_PlanWalk`.
-_RUNNERS = {
-    "ShallowCaps": "run_shallow",
-    "DeepCaps": "run_deep",
-    "LeNet5": "run_lenet",
-}
 
 
 def _walk_error(message: str) -> Exception:
@@ -81,13 +82,10 @@ class IntBackend(InferenceBackend):
         super().__init__(quantized)
         check_int_gates(artifact)
         self.artifact = artifact
-        kind = type(model).__name__
-        if kind not in _RUNNERS:
-            raise _walk_error(
-                f"backend 'int' has no integer walker for model type "
-                f"{kind!r} (supported: {', '.join(sorted(_RUNNERS))})"
-            )
-        self._runner = _RUNNERS[kind]
+        try:
+            self._walker = _resolve_walker(model)
+        except CertificationError as exc:
+            raise _walk_error(f"backend 'int': {exc}") from None
         self.plan = LoweringPlan.from_dict(artifact.lowering_plan)
         self._ops = {lp.layer: lp.ops for lp in self.plan.layers}
         carriers: Dict[str, set] = {}
@@ -170,12 +168,28 @@ class IntBackend(InferenceBackend):
         return np.concatenate(labels)
 
 
-class _PlanWalk:
-    """One batch's walk of the plan: per-layer FIFO op consumption.
+@dataclass
+class _Codes:
+    """A concrete tensor of the walk: integer codes on grid ``2^exp``."""
 
-    The cursor state is per batch (a plan describes one forward);
-    the draw generators are shared across batches of one ``predict``,
-    mirroring the float path's single context per serving call.
+    codes: np.ndarray
+    exp: Optional[int]
+    #: carrier -> these codes as routing votes ``(B, J, I, D)`` on that
+    #: carrier (None: int64), cast on first use and shared by every
+    #: routing contraction over the same votes.
+    carried: Dict[Optional[str], np.ndarray] = field(default_factory=dict)
+
+
+class _PlanWalk:
+    """One batch's walk of the plan: the shared model walkers of
+    :mod:`repro.analysis.qprove` interpreted on integer codes.
+
+    Each structural op consumes the next op of its layer's plan (a
+    FIFO; any drift between walker and plan is a hard error) and runs
+    its kernel.  The cursor state is per batch (a plan describes one
+    forward); the draw generators are shared across batches of one
+    ``predict``, mirroring the float path's single context per serving
+    call.
     """
 
     def __init__(self, backend, hook_draws, op_draws, trace):
@@ -188,14 +202,21 @@ class _PlanWalk:
         self._trace = trace
 
     def run(self, images: np.ndarray) -> np.ndarray:
-        return getattr(self, self.backend._runner)(images)
+        """Labels of one batch; the head follows the output rank
+        (capsules ``(B, J, D)`` or logits ``(B, J)``)."""
+        out = self.backend._walker(
+            self.backend.model, self, self.input(images)
+        ).codes
+        if out.ndim == 3:
+            return k.int_capsule_predictions(out)
+        return k.int_logit_predictions(out)
 
     # ------------------------------------------------------------------
     # Plan-op plumbing
     # ------------------------------------------------------------------
     def take(self, layer: str, name: str):
         """Consume the next plan op of ``layer``; it must be ``name``."""
-        ops = self._ops[layer]
+        ops = self._ops.get(layer, ())
         index = self._cursor.get(layer, 0)
         if index >= len(ops) or ops[index].op != name:
             found = ops[index].op if index < len(ops) else "<end of layer>"
@@ -216,11 +237,12 @@ class _PlanWalk:
                     f"plan ops in layer {layer!r}"
                 )
 
-    def seal(self, op, codes: np.ndarray, **extra) -> np.ndarray:
-        """Narrow an op result to its certified width and trace it."""
+    def seal(self, op, codes: np.ndarray, **extra) -> _Codes:
+        """Narrow an op result to its certified width, trace it, and
+        place it on the op's output grid."""
         codes = k.narrow(codes, op.accumulator_bits)
         self.record(op, codes, **extra)
-        return codes
+        return _Codes(codes, op.out_exp)
 
     def record(self, op, codes: np.ndarray, **extra) -> None:
         """Check that ``codes`` (the result ``op`` produced or, for a
@@ -242,7 +264,10 @@ class _PlanWalk:
             record.update(extra)
             self._trace.append(record)
 
-    def hook(self, layer: str, site: str, codes: np.ndarray):
+    # ------------------------------------------------------------------
+    # Quantization hooks
+    # ------------------------------------------------------------------
+    def _hook(self, layer: str, site: str, x: _Codes) -> _Codes:
         """Quantization hook: certified shift-and-round + clip.
 
         For SR, one uniform array of the hook shape is always drawn —
@@ -253,14 +278,31 @@ class _PlanWalk:
         rescale = op.rescale
         draw = None
         if self._hook_draws is not None:
-            draw = self._hook_draws.random(size=np.shape(codes))
+            draw = self._hook_draws.random(size=np.shape(x.codes))
         fmt = FixedPointFormat(self.plan.integer_bits, rescale.bits)
         out = k.hook_rescale(
-            codes, rescale.shift, rescale.rounding, fmt, draw=draw
+            x.codes, rescale.shift, rescale.rounding, fmt, draw=draw
         )
-        return self.seal(op, out), op.out_exp
+        return self.seal(op, out)
 
-    def quantize_input(self, images: np.ndarray):
+    def act(self, layer: str, x: _Codes) -> _Codes:
+        return self._hook(layer, "act", x)
+
+    def routing(self, layer: str, array: str, x: _Codes) -> _Codes:
+        return self._hook(layer, f"routing:{array}", x)
+
+    # ------------------------------------------------------------------
+    # Structural ops (the vocabulary of the qprove walkers)
+    # ------------------------------------------------------------------
+    def weight(self, layer: str, name: str, param) -> Optional[str]:
+        """The key of a frozen weight tensor (its codes are fetched on
+        the carrier of the op that consumes them)."""
+        key = f"{layer}:{name}"
+        if param is None and key not in self.backend._weights:
+            return None
+        return key
+
+    def input(self, images: np.ndarray) -> _Codes:
         """Snap float inputs to the plan's input grid (the path's only
         float→int boundary).
 
@@ -269,7 +311,7 @@ class _PlanWalk:
         are proven for that domain only.
         """
         op = self.take(INPUT_LAYER, "quantize-input")
-        images = np.asarray(images, np.float64)
+        images = np.asarray(images, np.float64)  # qlint: disable=QL044 (input boundary)
         lo, hi = op.approx.domain_lo, op.approx.domain_hi
         if not np.isfinite(images).all():
             raise ValueError("int backend input has non-finite pixels")
@@ -280,291 +322,114 @@ class _PlanWalk:
                 f"[{lo:g}, {hi:g}]"
             )
         scaled = images * 2.0 ** -op.out_exp
-        codes = np.rint(scaled).astype(np.int64)
-        return self.seal(op, codes), op.out_exp
+        return self.seal(op, np.rint(scaled).astype(np.int64))
 
-    def conv(self, codes, exp, conv_mod, weight_key, bias_key, op):
-        """Integer convolution aligned onto the plan's output grid."""
-        weight, w_exp = self.backend.weight(weight_key, op.carrier)
-        prod_shift = (w_exp + exp) - op.out_exp
-        bias = None
-        bias_shift = 0
-        if bias_key is not None:
-            bias, b_exp = self.backend.weight(bias_key)
-            bias_shift = b_exp - op.out_exp
-        out = k.int_conv2d(
-            codes, weight, bias, conv_mod.stride, conv_mod.padding,
+    def layout(self, x: _Codes, fn) -> _Codes:
+        return _Codes(fn(x.codes), x.exp)
+
+    def _operands(self, op, weight, bias, x):
+        """(weight codes on the op's carrier, bias codes or None, and
+        the exact left shifts aligning products and bias onto the
+        op's output grid)."""
+        w, w_exp = self.backend.weight(weight, op.carrier)
+        if bias is None:
+            return w, None, w_exp + x.exp - op.out_exp, 0
+        b, b_exp = self.backend.weight(bias)
+        return w, b, w_exp + x.exp - op.out_exp, b_exp - op.out_exp
+
+    def conv(self, layer, weight, bias, x: _Codes, conv) -> _Codes:
+        op = self.take(layer, "conv")
+        w, b, prod_shift, bias_shift = self._operands(op, weight, bias, x)
+        return self.seal(op, k.int_conv2d(
+            x.codes, w, b, conv.stride, conv.padding,
             prod_shift=prod_shift, bias_shift=bias_shift, carrier=op.carrier,
-        )
-        return self.seal(op, out), op.out_exp
+        ))
 
-    # ------------------------------------------------------------------
-    # Dynamic routing (shared by CapsFC and ConvCaps3d)
-    # ------------------------------------------------------------------
-    def mul_sum(self, layer: str, contract, votes_in, operand):
+    def linear(self, layer, weight, bias, x: _Codes, fan_in=None) -> _Codes:
+        op = self.take(layer, "linear")
+        w, b, prod_shift, bias_shift = self._operands(op, weight, bias, x)
+        if fan_in is not None:
+            out = k.int_votes(x.codes, w, op.carrier, prod_shift)
+        else:
+            out = k.int_linear(
+                x.codes, w, b, prod_shift=prod_shift, bias_shift=bias_shift,
+                carrier=op.carrier,
+            )
+        return self.seal(op, out)
+
+    def relu(self, layer: str, x: _Codes) -> _Codes:
+        return self.seal(self.take(layer, "relu"), k.int_relu(x.codes))
+
+    def avgpool(self, layer: str, x: _Codes, kernel: int) -> _Codes:
+        op = self.take(layer, "avgpool")
+        return self.seal(op, k.int_pool_sum(x.codes, kernel))
+
+    def batchnorm(self, layer: str, x: _Codes, bn) -> _Codes:
+        op = self.take(layer, "batchnorm")
+        tables = op.approx.tables
+        return self.seal(op, k.int_batchnorm(
+            x.codes, tables["multipliers"], tables["offsets"]
+        ))
+
+    def squash(self, layer: str, x: _Codes, dim: int, axis: int) -> _Codes:
+        op = self.take(layer, "squash")
+        return self.seal(op, k.int_squash(
+            x.codes, op.rescale, op.approx, axis=axis, gen=self._op_draws
+        ))
+
+    def softmax(self, layer: str, x: _Codes, count: int) -> _Codes:
+        op = self.take(layer, "softmax")
+        table = self.backend.table_for(op.approx)
+        coupling = k.int_softmax(
+            x.codes, op.approx, self.plan.integer_bits, table
+        )
+        return self.seal(op, coupling, table_id=id(table))
+
+    def add(self, layer: str, a: _Codes, b: _Codes) -> _Codes:
+        """Sum of two tensors left-aligned onto the op's grid."""
+        op = self.take(layer, "add")
+        out_exp = op.out_exp
+        if a.exp < out_exp or b.exp < out_exp:
+            raise _walk_error(
+                f"add in layer {layer!r} is not exactly alignable onto "
+                f"grid 2^{out_exp}"
+            )
+        return self.seal(op, (
+            (np.asarray(a.codes, np.int64) << (a.exp - out_exp))
+            + (np.asarray(b.codes, np.int64) << (b.exp - out_exp))
+        ))
+
+    def zero_logits(self, layer: str, votes: _Codes) -> _Codes:
+        batch, in_caps, out_caps, _ = votes.codes.shape
+        return _Codes(
+            np.zeros((batch, in_caps, out_caps), dtype=np.int64), None
+        )
+
+    def weighted_sum(self, layer, coupling: _Codes, votes: _Codes, count):
+        return self._contract(
+            layer, k.routing_weighted_sum, votes, coupling
+        )
+
+    def agreement(self, layer, votes: _Codes, activation: _Codes, count):
+        return self._contract(layer, k.routing_agreement, votes, activation)
+
+    def _contract(self, layer: str, contract, votes: _Codes, operand):
         """One routing ``mul`` + ``sum`` pair as a single contraction.
 
         ``contract`` (:func:`~repro.backend.int_kernels
         .routing_weighted_sum` or ``routing_agreement``) sums the votes'
         products with ``operand`` as one batched matmul on the ``sum``
-        op's carrier (int64 without one), reading the votes from
-        ``votes_in(carrier)``; the product array is never built.  The
-        ``mul`` is still taken from the plan and traced, marked
-        ``fused`` into the ``sum``.
+        op's carrier (int64 without one); the product array is never
+        built.  The ``mul`` is still taken from the plan and traced,
+        marked ``fused`` into the ``sum``.
         """
         mul = self.take(layer, "mul")
         total = self.take(layer, "sum")
-        out = contract(votes_in(total.carrier), operand, total.carrier)
+        carrier = total.carrier
+        if carrier not in votes.carried:
+            votes.carried[carrier] = k.carrier_cast(
+                votes.codes.transpose(0, 2, 1, 3), carrier
+            )
+        out = contract(votes.carried[carrier], operand.codes, carrier)
         self.record(mul, out, fused="sum")
         return self.seal(total, out)
-
-    def routing(self, layer: str, votes, vexp: int, iterations: int):
-        batch, in_caps, out_caps, _ = votes.shape
-        logits = np.zeros((batch, in_caps, out_caps), dtype=np.int64)
-        lexp: Optional[int] = None
-        activation = None
-        aexp: Optional[int] = None
-        #: carrier -> the votes as (B, J, I, D) in that carrier (None:
-        #: int64), cast on first use and shared by every contraction of
-        #: this call.
-        carried: Dict[Optional[str], np.ndarray] = {}
-
-        def votes_in(carrier):
-            if carrier not in carried:
-                carried[carrier] = k.carrier_cast(
-                    votes.transpose(0, 2, 1, 3), carrier
-                )
-            return carried[carrier]
-
-        for iteration in range(iterations):
-            logits, lexp = self.hook(layer, "routing:logits", logits)
-            op = self.take(layer, "softmax")
-            table = self.backend.table_for(op.approx)
-            coupling = k.int_softmax(
-                logits, op.approx, self.plan.integer_bits, table
-            )
-            coupling = self.seal(op, coupling, table_id=id(table))
-            coupling, _ = self.hook(layer, "routing:coupling", coupling)
-            pre = self.mul_sum(
-                layer, k.routing_weighted_sum, votes_in, coupling
-            )
-            pre, _ = self.hook(layer, "routing:preactivation", pre)
-            op = self.take(layer, "squash")
-            squashed = k.int_squash(
-                pre, op.rescale, op.approx, axis=-1, gen=self._op_draws
-            )
-            squashed = self.seal(op, squashed)
-            activation, aexp = self.hook(
-                layer, "routing:activation", squashed
-            )
-            if iteration < iterations - 1:
-                agreement = self.mul_sum(
-                    layer, k.routing_agreement, votes_in, activation
-                )
-                agreement, gexp = self.hook(
-                    layer, "routing:agreement", agreement
-                )
-                op = self.take(layer, "add")
-                out_exp = op.out_exp
-                if lexp < out_exp or gexp < out_exp:
-                    raise _walk_error(
-                        f"routing logits update in {layer!r} is not "
-                        f"exactly alignable onto grid 2^{out_exp}"
-                    )
-                logits = (
-                    (np.asarray(logits, np.int64) << (lexp - out_exp))
-                    + (np.asarray(agreement, np.int64) << (gexp - out_exp))
-                )
-                logits = self.seal(op, logits)
-                lexp = out_exp
-        return activation, aexp
-
-    def capsfc(self, layer: str, fc, u, exp: int):
-        """Fully-connected capsules: votes + routing (ShallowCaps L3,
-        DeepCaps L6)."""
-        op = self.take(layer, "linear")
-        weight, w_exp = self.backend.weight(f"{layer}:weight", op.carrier)
-        shift = (w_exp + exp) - op.out_exp
-        if shift < 0:
-            raise _walk_error(
-                f"vote grid for {layer!r} is below the plan grid"
-            )
-        votes = self.seal(op, k.int_votes(u, weight, op.carrier) << shift)
-        votes, vexp = self.hook(layer, "act", votes)
-        return self.routing(layer, votes, vexp, fc.routing_iterations)
-
-    # ------------------------------------------------------------------
-    # ShallowCaps
-    # ------------------------------------------------------------------
-    def run_shallow(self, images: np.ndarray) -> np.ndarray:
-        model = self.backend.model
-        codes, exp = self.quantize_input(images)
-        op = self.take("L1", "conv")
-        codes, exp = self.conv(
-            codes, exp, model.conv1, "L1:weight", "L1:bias", op
-        )
-        op = self.take("L1", "relu")
-        codes = self.seal(op, k.int_relu(codes))
-        codes, exp = self.hook("L1", "act", codes)
-
-        primary = model.primary
-        op = self.take("L2", "conv")
-        codes, exp = self.conv(
-            codes, exp, primary.conv, "L2:weight", "L2:bias", op
-        )
-        batch, _, height, width = codes.shape
-        caps = codes.reshape(
-            batch, primary.caps_types, primary.caps_dim, height, width
-        )
-        caps = caps.transpose(0, 1, 3, 4, 2)
-        caps = caps.reshape(
-            batch, primary.caps_types * height * width, primary.caps_dim
-        )
-        op = self.take("L2", "squash")
-        caps = self.seal(op, k.int_squash(
-            caps, op.rescale, op.approx, axis=-1, gen=self._op_draws
-        ))
-        caps, exp = self.hook("L2", "act", caps)
-
-        activation, _ = self.capsfc("L3", model.digit, caps, exp)
-        return k.int_capsule_predictions(activation)
-
-    # ------------------------------------------------------------------
-    # DeepCaps
-    # ------------------------------------------------------------------
-    def convcaps2d(self, mod, codes, exp: int):
-        layer, tag = mod.name, mod.weight_tag
-        batch, types, dim, height, width = codes.shape
-        flat = codes.reshape(batch, types * dim, height, width)
-        op = self.take(layer, "conv")
-        out, exp = self.conv(
-            flat, exp, mod.conv,
-            f"{layer}:{tag}.weight", f"{layer}:{tag}.bias", op,
-        )
-        _, _, out_h, out_w = out.shape
-        caps = out.reshape(batch, mod.out_types, mod.out_dim, out_h, out_w)
-        op = self.take(layer, "squash")
-        caps = self.seal(op, k.int_squash(
-            caps, op.rescale, op.approx, axis=2, gen=self._op_draws
-        ))
-        return caps, op.out_exp
-
-    def convcaps3d(self, mod, codes, exp: int):
-        layer = mod.name
-        batch, types, dim, height, width = codes.shape
-        folded = codes.reshape(batch * types, dim, height, width)
-        op = self.take(layer, "conv")
-        votes, exp = self.conv(
-            folded, exp, mod.conv,
-            f"{layer}:{mod.weight_tag}.weight", None, op,
-        )
-        _, _, out_h, out_w = votes.shape
-        votes = votes.reshape(
-            batch, types, mod.out_types, mod.out_dim, out_h, out_w
-        )
-        votes = votes.transpose(0, 4, 5, 1, 2, 3)
-        votes = votes.reshape(
-            batch * out_h * out_w, types, mod.out_types, mod.out_dim
-        )
-        votes, vexp = self.hook(layer, "act", votes)
-        routed, rexp = self.routing(
-            layer, votes, vexp, mod.routing_iterations
-        )
-        routed = routed.reshape(
-            batch, out_h, out_w, mod.out_types, mod.out_dim
-        )
-        return routed.transpose(0, 3, 4, 1, 2), rexp
-
-    def caps_cell(self, cell, codes, exp: int):
-        trunk, trunk_exp = self.convcaps2d(cell.conv1, codes, exp)
-        main, main_exp = self.convcaps2d(cell.conv2, trunk, trunk_exp)
-        main, main_exp = self.convcaps2d(cell.conv3, main, main_exp)
-        if cell.routed_skip:
-            lateral, lat_exp = self.convcaps3d(cell.skip, trunk, trunk_exp)
-        else:
-            lateral, lat_exp = self.convcaps2d(cell.skip, trunk, trunk_exp)
-        op = self.take(cell.name, "add")
-        out_exp = op.out_exp
-        if main_exp < out_exp or lat_exp < out_exp:
-            raise _walk_error(
-                f"cell {cell.name!r} skip merge is not exactly alignable "
-                f"onto grid 2^{out_exp}"
-            )
-        merged = (
-            (np.asarray(main, np.int64) << (main_exp - out_exp))
-            + (np.asarray(lateral, np.int64) << (lat_exp - out_exp))
-        )
-        merged = self.seal(op, merged)
-        op = self.take(cell.name, "squash")
-        merged = self.seal(op, k.int_squash(
-            merged, op.rescale, op.approx, axis=2, gen=self._op_draws
-        ))
-        return self.hook(cell.name, "act", merged)
-
-    def run_deep(self, images: np.ndarray) -> np.ndarray:
-        model = self.backend.model
-        codes, exp = self.quantize_input(images)
-        op = self.take("L1", "conv")
-        codes, exp = self.conv(
-            codes, exp, model.conv1, "L1:weight", "L1:bias", op
-        )
-        op = self.take("L1", "batchnorm")
-        tables = op.approx.tables
-        codes = self.seal(op, k.int_batchnorm(
-            codes, tables["multipliers"], tables["offsets"]
-        ))
-        exp = op.out_exp
-        op = self.take("L1", "relu")
-        codes = self.seal(op, k.int_relu(codes))
-        codes, exp = self.hook("L1", "act", codes)
-
-        batch, channels, height, width = codes.shape
-        dim0 = model.config.cell_dims[0]
-        codes = codes.reshape(batch, channels // dim0, dim0, height, width)
-        for cell in model._cells:
-            codes, exp = self.caps_cell(cell, codes, exp)
-
-        batch, types, dim, height, width = codes.shape
-        flat = codes.transpose(0, 1, 3, 4, 2).reshape(
-            batch, types * height * width, dim
-        )
-        activation, _ = self.capsfc("L6", model.class_caps, flat, exp)
-        return k.int_capsule_predictions(activation)
-
-    # ------------------------------------------------------------------
-    # LeNet-5
-    # ------------------------------------------------------------------
-    def run_lenet(self, images: np.ndarray) -> np.ndarray:
-        model = self.backend.model
-        codes, exp = self.quantize_input(images)
-        for layer, conv_mod in (("L1", model.conv1), ("L2", model.conv2)):
-            op = self.take(layer, "conv")
-            codes, exp = self.conv(
-                codes, exp, conv_mod, f"{layer}:weight", f"{layer}:bias", op
-            )
-            op = self.take(layer, "relu")
-            codes = self.seal(op, k.int_relu(codes))
-            op = self.take(layer, "avgpool")
-            codes = self.seal(op, k.int_pool_sum(codes, 2))
-            exp = op.out_exp
-            codes, exp = self.hook(layer, "act", codes)
-        codes = codes.reshape(codes.shape[0], -1)
-        for layer, fc in (
-            ("L3", model.fc1), ("L4", model.fc2), ("L5", model.fc3)
-        ):
-            op = self.take(layer, "linear")
-            weight, w_exp = self.backend.weight(f"{layer}:weight", op.carrier)
-            bias, b_exp = self.backend.weight(f"{layer}:bias")
-            out = k.int_linear(
-                codes, weight, bias,
-                prod_shift=(w_exp + exp) - op.out_exp,
-                bias_shift=b_exp - op.out_exp,
-                carrier=op.carrier,
-            )
-            codes = self.seal(op, out)
-            exp = op.out_exp
-            if layer != "L5":
-                op = self.take(layer, "relu")
-                codes = self.seal(op, k.int_relu(codes))
-            codes, exp = self.hook(layer, "act", codes)
-        return k.int_logit_predictions(codes)

@@ -9,9 +9,9 @@ amounts come from a certified :class:`repro.analysis.lowering
   product grid; biases join by exact left shift onto the common grid;
   their GEMMs run on the plan's float *carrier* when it records one
   (:func:`carrier_matmul`);
-* rescales mirror :func:`repro.analysis.qlower._shift_round` — the
-  shift schedule the replay oracle proved bit-identical to the float
-  fixed-point path for every rounding scheme;
+* rescales are the certified shift schedule (:func:`shift_round`),
+  which the replay oracle :func:`repro.analysis.qlower.replay_plan`
+  runs against the float fixed-point path for every rounding scheme;
 * squash / softmax / batch-norm dispatch to the bit-accurate integer
   datapaths of :mod:`repro.hw.fixed_ref` (softmax through a prebuilt
   exponential ROM so bound models build each table once, not per
@@ -116,7 +116,7 @@ def shift_round(
 ) -> np.ndarray:
     """Integer rescale ``round(code / 2^shift)`` per rounding scheme.
 
-    Mirror of the certified ``qlower._shift_round`` schedule: left
+    The certified rescale schedule the replay oracle checks: left
     shifts (``shift <= 0``) are exact; right shifts round by the
     artifact's own scheme.  SR consumes exactly one uniform array of
     ``codes.shape`` — either ``draw`` (pre-drawn, used to stay in
@@ -155,9 +155,9 @@ def hook_rescale(
 ) -> np.ndarray:
     """Quantization-hook rescale: certified shift + clip into ``fmt``.
 
-    This is exactly the replayed schedule ``_shift_round`` → clip that
-    the lowering oracle proved bit-identical to ``scaled_quantize`` on
-    the float path.
+    This is exactly the replayed schedule :func:`shift_round` → clip
+    that the lowering oracle proves bit-identical to ``scaled_quantize``
+    on the float path.
     """
     out = shift_round(codes, shift, rounding, draw=draw)
     return np.clip(out, fmt.int_min, fmt.int_max)
@@ -215,22 +215,29 @@ def int_linear(
 
 
 def int_votes(
-    u: np.ndarray, weight: np.ndarray, carrier: Optional[str] = None
+    u: np.ndarray,
+    weight: np.ndarray,
+    carrier: Optional[str] = None,
+    prod_shift: int = 0,
 ) -> np.ndarray:
     """Capsule vote projection ``û_{j|i} = W_ij × u_i`` on codes.
 
     ``weight`` is ``(I, J, D_out, D_in)``, ``u`` is ``(B, I, D_in)``;
-    the result is ``(B, I, J, D_out)``.  Like the float path's
+    the result is ``(B, I, J, D_out)``, left-aligned by ``prod_shift``
+    onto the plan's output grid.  Like the float path's
     ``CapsFC.votes`` it is one GEMM per input capsule,
     ``(I, B, D_in) @ (I, D_in, J·D_out)``; the contraction is exact, so
     the summation order is irrelevant.
     """
+    if prod_shift < 0:
+        raise ValueError("grid alignment shifts must be left (exact)")
     in_caps, out_caps, out_dim, in_dim = weight.shape
     w_t = np.asarray(weight).reshape(in_caps, -1, in_dim).transpose(0, 2, 1)
     votes = carrier_matmul(
         np.asarray(u).transpose(1, 0, 2), w_t, carrier, axes=(1, 0, 2)
     )
-    return votes.reshape(votes.shape[0], in_caps, out_caps, out_dim)
+    votes = votes.reshape(votes.shape[0], in_caps, out_caps, out_dim)
+    return votes << prod_shift
 
 
 def routing_weighted_sum(

@@ -44,7 +44,7 @@ RULES: Dict[str, str] = {
     "QL043": "qlower: missing/failed range certificate or accumulator "
              "exceeds 64-bit integer execution",
     "QL044": "float dtype construction or float-only numpy routine "
-             "inside the integer-backend kernels",
+             "inside the integer backend (kernels and plan walk)",
 }
 
 _DISABLE_RE = re.compile(r"#\s*qlint:\s*disable(?:=([A-Z0-9,\s]+))?")

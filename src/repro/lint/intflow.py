@@ -1,12 +1,13 @@
-"""Integer-flow checker for the int-backend kernel module (QL044).
+"""Integer-flow checker for the int backend (QL044).
 
 The integer backend's correctness claim is that, between input
 quantization and the final label argmax, floats exist only inside the
 audited carrier helper — float GEMMs that are exact by the bound the
 lowering plan records — and every op result is integer.  The dtype
-tracer checks the results at runtime; this analyzer checks the kernels
-at review time.  Scoped to files named ``int_kernels.py`` (the shipped
-kernels plus fixtures), it flags:
+tracer checks the results at runtime; this analyzer checks the code at
+review time.  Scoped to files named ``int_kernels.py`` or
+``int_backend.py`` (the shipped kernels, the plan walk that runs every
+model family on them, and fixtures), it flags:
 
 * any mention of a float dtype — every load of ``np.float16/32/64``,
   ``np.double``, ``np.half`` and friends (so ``dt = np.float32`` and a
@@ -19,10 +20,10 @@ kernels plus fixtures), it flags:
 * true division — ``/`` and ``/=`` return float even on integers (use
   ``//`` or a shift).
 
-The legitimate float lines of the shipped kernels — the stochastic-
-rounding residue, which certified plans define as a real-valued
-threshold, and the carrier helper's dtype table — carry an explicit
-``# qlint: disable=QL044``.
+The legitimate float lines — the stochastic-rounding residue, which
+certified plans define as a real-valued threshold, the carrier
+helper's dtype table, and the input quantizer's cast of the float
+pixels — carry an explicit ``# qlint: disable=QL044``.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ _FLOAT_ROUTINES = frozenset({
     "softmax", "interp",
 })
 
-#: Only files with this basename are in scope for QL044.
-_TARGET_BASENAME = "int_kernels.py"
+#: Only files with these basenames are in scope for QL044.
+_TARGET_BASENAMES = ("int_kernels.py", "int_backend.py")
 
 
 def _numpy_aliases(tree: ast.AST) -> set:
@@ -108,23 +109,21 @@ class _IntFlowVisitor(ast.NodeVisitor):
         # dict value — wherever a float dtype enters the module.
         if self._is_numpy_attr(node, _FLOAT_DTYPES):
             self._flag(node, (
-                f"float dtype np.{node.attr} in the integer backend kernels"
+                f"float dtype np.{node.attr} in the integer backend"
             ))
         self.generic_visit(node)
 
     def visit_BinOp(self, node: ast.BinOp) -> None:
         if isinstance(node.op, ast.Div):
             self._flag(node, (
-                "true division '/' (float result) in the integer backend "
-                "kernels"
+                "true division '/' (float result) in the integer backend"
             ))
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         if isinstance(node.op, ast.Div):
             self._flag(node, (
-                "true division '/=' (float result) in the integer backend "
-                "kernels"
+                "true division '/=' (float result) in the integer backend"
             ))
         self.generic_visit(node)
 
@@ -134,7 +133,7 @@ class _IntFlowVisitor(ast.NodeVisitor):
         if self._is_numpy_attr(func, _FLOAT_ROUTINES):
             self._flag(node, (
                 f"float-only numpy routine np.{func.attr} in the "
-                f"integer backend kernels"
+                f"integer backend"
             ))
         # codes.astype(np.float64) / codes.astype("float32").
         elif (
@@ -144,7 +143,7 @@ class _IntFlowVisitor(ast.NodeVisitor):
             and self._mentions_float_dtype(node.args[0])
         ):
             self._flag(node, (
-                "astype to a float dtype in the integer backend kernels"
+                "astype to a float dtype in the integer backend"
             ))
         else:
             # np.zeros(..., dtype=np.float32) and friends.
@@ -154,14 +153,14 @@ class _IntFlowVisitor(ast.NodeVisitor):
                 ):
                     self._flag(node, (
                         "array constructed with a float dtype in the "
-                        "integer backend kernels"
+                        "integer backend"
                     ))
                     break
         self.generic_visit(node)
 
 
 def check_source(source: str, path: str) -> List[Finding]:
-    """QL044 findings for one int-kernels file's source text."""
+    """QL044 findings for one int-backend file's source text."""
     try:
         tree = ast.parse(source)
     except SyntaxError as error:
@@ -175,7 +174,7 @@ def check_source(source: str, path: str) -> List[Finding]:
 
 def check_file(path: str) -> List[Finding]:
     if not path.replace("\\", "/").split("/")[-1].endswith(
-        _TARGET_BASENAME
+        _TARGET_BASENAMES
     ):
         return []
     with open(path, "r", encoding="utf-8") as handle:

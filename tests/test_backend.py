@@ -13,6 +13,10 @@ The contract of :mod:`repro.backend`:
   run on int64 and give the same labels;
 * inputs outside the plan's certified input domain (or non-finite) are
   refused, never silently quantized;
+* the int backend runs the certifier's model walkers against the plan
+  op by op: a plan missing an op or carrying an extra one is refused,
+  and a model type without a walker is named at certify, lower and
+  bind;
 * correctness: LeNet-5 plans contain only exact ops, so int-backend
   labels are bit-identical to the float path for every sample and
   every rounding scheme.  Capsule plans contain certified
@@ -33,6 +37,8 @@ import copy
 import numpy as np
 import pytest
 
+from repro.analysis.qlower import LoweringError, lower_model
+from repro.analysis.qprove import CertificationError, certify_model
 from repro.api import QuantSpec
 from repro.api.artifact import ArtifactError, ModelArtifact
 from repro.api.session import ServingModel, Session
@@ -155,10 +161,16 @@ def zoo(request, family):
     return model, fixture("deep_rtn"), images
 
 
+def copy_plan(artifact):
+    """A copy of ``artifact`` with its own copy of the lowering plan."""
+    doctored = copy.copy(artifact)
+    doctored.lowering_plan = copy.deepcopy(artifact.lowering_plan)
+    return doctored
+
+
 def strip_carriers(artifact):
     """A copy of ``artifact`` whose plan predates carriers."""
-    legacy = copy.copy(artifact)
-    legacy.lowering_plan = copy.deepcopy(artifact.lowering_plan)
+    legacy = copy_plan(artifact)
     for layer in legacy.lowering_plan["layers"]:
         for op in layer["ops"]:
             op.pop("carrier", None)
@@ -353,6 +365,55 @@ class TestIntegerPathTracer:
         images[2, 0, 5, 5] = 1.0
         images[1, 0, 5, 5] = 0.0
         assert len(backend.predict(images)) == 4
+
+
+# ----------------------------------------------------------------------
+# Walk/plan consistency: the int backend runs the certifier's model
+# walkers, consuming the plan op by op; any drift is a hard error
+# ----------------------------------------------------------------------
+class TestWalkConsistency:
+    @pytest.mark.parametrize("family", ["lenet", "shallow", "deep"])
+    def test_plan_missing_an_op_diverges(self, family, request):
+        model, artifact, images = zoo(request, family)
+        doctored = copy_plan(artifact)
+        layer = doctored.lowering_plan["layers"][1]
+        dropped = layer["ops"].pop(0)["op"]
+        backend = doctored.bind(model, backend="int")
+        with pytest.raises(
+            ArtifactError, match="diverged from the lowering plan"
+        ) as info:
+            backend.predict(images[:2])
+        assert f"layer {layer['layer']!r}: expected op {dropped!r}" in str(
+            info.value
+        )
+
+    @pytest.mark.parametrize("family", ["lenet", "shallow", "deep"])
+    def test_plan_with_an_extra_op_is_left_unexecuted(self, family, request):
+        model, artifact, images = zoo(request, family)
+        doctored = copy_plan(artifact)
+        layer = doctored.lowering_plan["layers"][-1]
+        layer["ops"].append(copy.deepcopy(layer["ops"][-1]))
+        backend = doctored.bind(model, backend="int")
+        with pytest.raises(ArtifactError, match="unexecuted plan ops") as info:
+            backend.predict(images[:2])
+        assert f"1 unexecuted plan ops in layer {layer['layer']!r}" in str(
+            info.value
+        )
+
+    def test_model_without_a_walker_is_named_everywhere(
+        self, lenet_model, lenet_ready
+    ):
+        class Mystery:
+            quant_layers = lenet_model.quant_layers
+
+        artifact = lenet_ready["RTN"]
+        with pytest.raises(CertificationError, match="Mystery"):
+            certify_model(Mystery(), artifact.config, "RTN")
+        with pytest.raises(LoweringError, match="Mystery"):
+            lower_model(Mystery(), artifact.config, "RTN")
+        quantized = artifact.bind(lenet_model).quantized
+        with pytest.raises(ArtifactError, match="Mystery"):
+            IntBackend(artifact, Mystery(), quantized)
 
 
 # ----------------------------------------------------------------------

@@ -56,6 +56,7 @@ class TestFixtureMatrix:
         ("bad_fork_child.py", "QL021"),
         ("bad_lock_order.py", "QL022"),
         ("bad_float_in_int_kernels.py", "QL044"),
+        ("bad_float_in_int_backend.py", "QL044"),
     ])
     def test_bad_fixture_yields_exactly_one_finding(self, name, rule):
         code, lines = lint([fixture(name)])
@@ -173,6 +174,7 @@ class TestShippedTree:
 # ----------------------------------------------------------------------
 class TestIntFlow:
     KERNELS = os.path.join("src", "repro", "backend", "int_kernels.py")
+    BACKEND = os.path.join("src", "repro", "backend", "int_backend.py")
 
     def test_float_dtypes_by_name_and_true_division_are_flagged(self):
         path = fixture("bad_float_alias_int_kernels.py")
@@ -220,6 +222,26 @@ class TestIntFlow:
             f.line for f in intflow.check_source(unsuppressed, self.KERNELS)
         }
         assert raw == audited
+
+    def test_int_backend_suppresses_only_the_input_quantizer(self):
+        """The plan walk runs every model family on codes; its only
+        float line is the input quantizer's cast of the float pixels,
+        and that suppression is needed."""
+        with open(self.BACKEND, encoding="utf-8") as handle:
+            source = handle.read()
+        lines = source.splitlines()
+        suppressed = {
+            number for number, line in enumerate(lines, start=1)
+            if "qlint: disable=QL044" in line
+        }
+        assert len(suppressed) == 1
+        (number,) = suppressed
+        assert "np.asarray(images, np.float64)" in lines[number - 1]
+        unsuppressed = source.replace("qlint: disable=QL044", "")
+        raw = {
+            f.line for f in intflow.check_source(unsuppressed, self.BACKEND)
+        }
+        assert raw == suppressed
 
 
 # ----------------------------------------------------------------------
