@@ -30,7 +30,10 @@ GEMM reproduces the int64 result bit for bit.  The analyzer bounds every
 partial sum of the contraction by ``B`` (Σ|w|·|x| per output plus the
 bias, or ``count · max|term|``), independent of summation order, so a
 float carrier with a ``B``-wide exact integer range cannot round — see
-:func:`choose_carrier`.  Plans without the field run on int64.
+:func:`choose_carrier`.  Squash ops record one too: ``float64`` when
+their datapath bound (:func:`squash_bound`) is below ``2^52``, the
+exact range of its floor divisions and square root — see
+:func:`choose_squash_carrier`.  Plans without the field run on int64.
 
 Serialization follows the qprove certificate idiom: ``to_dict`` /
 ``from_dict`` round-trip losslessly through JSON so plans persist inside
@@ -62,8 +65,16 @@ BLOCKING_RULES = frozenset({"QL040", "QL041", "QL042", "QL043"})
 #: integer magnitudes each represents exactly (its significand width).
 CARRIER_LIMITS = (("float32", 2 ** 24), ("float64", 2 ** 53))
 
+#: Exclusive bound on the squash datapath (:func:`squash_bound`) under
+#: which it runs exactly on float64: the square root needs one bit of
+#: head-room below the significand width.
+SQUASH_CARRIER_LIMIT = 2 ** 52
+
 #: Ops that contract (multiply-accumulate) and so may carry a carrier.
 CONTRACTION_OPS = ("conv", "linear", "sum")
+
+#: Every op that may record a carrier: the contractions and squash.
+CARRIER_OPS = CONTRACTION_OPS + ("squash",)
 
 #: Report label of a contraction without a float carrier.
 INT64_CARRIER = "int64"
@@ -82,6 +93,25 @@ def choose_carrier(bound: int) -> Optional[str]:
         if bound < limit:
             return name
     return None
+
+
+def squash_bound(
+    caps_dim: int, integer_bits: int, fractional_bits: int
+) -> int:
+    """``B = caps_dim · int_max² · 2^QF`` of a ⟨QI.QF⟩ squash operand.
+
+    It bounds every intermediate of the integer squash datapath
+    (:func:`repro.backend.int_kernels.squash_codes`): ``N2 · 2^QF``,
+    ``N2 = Σ c²`` and ``|c| · ratio``.
+    """
+    int_max = (1 << (integer_bits + fractional_bits - 1)) - 1
+    return (caps_dim * int_max ** 2) << fractional_bits
+
+
+def choose_squash_carrier(bound: int) -> Optional[str]:
+    """``"float64"`` when the squash datapath bound is below
+    :data:`SQUASH_CARRIER_LIMIT`, else ``None`` (int64)."""
+    return "float64" if bound < SQUASH_CARRIER_LIMIT else None
 
 
 @dataclass(frozen=True)
@@ -201,8 +231,9 @@ class OpPlan:
     accumulator_bits: Optional[int] = None
     rescale: Optional[RescalePlan] = None
     approx: Optional[ApproxPlan] = None
-    #: Float GEMM dtype proven exact for this contraction (``None``:
-    #: int64) — see :func:`choose_carrier`.
+    #: Float dtype proven exact for this contraction or squash
+    #: (``None``: int64) — see :func:`choose_carrier` and
+    #: :func:`choose_squash_carrier`.
     carrier: Optional[str] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -280,11 +311,11 @@ class LayerPlan:
         return counts
 
     def carrier_mix(self) -> Dict[str, Dict[str, int]]:
-        """Contraction op name -> carrier -> count (``int64`` when the
-        op has no float carrier)."""
+        """Carrier op name (contraction or squash) -> carrier -> count
+        (``int64`` when the op has no float carrier)."""
         mix: Dict[str, Dict[str, int]] = {}
         for op in self.ops:
-            if op.kind != KIND_EXACT or op.op not in CONTRACTION_OPS:
+            if op.kind == KIND_FLOAT or op.op not in CARRIER_OPS:
                 continue
             carrier = op.carrier or INT64_CARRIER
             counts = mix.setdefault(op.op, {})
@@ -439,7 +470,7 @@ class LoweringPlan:
                         f"{carrier}x{n}" if n > 1 else carrier
                         for carrier, n in sorted(mix[name].items())
                     )
-                    for name in CONTRACTION_OPS
+                    for name in CARRIER_OPS
                     if name in mix
                 ))
             bounds = [

@@ -21,10 +21,12 @@ execute in pure integer arithmetic:
   fixed-point path bit for bit — the replay oracle in
   :func:`replay_plan` checks exactly this).  A non-power-of-two ratio
   is a hard QL041 failure naming the offending op and ratio.
-* **certified special functions** — squash and softmax lower to the
-  bit-accurate integer datapaths of :mod:`repro.hw.fixed_ref`, with
-  max-error bounds proven over the certified input intervals from the
-  approximation metadata on :class:`repro.hw.special_ops.SquashUnit` /
+* **certified special functions** — squash and softmax lower to
+  integer datapaths (the int backend's squash kernel, bit-identical to
+  :func:`repro.hw.fixed_ref.fixed_squash`, and the exponential-ROM
+  softmax of :mod:`repro.hw.fixed_ref`), with max-error bounds proven
+  over the certified input intervals from the approximation metadata on
+  :class:`repro.hw.special_ops.SquashUnit` /
   :class:`~repro.hw.special_ops.SoftmaxUnit` (never sampled).
   Batch-norm lowers to per-channel integer multiplier/offset tables
   with an exactly-computed affine error bound.
@@ -37,6 +39,8 @@ execute in pure integer arithmetic:
   approximation error, so the bound follows the integer ops, not the
   interval).  Contractions turn it into an order-independent bound on
   every partial sum and record the float carrier it makes exact.
+  Squash ops record ``float64`` when the operand format's datapath
+  bound ``caps_dim · int_max² · 2^QF`` is below ``2^52``.
 
 Accumulator-width convention: like the certificate's
 ``min_safe_bits``, per-op widths bound the *completed* accumulation
@@ -80,6 +84,8 @@ from repro.analysis.lowering import (
     OpPlan,
     RescalePlan,
     choose_carrier,
+    choose_squash_carrier,
+    squash_bound,
 )
 from repro.analysis.qprove import (
     DEFAULT_ACCUMULATOR_BITS,
@@ -538,15 +544,15 @@ class _LoweringContext(_AbstractContext):
             math.sqrt(unit.caps_dim) * (delta_pre + sat_excess)
             + unit.max_abs_error()
         )
-        norm2_hi = float(
-            unit.caps_dim * fmt_op.int_max ** 2
-            * 2 ** fmt_op.fractional_bits
+        datapath = squash_bound(
+            unit.caps_dim, fmt_op.integer_bits, fmt_op.fractional_bits
         )
-        bits = min_safe_bits(0.0, norm2_hi)
+        bits = min_safe_bits(0.0, float(datapath))
         self._record(OpPlan(
             layer=layer, op="squash", kind=KIND_APPROX,
             note="Newton-Raphson integer squash on a pre-scaled operand",
             in_exp=x.exp, out_exp=op_exp, accumulator_bits=bits,
+            carrier=choose_squash_carrier(datapath),
             rescale=RescalePlan(
                 site="squash-operand",
                 bits=frac,
@@ -575,8 +581,8 @@ class _LoweringContext(_AbstractContext):
                 tables={"caps_dim": int(unit.caps_dim)},
             ),
         ))
-        # fixed_squash scales each |code| <= isqrt(Σ code²) by a ratio
-        # below 2^frac, whatever the operand.
+        # The squash kernel scales each |code| <= isqrt(Σ code²) by a
+        # ratio below 2^frac, whatever the operand.
         return _LVal(iv, op_exp, code_max=(1 << frac) - 1)
 
     def softmax(self, layer: str, x: _LVal, count: int) -> _LVal:
@@ -970,7 +976,7 @@ def _replay_squash(
     )
     if codes is None:
         return None, 0.0
-    out = k.int_squash(codes, r, a, gen=rng)
+    out = k.int_squash(codes, r, a, gen=rng, carrier=op.carrier)
     got = out.astype(np.float64) * 2.0 ** a.operand_exp
     v = codes.astype(np.float64) * 2.0 ** r.in_exp
     norm = np.sqrt((v * v).sum(axis=-1, keepdims=True))

@@ -88,14 +88,21 @@ def im2col(
     out_h, out_w = conv_output_shape(height, width, (kh, kw), (sh, sw), (ph, pw))
 
     if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-
-    cols = np.empty((batch, channels, kh, kw, out_h, out_w), dtype=x.dtype)
-    for i in range(kh):
-        i_end = i + sh * out_h
-        for j in range(kw):
-            j_end = j + sw * out_w
-            cols[:, :, i, j, :, :] = x[:, :, i:i_end:sh, j:j_end:sw]
+        padded = np.zeros(
+            (batch, channels, height + 2 * ph, width + 2 * pw), dtype=x.dtype
+        )
+        padded[:, :, ph : ph + height, pw : pw + width] = x
+        x = padded
+    # One strided view (B, C, kh, kw, out_h, out_w) over the input and
+    # one copy of it.  The copy is explicit: a reshape of the view may
+    # itself be a (read-only) view of x, e.g. for 1x1 kernels.
+    shape = (batch, channels, kh, kw, out_h, out_w)
+    s_b, s_c, s_h, s_w = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, shape, (s_b, s_c, s_h, s_w, s_h * sh, s_w * sw), writeable=False
+    )
+    cols = np.empty(shape, dtype=x.dtype)
+    cols[...] = windows
     return cols.reshape(batch, channels * kh * kw, out_h * out_w)
 
 

@@ -5,14 +5,15 @@ float forward, grid-snapping hooks), this backend executes the
 artifact's :class:`~repro.analysis.lowering.LoweringPlan` directly on
 integer codes: frozen weight codes feed exact convolution/matmul
 accumulators, every hook becomes the plan's certified shift-and-round,
-squash/softmax run the bit-accurate LUT/iterative datapaths of
-:mod:`repro.hw.fixed_ref`, and dynamic routing iterates entirely on
-codes.  Between input quantization and the final label argmax, floats
-exist only inside the audited carrier helper of
-:mod:`repro.backend.int_kernels`: contractions whose plan op records a
-``carrier`` run as float32/float64 BLAS GEMMs that are exact by the
-bound the plan recorded, and come back as int64 codes.  Every sealed op
-result is integer, which the dtype tracer checks.
+squash runs the integer datapath of :mod:`repro.backend.int_kernels`
+and softmax its exponential-ROM LUT, and dynamic routing iterates
+entirely on codes.  Between input quantization and the final label
+argmax, floats exist only inside the audited carrier helpers of
+:mod:`repro.backend.int_kernels`: contractions and squash ops whose
+plan op records a ``carrier`` run on float32/float64 (BLAS GEMMs, and
+squash's divisions and square root), exact by the bound the plan
+recorded, and come back as int64 codes.  Every sealed op result is
+integer, which the dtype tracer checks.
 
 The backend holds no model code of its own: :class:`_PlanWalk` is one
 more interpreter of the model walkers in :mod:`repro.analysis.qprove`,
@@ -45,7 +46,7 @@ import numpy as np
 
 from repro.analysis.interval import pow2_exponent
 from repro.analysis.lowering import (
-    CONTRACTION_OPS,
+    CARRIER_OPS,
     INPUT_LAYER,
     INT64_CARRIER,
     LoweringPlan,
@@ -146,9 +147,9 @@ class IntBackend(InferenceBackend):
 
         ``trace``, when given, collects one record per executed plan op
         (layer, op, output dtype/shape, LUT table identity, the carrier
-        of each contraction, ``fused`` on routing products computed
-        inside their sum) — the allocation/dtype tracer the test suite
-        uses to prove every op result stays integer.
+        of each contraction and squash, ``fused`` on routing products
+        computed inside their sum) — the allocation/dtype tracer the
+        test suite uses to prove every op result stays integer.
         """
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -259,7 +260,7 @@ class _PlanWalk:
                 "dtype": str(codes.dtype),
                 "shape": tuple(codes.shape),
             }
-            if op.op in CONTRACTION_OPS:
+            if op.op in CARRIER_OPS:
                 record["carrier"] = op.carrier or INT64_CARRIER
             record.update(extra)
             self._trace.append(record)
@@ -374,7 +375,8 @@ class _PlanWalk:
     def squash(self, layer: str, x: _Codes, dim: int, axis: int) -> _Codes:
         op = self.take(layer, "squash")
         return self.seal(op, k.int_squash(
-            x.codes, op.rescale, op.approx, axis=axis, gen=self._op_draws
+            x.codes, op.rescale, op.approx, axis=axis, gen=self._op_draws,
+            carrier=op.carrier,
         ))
 
     def softmax(self, layer: str, x: _Codes, count: int) -> _Codes:

@@ -12,14 +12,19 @@ amounts come from a certified :class:`repro.analysis.lowering
 * rescales are the certified shift schedule (:func:`shift_round`),
   which the replay oracle :func:`repro.analysis.qlower.replay_plan`
   runs against the float fixed-point path for every rounding scheme;
-* squash / softmax / batch-norm dispatch to the bit-accurate integer
-  datapaths of :mod:`repro.hw.fixed_ref` (softmax through a prebuilt
-  exponential ROM so bound models build each table once, not per
-  forward).
+* squash is written here once (:func:`squash_codes`) and runs on the
+  carrier its plan op records: float64 when the plan proves every
+  intermediate below ``2^52``, int64 with an integer-only square root
+  otherwise.  It matches the reference datapath
+  :func:`repro.hw.fixed_ref.fixed_squash` bit for bit;
+* softmax and batch-norm are integer table lookups and affines
+  (softmax through a prebuilt exponential ROM so bound models build
+  each table once, not per forward).
 
-Floats exist in exactly two places, each line with an explicit
+Floats exist in exactly three places, each line with an explicit
 ``QL044`` suppression, and the qlint ``intflow`` checker guards the rest
-of the file against float leaks:
+of the file — and the in-repo functions it imports — against float
+leaks:
 
 * the stochastic-rounding residue comparison, part of the certified
   replay recipe (the float path draws the same uniforms);
@@ -27,7 +32,10 @@ of the file against float leaks:
   which runs integer GEMMs on float32/float64 BLAS.  It is exact by the
   bound the lowering plan records for each carrier (every operand,
   product and partial sum is an integer the carrier represents, in any
-  summation order), and it hands back int64 codes.
+  summation order), and it hands back int64 codes;
+* the squash carrier's floor division, truncating division and square
+  root (:func:`_floor_div`, :func:`_trunc_div`, :func:`_isqrt`), exact
+  by the bound :func:`squash_codes` states.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.autograd.ops_nn import conv_output_shape, im2col
-from repro.hw.fixed_ref import fixed_squash, saturate
+from repro.hw.fixed_ref import saturate
 from repro.quant.fixed_point import FixedPointFormat
 
 
@@ -301,20 +309,120 @@ def int_batchnorm(
     return np.asarray(codes, np.int64) * m + off
 
 
+def _floor_div(
+    numerator: np.ndarray, denominator: np.ndarray, carrier: Optional[str]
+) -> np.ndarray:
+    """``⌊n / d⌋`` for integers ``n >= 0`` and ``d >= 1`` on ``carrier``."""
+    if carrier is None:
+        return numerator // denominator
+    return np.floor(numerator / denominator)  # qlint: disable=QL044 (squash carrier)
+
+
+def _trunc_div(
+    numerator: np.ndarray, denominator: np.ndarray, carrier: Optional[str]
+) -> np.ndarray:
+    """``n / d`` rounded toward zero as int64, for integers ``n`` and
+    ``d >= 1``.  On a carrier it divides ``numerator`` in place (the
+    caller's temporary) and the cast to int64 truncates."""
+    if carrier is None:
+        quotient = np.abs(numerator) // denominator
+        return np.where(numerator < 0, -quotient, quotient)
+    return np.divide(numerator, denominator, out=numerator).astype(np.int64)  # qlint: disable=QL044 (squash carrier)
+
+
+def _isqrt(values: np.ndarray, carrier: Optional[str]) -> np.ndarray:
+    """Elementwise ``isqrt`` of non-negative integers on ``carrier``.
+
+    Without a carrier it is the base-4 digit-by-digit square root:
+    integer compares, subtractions and shifts only, exact on all of
+    int64.
+    """
+    if carrier is not None:
+        return np.floor(np.sqrt(values))  # qlint: disable=QL044 (squash carrier)
+    top = int(values.max(initial=0)).bit_length()
+    bit = 1 << (2 * ((top - 1) // 2)) if top else 0
+    rest = values.copy()
+    root = np.zeros_like(values)
+    while bit:
+        trial = root + bit
+        fits = rest >= trial
+        rest = np.where(fits, rest - trial, rest)
+        root = np.where(fits, (root >> 1) + bit, root >> 1)
+        bit >>= 2
+    return root
+
+
+def squash_codes(
+    codes: np.ndarray,
+    fractional_bits: int,
+    axis: int = -1,
+    carrier: Optional[str] = None,
+) -> np.ndarray:
+    """Integer squash (Eq. 2) of capsule codes in a ⟨QI.QF⟩ format.
+
+    ``codes`` must already lie in the format (:func:`int_squash` clips
+    them).  With ``QF = fractional_bits`` the datapath is
+
+    * ``N2 = Σ c²`` over ``axis`` (grid ``2^-2QF``);
+    * ``ratio = ⌊N2 · 2^QF / (2^2QF + N2)⌋``, i.e. ``‖s‖²/(1+‖s‖²)`` at
+      QF bits;
+    * ``norm = isqrt(N2)`` (grid ``2^-QF``);
+    * ``v = c · ratio / norm`` truncated toward zero (0 where ``norm``
+      is 0, which forces every ``c`` of the capsule to 0).
+
+    Each output satisfies ``|v| <= ratio < 2^QF`` (``c² <= N2``), so it
+    fits the format without saturation.  The result is int64 and
+    bit-identical to :func:`repro.hw.fixed_ref.fixed_squash`.
+
+    ``carrier`` is the plan op's carrier.  ``"float64"`` is exact when
+    ``B = caps_dim · int_max² · 2^QF < 2^52``
+    (:func:`repro.analysis.lowering.squash_bound`).  ``B`` bounds
+    ``N2 · 2^QF``, ``N2`` and ``|c| · ratio``, and it forces
+    ``QF <= 17``, so the denominator ``2^2QF + N2`` stays below
+    ``2^53`` too.  Then:
+
+    * every product and sum is an integer below ``2^53``, so float64
+      computes it exactly, in any order;
+    * ``⌊fl(n/d)⌋ = ⌊n/d⌋`` for integers ``0 <= n < 2^53`` and
+      ``d >= 1``.  An integer quotient is represented exactly.
+      Otherwise ``n/d`` lies at least ``1/d`` below the next integer,
+      and the rounding error is at most ``(n/d) · 2^-53 < 1/d``, so
+      ``fl(n/d)`` cannot reach it.  Rounding is sign-symmetric, so
+      truncation toward zero is exact the same way;
+    * ``⌊fl(√n)⌋ = isqrt(n)`` for integers ``n < 2^52``.  With
+      ``r = isqrt(n) < 2^26``, ``√n <= √((r+1)² - 1)`` lies more than
+      ``1/(2(r+1))`` below ``r + 1``, while the rounding error is below
+      ``(r+1) · 2^-53 <= 1/(2(r+1))``.
+
+    Without a carrier (``None``: plans saved before squash carriers, or
+    ``B >= 2^52``) the same steps run on int64 with ``//`` and the
+    integer-only :func:`_isqrt`.
+    """
+    qf = fractional_bits
+    c = carrier_cast(codes, carrier)
+    norm2 = (c * c).sum(axis=axis, keepdims=True)
+    ratio = _floor_div(norm2 * (1 << qf), norm2 + (1 << (2 * qf)), carrier)
+    norm = _isqrt(norm2, carrier)
+    return _trunc_div(c * ratio, np.maximum(norm, 1), carrier)
+
+
 def int_squash(
     codes: np.ndarray,
     rescale,
     approx,
     axis: int = -1,
     gen: Optional[np.random.Generator] = None,
+    carrier: Optional[str] = None,
 ) -> np.ndarray:
     """Certified squash: operand rescale onto the op format, then the
-    bit-accurate NR/isqrt datapath of :func:`repro.hw.fixed_ref
-    .fixed_squash`.  Output codes live on grid ``2^operand_exp``."""
+    integer datapath :func:`squash_codes` on the op's ``carrier``.
+    Output codes live on grid ``2^operand_exp``."""
     fmt_op = FixedPointFormat(approx.integer_bits, approx.operand_bits)
     operand = shift_round(codes, rescale.shift, rescale.rounding, gen=gen)
     operand = np.clip(operand, fmt_op.int_min, fmt_op.int_max)
-    return fixed_squash(operand, fmt_op, axis=axis)
+    return squash_codes(
+        operand, fmt_op.fractional_bits, axis=axis, carrier=carrier
+    )
 
 
 def lut_softmax(

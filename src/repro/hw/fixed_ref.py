@@ -65,8 +65,11 @@ def int_sqrt(values: np.ndarray) -> np.ndarray:
         raise ValueError("int_sqrt requires non-negative inputs")
     roots = np.floor(np.sqrt(values.astype(np.float64))).astype(np.int64)
     # Float sqrt can be off by one for large inputs; correct both ways.
+    # The upward check divides instead of squaring: (roots + 1)² wraps
+    # int64 once roots reaches 3037000499 (inputs from 3037000499² on).
     roots = np.where(roots * roots > values, roots - 1, roots)
-    roots = np.where((roots + 1) * (roots + 1) <= values, roots + 1, roots)
+    nxt = roots + 1
+    roots = np.where(nxt <= values // nxt, nxt, roots)
     return roots
 
 
@@ -102,7 +105,7 @@ def fixed_squash(
     with np.errstate(divide="ignore"):
         result = np.where(
             norm_codes > 0,
-            # Round-half-away division keeps signs symmetric.
+            # Truncating division keeps signs symmetric.
             _signed_div(scaled, norm_codes),  # scale 2^-qf
             0,
         )
@@ -128,7 +131,7 @@ def exp_lut(fmt: FixedPointFormat, guard_bits: int = 2) -> Tuple[np.ndarray, Fix
         raise ValueError(f"LUT for {fmt} would need 2^{fmt.wordlength} entries")
     out_fmt = FixedPointFormat(fmt.integer_bits + guard_bits, fmt.fractional_bits)
     codes = np.arange(fmt.int_min, fmt.int_max + 1, dtype=np.int64)
-    values = np.exp(codes.astype(np.float64) * fmt.eps)
+    values = np.exp(codes.astype(np.float64) * fmt.eps)  # qlint: disable=QL044 (bind-time ROM build)
     table = np.clip(
         np.floor(values * 2.0**out_fmt.fractional_bits).astype(np.int64),
         out_fmt.int_min,

@@ -7,7 +7,9 @@ lowering plan records — and every op result is integer.  The dtype
 tracer checks the results at runtime; this analyzer checks the code at
 review time.  Scoped to files named ``int_kernels.py`` or
 ``int_backend.py`` (the shipped kernels, the plan walk that runs every
-model family on them, and fixtures), it flags:
+model family on them, and fixtures) and to the in-repo functions those
+files import by name (``from repro.hw.fixed_ref import exp_lut`` checks
+the body of ``exp_lut`` and reports at its own lines), it flags:
 
 * any mention of a float dtype — every load of ``np.float16/32/64``,
   ``np.double``, ``np.half`` and friends (so ``dt = np.float32`` and a
@@ -22,14 +24,21 @@ model family on them, and fixtures), it flags:
 
 The legitimate float lines — the stochastic-rounding residue, which
 certified plans define as a real-valued threshold, the carrier
-helper's dtype table, and the input quantizer's cast of the float
-pixels — carry an explicit ``# qlint: disable=QL044``.
+helpers' dtype table and squash divisions and square root, the input
+quantizer's cast of the float pixels, and the exponential ROM built at
+bind time — carry an explicit ``# qlint: disable=QL044``.
+
+An import resolves in-repo when its module file sits under the same
+source root as the importing file (the first ancestor directory that is
+not a package), or relative to the importing package.  Only functions
+defined in that module are followed, one import deep.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List
+import os
+from typing import Dict, List, Optional
 
 from repro.lint.findings import (
     Finding,
@@ -69,9 +78,11 @@ def _numpy_aliases(tree: ast.AST) -> set:
 
 
 class _IntFlowVisitor(ast.NodeVisitor):
-    def __init__(self, path: str, aliases: set):
+    def __init__(self, path: str, aliases: set, where: str):
         self.path = path
         self.aliases = aliases
+        #: Where the checked code runs, as the messages name it.
+        self.where = where
         self.findings: List[Finding] = []
         #: Call nodes already flagged, so a float dtype *argument* of a
         #: flagged call does not produce a second finding on the line.
@@ -109,21 +120,21 @@ class _IntFlowVisitor(ast.NodeVisitor):
         # dict value — wherever a float dtype enters the module.
         if self._is_numpy_attr(node, _FLOAT_DTYPES):
             self._flag(node, (
-                f"float dtype np.{node.attr} in the integer backend"
+                f"float dtype np.{node.attr} in {self.where}"
             ))
         self.generic_visit(node)
 
     def visit_BinOp(self, node: ast.BinOp) -> None:
         if isinstance(node.op, ast.Div):
             self._flag(node, (
-                "true division '/' (float result) in the integer backend"
+                f"true division '/' (float result) in {self.where}"
             ))
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         if isinstance(node.op, ast.Div):
             self._flag(node, (
-                "true division '/=' (float result) in the integer backend"
+                f"true division '/=' (float result) in {self.where}"
             ))
         self.generic_visit(node)
 
@@ -132,8 +143,7 @@ class _IntFlowVisitor(ast.NodeVisitor):
         # np.exp(...), np.mean(...) — float-only routines.
         if self._is_numpy_attr(func, _FLOAT_ROUTINES):
             self._flag(node, (
-                f"float-only numpy routine np.{func.attr} in the "
-                f"integer backend"
+                f"float-only numpy routine np.{func.attr} in {self.where}"
             ))
         # codes.astype(np.float64) / codes.astype("float32").
         elif (
@@ -142,9 +152,7 @@ class _IntFlowVisitor(ast.NodeVisitor):
             and node.args
             and self._mentions_float_dtype(node.args[0])
         ):
-            self._flag(node, (
-                "astype to a float dtype in the integer backend"
-            ))
+            self._flag(node, f"astype to a float dtype in {self.where}")
         else:
             # np.zeros(..., dtype=np.float32) and friends.
             for keyword in node.keywords:
@@ -152,8 +160,8 @@ class _IntFlowVisitor(ast.NodeVisitor):
                     keyword.value
                 ):
                     self._flag(node, (
-                        "array constructed with a float dtype in the "
-                        "integer backend"
+                        f"array constructed with a float dtype in "
+                        f"{self.where}"
                     ))
                     break
         self.generic_visit(node)
@@ -167,15 +175,92 @@ def check_source(source: str, path: str) -> List[Finding]:
         return [Finding(
             "QL044", path, error.lineno or 0, f"cannot parse file: {error}"
         )]
-    visitor = _IntFlowVisitor(path, _numpy_aliases(tree))
+    visitor = _IntFlowVisitor(
+        path, _numpy_aliases(tree), "the integer backend"
+    )
     visitor.visit(tree)
     return filter_suppressed(visitor.findings, parse_suppressions(source))
 
 
-def check_file(path: str) -> List[Finding]:
-    if not path.replace("\\", "/").split("/")[-1].endswith(
+def _in_scope(path: str) -> bool:
+    return path.replace("\\", "/").split("/")[-1].endswith(
         _TARGET_BASENAMES
-    ):
+    )
+
+
+def _source_root(path: str) -> str:
+    """The first ancestor directory of ``path`` that is not a package:
+    absolute imports in ``path`` resolve against it."""
+    directory = os.path.dirname(path) or os.curdir
+    while os.path.isfile(os.path.join(directory, "__init__.py")):
+        parent = os.path.dirname(directory) or os.curdir
+        if parent == directory:
+            break
+        directory = parent
+    return directory
+
+
+def _module_file(path: str, node: ast.ImportFrom) -> Optional[str]:
+    """The in-repo source file an ``import from`` in ``path`` names, or
+    None (third-party and standard-library modules)."""
+    if node.level:
+        base = os.path.dirname(path) or os.curdir
+        for _ in range(node.level - 1):
+            base = os.path.dirname(base) or os.curdir
+    else:
+        base = _source_root(path)
+    stem = os.path.join(base, *(node.module or "").split("."))
+    for candidate in (stem + ".py", os.path.join(stem, "__init__.py")):
+        if os.path.isfile(candidate):
+            return os.path.normpath(candidate)
+    return None
+
+
+def _imported_names(tree: ast.AST, path: str) -> Dict[str, List[str]]:
+    """In-repo module file -> the names ``path`` imports from it."""
+    imports: Dict[str, List[str]] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = _module_file(path, node)
+        if module is None or _in_scope(module):
+            continue  # out of repo, or checked as a file of its own
+        imports.setdefault(module, []).extend(
+            alias.name for alias in node.names
+        )
+    return imports
+
+
+def check_imports(source: str, path: str) -> List[Finding]:
+    """QL044 findings in the in-repo functions ``path`` imports, reported
+    at the functions' own lines and honouring their files' suppressions."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError:
+        return []  # check_source reports the parse error
+    findings: List[Finding] = []
+    for module, names in sorted(_imported_names(tree, path).items()):
+        with open(module, "r", encoding="utf-8") as handle:
+            module_source = handle.read()
+        module_tree = ast.parse(module_source)
+        aliases = _numpy_aliases(module_tree)
+        raw: List[Finding] = []
+        for node in module_tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                visitor = _IntFlowVisitor(module, aliases, (
+                    f"{node.name}(), which the integer backend imports"
+                ))
+                visitor.visit(node)
+                raw.extend(visitor.findings)
+        findings.extend(
+            filter_suppressed(raw, parse_suppressions(module_source))
+        )
+    return findings
+
+
+def check_file(path: str) -> List[Finding]:
+    if not _in_scope(path):
         return []
     with open(path, "r", encoding="utf-8") as handle:
-        return check_source(handle.read(), path)
+        source = handle.read()
+    return check_source(source, path) + check_imports(source, path)

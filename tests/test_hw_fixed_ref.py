@@ -1,5 +1,7 @@
 """Tests that the integer hardware reference matches float quantization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,16 @@ class TestIntSqrt:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             fixed_ref.int_sqrt(np.array([-1]))
+
+    def test_top_of_int64_does_not_wrap(self):
+        """(root + 1)² overflows int64 once root reaches 3037000499;
+        the upward correction must not take that wrapped square."""
+        top = 3037000499
+        edges = [2**63 - 1, top**2, top**2 + 1, top**2 - 1, 2**62]
+        edges += [m * m - 1 for m in (2, 3, 2**16, 2**26, 2**31, top)]
+        edges += [m * m for m in (2**26, 2**31, top)]
+        roots = fixed_ref.int_sqrt(np.array(edges, dtype=np.int64))
+        assert [int(r) for r in roots] == [math.isqrt(v) for v in edges]
 
 
 class TestFixedSquash:

@@ -16,18 +16,37 @@ output (plus the bias) for MACs, ``count · max|term|`` for routing sums
 * the plan takes the bound from Σ|w|·|x|, not from the final interval:
   a bias that cancels a large partial sum does not buy a float32
   carrier, and 30-bit codes fall back to int64.
+
+Squash ops carry a carrier too: ``float64`` when the datapath bound
+``caps_dim · int_max² · 2^QF`` is below ``2^52``.  The squash kernel on
+float64, the same kernel on int64, and the reference datapath
+:func:`repro.hw.fixed_ref.fixed_squash` agree bit for bit, including at
+the square-root and floor-division edges of the float64 carrier; every
+zoo plan records ``float64`` on its squash ops, and removing those
+carriers leaves the int codes unchanged.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_backend import copy_plan, make_ready, snap
 
 from repro.analysis import lower_artifact, lower_model
-from repro.analysis.lowering import choose_carrier
+from repro.analysis.lowering import (
+    SQUASH_CARRIER_LIMIT,
+    choose_carrier,
+    choose_squash_carrier,
+    squash_bound,
+)
 from repro.api.artifact import ModelArtifact
+from repro.api.session import build_model
 from repro.backend import int_kernels as k
 from repro.baselines import LeNet5
+from repro.data import synth_digits
+from repro.hw.fixed_ref import fixed_squash
 from repro.quant import (
     QuantizationConfig,
     QuantizedCapsNet,
@@ -281,3 +300,181 @@ class TestPlanBound:
         doc = plan.to_dict()
         l2 = next(d for d in doc["layers"] if d["layer"] == "L2")
         assert "carrier" not in l2["ops"][0]
+
+
+# ----------------------------------------------------------------------
+# Squash on the float64 carrier
+# ----------------------------------------------------------------------
+@st.composite
+def squash_operands(draw):
+    """(codes, format, axis): capsules of a ≤16-bit ⟨QI.QF⟩ format, with
+    rows pinned at int_max / int_min / zero, in either walker layout
+    (capsule axis last, or axis 2 of a conv-capsule tensor)."""
+    integer_bits = draw(st.integers(1, 8))
+    fractional_bits = draw(st.integers(0, 16 - integer_bits))
+    fmt = FixedPointFormat(integer_bits, fractional_bits)
+    dim = draw(st.integers(1, 255))
+    rng = np.random.default_rng(draw(seeds))
+    if draw(st.booleans()):
+        axis, shape = -1, (draw(st.integers(1, 3)), 2, dim)
+    else:
+        axis, shape = 2, (1, 2, dim, 2, draw(st.integers(1, 2)))
+    codes = rng.integers(fmt.int_min, fmt.int_max + 1, size=shape)
+    pinned = rng.random(shape) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    codes[pinned] = rng.choice(
+        np.array([fmt.int_min, fmt.int_max, 0]), size=int(pinned.sum())
+    )
+    zero = np.moveaxis(codes, axis, -1)
+    zero[0, 0] = 0  # one all-zero capsule
+    return codes, fmt, axis
+
+
+class TestSquashCarrier:
+    @settings(max_examples=150, deadline=None)
+    @given(operand=squash_operands())
+    def test_float64_int64_and_reference_agree(self, operand):
+        codes, fmt, axis = operand
+        dim = codes.shape[axis]
+        qf = fmt.fractional_bits
+        reference = fixed_squash(codes, fmt, axis=axis)
+        on_int64 = k.squash_codes(codes, qf, axis=axis, carrier=None)
+        assert on_int64.dtype == np.int64
+        assert np.array_equal(on_int64, reference)
+        carrier = choose_squash_carrier(
+            squash_bound(dim, fmt.integer_bits, qf)
+        )
+        if carrier is not None:
+            on_float64 = k.squash_codes(codes, qf, axis=axis, carrier=carrier)
+            assert on_float64.dtype == np.int64
+            assert np.array_equal(on_float64, reference)
+
+    @pytest.mark.parametrize("dim, carrier", [(128, "float64"), (129, None)])
+    def test_bound_edge_at_the_widest_operand(self, dim, carrier):
+        """⟨1.15⟩ is the widest operand: 128 dims sit just below 2^52,
+        129 just above.  Rows of int_max / int_min push N2, the ratio
+        numerator and |c|·ratio onto the bound."""
+        fmt = FixedPointFormat(1, 15)
+        bound = squash_bound(dim, 1, 15)
+        assert bound == dim * fmt.int_max ** 2 * 2 ** 15
+        assert (bound < SQUASH_CARRIER_LIMIT) == (carrier is not None)
+        assert choose_squash_carrier(bound) == carrier
+        rng = np.random.default_rng(dim)
+        codes = rng.choice(np.array([fmt.int_min, fmt.int_max]), (4, dim))
+        codes[0] = fmt.int_max
+        reference = fixed_squash(codes, fmt)
+        for route in ("float64", None):
+            got = k.squash_codes(codes, 15, carrier=route)
+            assert np.array_equal(got, reference)
+
+    @settings(max_examples=100, deadline=None)
+    @given(root=st.integers(1, 2 ** 26))
+    def test_isqrt_at_square_edges(self, root):
+        """⌊fl(√n)⌋ = isqrt(n) for n < 2^52, pinned at m² − 1 and m²."""
+        values = [v for v in (root * root - 1, root * root) if v < 2 ** 52]
+        expected = [math.isqrt(v) for v in values]
+        on_float64 = k._isqrt(np.array(values, np.float64), "float64")
+        assert on_float64.tolist() == expected
+        on_int64 = k._isqrt(np.array(values, np.int64), None)
+        assert on_int64.tolist() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        denominator=st.integers(1, 2 ** 34),
+        quotient=st.integers(1, 2 ** 40), sign=st.sampled_from([-1, 1]),
+    )
+    def test_division_just_below_an_integer(
+        self, denominator, quotient, sign
+    ):
+        """⌊fl(n/d)⌋ = ⌊n/d⌋ for 0 <= n < 2^53: n = q·d − 1 sits 1/d
+        below q, the closest a quotient gets to an integer."""
+        numerator = min(quotient * denominator, 2 ** 53 - 1)
+        for n in (numerator - 1, numerator):
+            floor = n // denominator
+            as_float = np.array([n], np.float64)
+            d = np.array([denominator], np.float64)
+            assert k._floor_div(as_float, d, "float64")[0] == floor
+            assert k._trunc_div(sign * as_float, d, "float64")[0] == (
+                sign * floor
+            )
+            as_int = sign * np.array([n], np.int64)
+            on_int64 = k._trunc_div(as_int, np.int64(denominator), None)
+            assert on_int64[0] == sign * floor
+
+
+@pytest.fixture(scope="module")
+def squash_zoo(trained_tiny):
+    """(model, RTN artifact, images) of both capsule families."""
+    deep = build_model("deep-small", "digits", seed=0)
+    _, shallow_test = synth_digits(
+        train_size=1, test_size=24, image_size=14, seed=3
+    )
+    _, deep_test = synth_digits(
+        train_size=1, test_size=8, image_size=28, seed=3
+    )
+    return {
+        "shallow": (
+            trained_tiny, make_ready(trained_tiny, "RTN"),
+            snap(shallow_test.images),
+        ),
+        "deep": (deep, make_ready(deep, "RTN"), snap(deep_test.images)),
+    }
+
+
+class TestSquashPlans:
+    @pytest.mark.parametrize("family", ["shallow", "deep"])
+    def test_zoo_squash_ops_record_float64(self, family, squash_zoo):
+        _, artifact, _ = squash_zoo[family]
+        squashes = [
+            op for layer in artifact.lowering_plan["layers"]
+            for op in layer["ops"] if op["op"] == "squash"
+        ]
+        assert squashes
+        for op in squashes:
+            approx = op["approx"]
+            bound = squash_bound(
+                approx["tables"]["caps_dim"], approx["integer_bits"],
+                approx["operand_bits"],
+            )
+            assert bound < SQUASH_CARRIER_LIMIT
+            assert op["carrier"] == "float64"
+
+    @pytest.mark.parametrize("family", ["shallow", "deep"])
+    def test_plan_without_squash_carriers_gives_identical_codes(
+        self, family, squash_zoo, monkeypatch
+    ):
+        model, artifact, images = squash_zoo[family]
+        legacy = copy_plan(artifact)
+        for layer in legacy.lowering_plan["layers"]:
+            for op in layer["ops"]:
+                if op["op"] == "squash":
+                    del op["carrier"]
+        captured = []
+        predict = k.int_capsule_predictions
+
+        def capture(codes):
+            captured.append(np.array(codes))
+            return predict(codes)
+
+        monkeypatch.setattr(k, "int_capsule_predictions", capture)
+        traces = []
+        for source in (artifact, legacy):
+            traces.append([])
+            source.bind(model, backend="int").predict(
+                images, batch_size=8, trace=traces[-1]
+            )
+        carried, stripped = traces
+        assert {
+            r["carrier"] for r in carried if r["op"] == "squash"
+        } == {"float64"}
+        assert {
+            r["carrier"] for r in stripped if r["op"] == "squash"
+        } == {"int64"}
+        for record in carried + stripped:
+            record.pop("table_id", None)  # an id(), differs per bind
+            if record["op"] == "squash":
+                record["carrier"] = "int64"
+        assert carried == stripped
+        half = len(captured) // 2
+        assert half and len(captured) == 2 * half
+        for with_carrier, without in zip(captured[:half], captured[half:]):
+            assert np.array_equal(with_carrier, without)

@@ -193,11 +193,18 @@ class TestIntFlow:
 
     def test_shipped_suppressions_are_exactly_the_audited_float_lines(self):
         """The only QL044 suppressions in the shipped kernels are the
-        stochastic-rounding residue and the carrier helper's dtype
-        table, and each of them is needed."""
+        stochastic-rounding residue, the carrier helper's dtype table
+        and the float64 return line of each squash carrier helper, and
+        each of them is needed."""
         with open(self.KERNELS, encoding="utf-8") as handle:
             source = handle.read()
+        lines = source.splitlines()
         tree = ast.parse(source)
+        squash_carrier_lines = {
+            "_floor_div": "return np.floor(numerator / denominator)",
+            "_trunc_div": "return np.divide(numerator, denominator, out=",
+            "_isqrt": "return np.floor(np.sqrt(values))",
+        }
         audited = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign) and isinstance(
@@ -210,18 +217,86 @@ class TestIntFlow:
                         if isinstance(value, ast.Attribute)
                         and value.attr.startswith("float")
                     )
+            if (
+                isinstance(node, ast.FunctionDef)
+                and node.name in squash_carrier_lines
+            ):
+                (number,) = [
+                    number
+                    for number in range(node.lineno, node.end_lineno + 1)
+                    if lines[number - 1].strip().startswith(
+                        squash_carrier_lines[node.name]
+                    )
+                ]
+                audited.add(number)
         suppressed = {
             number
-            for number, line in enumerate(source.splitlines(), start=1)
+            for number, line in enumerate(lines, start=1)
             if "qlint: disable=QL044" in line
         }
-        assert len(audited) == 3  # the residue + float32 + float64
+        # The residue + float32 + float64 + the three squash helpers.
+        assert len(audited) == 6
         assert suppressed == audited
         unsuppressed = source.replace("qlint: disable=QL044", "")
         raw = {
             f.line for f in intflow.check_source(unsuppressed, self.KERNELS)
         }
         assert raw == audited
+
+    def test_imported_functions_suppress_only_the_exponential_rom(
+        self, tmp_path
+    ):
+        """Of every in-repo function the kernels and the plan walk
+        import, only ``exp_lut`` (built once at bind time) computes in
+        floats; its line is the one suppression, and it is needed."""
+        suppressed = set()
+        for path in (self.KERNELS, self.BACKEND):
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            for module in intflow._imported_names(tree, path):
+                with open(module, encoding="utf-8") as handle:
+                    suppressed.update(
+                        (module, number, line)
+                        for number, line in enumerate(handle, start=1)
+                        if "qlint: disable=QL044" in line
+                    )
+        fixed_ref = os.path.join("src", "repro", "hw", "fixed_ref.py")
+        ((module, number, line),) = suppressed
+        assert module == fixed_ref
+        assert "np.exp(" in line and "(bind-time ROM build)" in line
+        # Without the comment the import check reports that line.
+        package = tmp_path / "src" / "repro"
+        for sub in ("", "hw", "backend"):
+            (package / sub).mkdir(parents=True, exist_ok=True)
+            (package / sub / "__init__.py").write_text("")
+        with open(fixed_ref, encoding="utf-8") as handle:
+            (package / "hw" / "fixed_ref.py").write_text(
+                handle.read().replace("qlint: disable=QL044", "")
+            )
+        backend = package / "backend" / "int_backend.py"
+        with open(self.BACKEND, encoding="utf-8") as handle:
+            backend.write_text(handle.read())
+        findings = intflow.check_file(str(backend))
+        assert [(f.path, f.line) for f in findings] == [
+            (str(package / "hw" / "fixed_ref.py"), number)
+        ]
+        assert "exp_lut(), which the integer backend imports" in (
+            findings[0].message
+        )
+
+    def test_float_routine_reached_through_an_import_is_flagged(self):
+        code, lines = lint([fixture("bad_float_via_import_int_kernels.py")])
+        assert code == 1
+        (finding,) = [line for line in lines if " QL044 " in line]
+        path_part, line_part, message = finding.split(":", 2)
+        helpers = fixture("float_helpers.py")
+        assert path_part == os.path.normpath(helpers)
+        with open(helpers, encoding="utf-8") as handle:
+            source = handle.read().splitlines()
+        assert "np.sqrt(" in source[int(line_part) - 1]
+        assert "capsule_norm(), which the integer backend imports" in message
+        # Out of scope on its own: only imported functions are checked.
+        assert lint([helpers]) == (0, ["qlint: 1 file(s), 0 finding(s)"])
 
     def test_int_backend_suppresses_only_the_input_quantizer(self):
         """The plan walk runs every model family on codes; its only
