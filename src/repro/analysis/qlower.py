@@ -947,18 +947,27 @@ def _replay_rescale(
     scheme = get_rounding_scheme(plan.scheme, seed=opseed)
     values = codes.astype(np.float64) * 2.0 ** r.in_exp
     float_path = scaled_quantize(values, fmt, scheme, r.scale)
-    out = k.shift_round(
-        codes, r.shift, r.rounding, gen=np.random.default_rng(opseed)
+    draw = None
+    if r.rounding == "SR":
+        draw = np.random.default_rng(opseed).random(size=codes.shape)
+    # The serving kernel, on int64 and on the narrowest storage dtype
+    # holding the sampled input interval.
+    narrowest = k.storage_dtype(
+        min_safe_bits(float(codes.min()), float(codes.max()))
     )
-    out = np.clip(out, fmt.int_min, fmt.int_max)
-    int_path = out.astype(np.float64) * 2.0 ** r.out_exp
-    if not np.array_equal(float_path, int_path):
-        worst = int(np.argmax(np.abs(float_path - int_path)))
-        return (
-            f"{op.layer}:{op.op} shift schedule diverges from the float "
-            f"fixed-point path (code {int(codes[worst])}: float "
-            f"{float_path[worst]!r} vs integer {int_path[worst]!r})"
+    for dtype in dict.fromkeys((np.dtype(np.int64), narrowest)):
+        out = k.hook_rescale(
+            codes.astype(dtype), r.shift, r.rounding, fmt, draw=draw
         )
+        int_path = out.astype(np.float64) * 2.0 ** r.out_exp
+        if not np.array_equal(float_path, int_path):
+            worst = int(np.argmax(np.abs(float_path - int_path)))
+            return (
+                f"{op.layer}:{op.op} shift schedule diverges from the "
+                f"float fixed-point path on {dtype} codes (code "
+                f"{int(codes[worst])}: float {float_path[worst]!r} vs "
+                f"integer {int_path[worst]!r})"
+            )
     return None
 
 
@@ -995,13 +1004,11 @@ def _replay_softmax(
     plan: LoweringPlan, op: OpPlan, opseed: int, samples: int
 ) -> Tuple[Optional[str], float]:
     from repro.backend import int_kernels as k
-    from repro.hw.fixed_ref import exp_lut
 
     a = op.approx
     n = int(a.tables.get("num_inputs", 2))
     qdr = int(a.tables.get("logit_bits", a.operand_bits))
     fmt_logits = FixedPointFormat(plan.integer_bits, qdr)
-    fmt_sub = FixedPointFormat(a.integer_bits, a.operand_bits)
     rng = np.random.default_rng(opseed)
     codes = _sample_codes(
         a.domain_lo, a.domain_hi, a.operand_exp, samples, rng, shape=(n,)
@@ -1009,7 +1016,9 @@ def _replay_softmax(
     if codes is None:
         return None, 0.0
     codes = np.clip(codes, fmt_logits.int_min, fmt_logits.int_max)
-    out = k.int_softmax(codes, a, plan.integer_bits, exp_lut(fmt_sub)[0])
+    out = k.int_softmax(
+        codes, a, plan.integer_bits, k.softmax_table(a, plan.integer_bits)
+    )
     got = out.astype(np.float64) * 2.0 ** op.out_exp
     v = codes.astype(np.float64) * 2.0 ** a.operand_exp
     v = v - v.max(axis=-1, keepdims=True)

@@ -333,21 +333,24 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor(out, True, (x,), backward_fn)
 
 
-#: Longest axis :func:`_axis_max` folds slice by slice.
+#: Longest axis :func:`axis_fold` folds slice by slice.
 _SHORT_AXIS = 16
 #: Fewest rows (reductions) for which folding beats NumPy's reduction:
 #: below it the fold's per-slice call overhead costs more than the rows.
 _MIN_FOLD_ROWS = 256
 
 
-def _axis_max(data: np.ndarray, axis: int) -> np.ndarray:
-    """``data.max(axis=axis, keepdims=True)``, fast for short axes.
+def axis_fold(data: np.ndarray, axis: int, ufunc: np.ufunc) -> np.ndarray:
+    """``ufunc.reduce(data, axis=axis, keepdims=True)``, fast for short
+    axes.
 
-    NumPy reduces a short axis one tiny row at a time; folding
-    ``np.maximum`` over the axis's slices makes every step one pass over
-    all rows instead (~10x faster for the 10 output capsules the routing
-    softmax normalises over at batch 64).  A maximum is exact whatever
-    the order, so the values are the same.
+    NumPy reduces a short axis one tiny row at a time; folding ``ufunc``
+    over the axis's slices makes every step one pass over all rows
+    instead (~10x faster for the 10 output capsules the routing softmax
+    normalises over at batch 64).  The fold reduces in axis order, so
+    use it where the order cannot change the result: a maximum, or an
+    integer sum.  The result keeps ``data``'s dtype (an integer sum is
+    not widened).
     """
     length = data.shape[axis]
     if (
@@ -355,12 +358,17 @@ def _axis_max(data: np.ndarray, axis: int) -> np.ndarray:
         or length > _SHORT_AXIS
         or data.size < _MIN_FOLD_ROWS * length
     ):
-        return data.max(axis=axis, keepdims=True)
-    slices = np.moveaxis(data, axis, 0)
-    out = slices[0].copy()
-    for piece in slices[1:]:
-        np.maximum(out, piece, out=out)
-    return np.expand_dims(out, axis)
+        return ufunc.reduce(data, axis=axis, keepdims=True, dtype=data.dtype)
+    lead = (slice(None),) * (axis % data.ndim)
+    out = data[lead + (slice(0, 1),)].copy()
+    for index in range(1, length):
+        ufunc(out, data[lead + (slice(index, index + 1),)], out=out)
+    return out
+
+
+def _axis_max(data: np.ndarray, axis: int) -> np.ndarray:
+    """``data.max(axis=axis, keepdims=True)`` by :func:`axis_fold`."""
+    return axis_fold(data, axis, np.maximum)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -12,7 +12,8 @@ argmax, floats exist only inside the audited carrier helpers of
 :mod:`repro.backend.int_kernels`: contractions and squash ops whose
 plan op records a ``carrier`` run on float32/float64 (BLAS GEMMs, and
 squash's divisions and square root), exact by the bound the plan
-recorded, and come back as int64 codes.  Every sealed op result is
+recorded, and come back as integer codes.  Hooks, softmax and votes
+compute at their certified storage widths.  Every sealed op result is
 integer, which the dtype tracer checks.
 
 The backend holds no model code of its own: :class:`_PlanWalk` is one
@@ -54,7 +55,6 @@ from repro.analysis.lowering import (
 from repro.analysis.qprove import CertificationError, _resolve_walker
 from repro.backend import int_kernels as k
 from repro.backend.base import InferenceBackend, check_int_gates
-from repro.hw.fixed_ref import exp_lut
 from repro.quant.fixed_point import FixedPointFormat
 
 #: Seed-stream separator for squash-operand rescales (int-only ops with
@@ -112,18 +112,19 @@ class IntBackend(InferenceBackend):
                     self._carried[key, carrier] = k.carrier_cast(
                         codes, carrier
                     )
-        #: (integer_bits, fractional_bits) -> exponential ROM, built
-        #: once per bound model (LUT-cache satellite; tests assert two
-        #: predicts reuse the same table object).
-        self.lut_tables: Dict[Tuple[int, int], np.ndarray] = {}
+        #: :meth:`_table_key` -> exponential ROM in its work dtype,
+        #: built once per bound model (tests assert two predicts reuse
+        #: the same table object).
+        self.lut_tables: Dict[Tuple[int, ...], np.ndarray] = {}
         for ops in self._ops.values():
             for op in ops:
                 approx = op.approx
                 if approx is not None and approx.method == "lut-softmax":
-                    fmt_key = (approx.integer_bits, approx.operand_bits)
-                    if fmt_key not in self.lut_tables:
-                        table, _ = exp_lut(FixedPointFormat(*fmt_key))
-                        self.lut_tables[fmt_key] = table
+                    key = self._table_key(approx)
+                    if key not in self.lut_tables:
+                        self.lut_tables[key] = k.softmax_table(
+                            approx, self.plan.integer_bits
+                        )
 
     def weight(
         self, key: str, carrier: Optional[str] = None
@@ -133,9 +134,19 @@ class IntBackend(InferenceBackend):
         codes, exponent = self._weights[key]
         return self._carried.get((key, carrier), codes), exponent
 
+    @staticmethod
+    def _table_key(approx) -> Tuple[int, ...]:
+        """What a softmax ROM and its work dtype depend on."""
+        tables = approx.tables
+        return (
+            approx.integer_bits, approx.operand_bits,
+            int(tables.get("num_inputs", 2)),
+            int(tables.get("logit_bits", approx.operand_bits)),
+        )
+
     def table_for(self, approx) -> np.ndarray:
         """Cached exponential ROM for a lut-softmax approximation."""
-        return self.lut_tables[(approx.integer_bits, approx.operand_bits)]
+        return self.lut_tables[self._table_key(approx)]
 
     def predict(
         self,
@@ -176,8 +187,8 @@ class _Codes:
     codes: np.ndarray
     exp: Optional[int]
     #: carrier -> these codes as routing votes ``(B, J, I, D)`` on that
-    #: carrier (None: int64), cast on first use and shared by every
-    #: routing contraction over the same votes.
+    #: carrier (None: int64), a transposed view cast on first use and
+    #: shared by every routing contraction over the same votes.
     carried: Dict[Optional[str], np.ndarray] = field(default_factory=dict)
 
 
@@ -282,7 +293,8 @@ class _PlanWalk:
             draw = self._hook_draws.random(size=np.shape(x.codes))
         fmt = FixedPointFormat(self.plan.integer_bits, rescale.bits)
         out = k.hook_rescale(
-            x.codes, rescale.shift, rescale.rounding, fmt, draw=draw
+            x.codes, rescale.shift, rescale.rounding, fmt, draw=draw,
+            label=layer,
         )
         return self.seal(op, out)
 
@@ -350,7 +362,10 @@ class _PlanWalk:
         op = self.take(layer, "linear")
         w, b, prod_shift, bias_shift = self._operands(op, weight, bias, x)
         if fan_in is not None:
-            out = k.int_votes(x.codes, w, op.carrier, prod_shift)
+            out = k.int_votes(
+                x.codes, w, op.carrier, prod_shift,
+                out_dtype=k.storage_dtype(op.accumulator_bits),
+            )
         else:
             out = k.int_linear(
                 x.codes, w, b, prod_shift=prod_shift, bias_shift=bias_shift,
@@ -423,15 +438,17 @@ class _PlanWalk:
         products with ``operand`` as one batched matmul on the ``sum``
         op's carrier (int64 without one); the product array is never
         built.  The ``mul`` is still taken from the plan and traced,
-        marked ``fused`` into the ``sum``.
+        marked ``fused`` into the ``sum``.  The votes are cast to the
+        carrier once, in their own ``(B, I, J, D)`` layout, and the
+        contraction reads the ``(B, J, I, D)`` transpose as a view.
         """
         mul = self.take(layer, "mul")
         total = self.take(layer, "sum")
         carrier = total.carrier
         if carrier not in votes.carried:
             votes.carried[carrier] = k.carrier_cast(
-                votes.codes.transpose(0, 2, 1, 3), carrier
-            )
+                votes.codes, carrier
+            ).transpose(0, 2, 1, 3)
         out = contract(votes.carried[carrier], operand.codes, carrier)
         self.record(mul, out, fused="sum")
         return self.seal(total, out)

@@ -21,10 +21,26 @@ amounts come from a certified :class:`repro.analysis.lowering
   (softmax through a prebuilt exponential ROM so bound models build
   each table once, not per forward).
 
+Codes stay at their certified storage widths (:func:`storage_dtype`)
+instead of widening to int64 between ops:
+
+* **hooks** (:func:`hook_rescale`, and the squash operand rescale of
+  :func:`int_squash`): TRN, RTN and RTNE right shifts round in the
+  input's own dtype and clip in place.  A right shift never grows a
+  code, so nothing overflows, for any shift.  Left shifts and SR run
+  on int64;
+* **softmax** (:func:`int_softmax`): runs in the dtype its ROM was cast
+  to at bind (:func:`softmax_table`), int32 when the ROM format and the
+  op's input count prove every table entry shifted by ``QF`` and every
+  row sum below ``2^31``, int64 otherwise;
+* **votes** (:func:`int_votes`): the carrier product converts straight
+  into the op's sealed dtype and shifts left in place, exact because
+  the certificate bounds the shifted votes by that width.
+
 Floats exist in exactly three places, each line with an explicit
 ``QL044`` suppression, and the qlint ``intflow`` checker guards the rest
-of the file — and the in-repo functions it imports — against float
-leaks:
+of the file — and the in-repo functions it reaches through its imports
+— against float leaks:
 
 * the stochastic-rounding residue comparison, part of the certified
   replay recipe (the float path draws the same uniforms);
@@ -32,7 +48,8 @@ leaks:
   which runs integer GEMMs on float32/float64 BLAS.  It is exact by the
   bound the lowering plan records for each carrier (every operand,
   product and partial sum is an integer the carrier represents, in any
-  summation order), and it hands back int64 codes;
+  summation order), and it hands back integer codes (int64 unless the
+  caller holds a tighter bound);
 * the squash carrier's floor division, truncating division and square
   root (:func:`_floor_div`, :func:`_trunc_div`, :func:`_isqrt`), exact
   by the bound :func:`squash_codes` states.
@@ -44,9 +61,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.ops_nn import conv_output_shape, im2col
-from repro.hw.fixed_ref import saturate
+from repro.autograd.ops_nn import axis_fold, conv_output_shape, im2col
+from repro.hw.fixed_ref import exp_lut, saturate
+from repro.lint.sanitizer import active_sanitizer
 from repro.quant.fixed_point import FixedPointFormat
+
+#: Rescale roundings :func:`shift_round` knows (``exact``: the plan's
+#: name for a left shift).
+_SCHEMES = frozenset({"TRN", "exact", "RTN", "RTNE", "SR"})
 
 
 #: Plan carrier name -> float GEMM dtype.  The plan proves the bound
@@ -75,20 +97,23 @@ def carrier_matmul(
     b: np.ndarray,
     carrier: Optional[str],
     axes: Optional[Tuple[int, ...]] = None,
+    out_dtype: np.dtype = np.dtype(np.int64),
 ) -> np.ndarray:
-    """``a @ b`` on integer codes, computed on ``carrier``, as int64.
+    """``a @ b`` on integer codes, computed on ``carrier``, as
+    ``out_dtype`` (int64 unless the caller holds a tighter bound).
 
     With a float carrier the GEMM is BLAS; the plan's bound makes every
     product and partial sum an exactly representable integer, so the
     float result *is* the integer result and converts back losslessly.
     Without one, the product runs on int64.  ``axes`` permutes the
-    product's axes; the int64 result is C-contiguous in that order.
+    product's axes; the result is C-contiguous in that order.  Either
+    operand may be a strided view: matmul takes strided batches.
     """
     dtype = _carrier_dtype(carrier)
     product = np.matmul(np.asarray(a, dtype), np.asarray(b, dtype))
     if axes is not None:
         product = product.transpose(axes)
-    return np.ascontiguousarray(product, dtype=np.int64)
+    return np.ascontiguousarray(product, dtype=out_dtype)
 
 
 def storage_dtype(bits: Optional[int]) -> np.dtype:
@@ -108,8 +133,9 @@ def storage_dtype(bits: Optional[int]) -> np.dtype:
 
 
 def narrow(codes: np.ndarray, bits: Optional[int]) -> np.ndarray:
-    """Store ``codes`` at the certified width (kernels re-widen to
-    int64 before arithmetic, so narrowing is purely a storage tier)."""
+    """Store ``codes`` at the certified width (no copy when they are
+    already stored at it; the hooks, softmax and votes compute at their
+    widths, the other kernels widen as they need)."""
     if bits is None:
         return codes
     return np.asarray(codes).astype(storage_dtype(bits), copy=False)
@@ -125,33 +151,51 @@ def shift_round(
     """Integer rescale ``round(code / 2^shift)`` per rounding scheme.
 
     The certified rescale schedule the replay oracle checks: left
-    shifts (``shift <= 0``) are exact; right shifts round by the
-    artifact's own scheme.  SR consumes exactly one uniform array of
-    ``codes.shape`` — either ``draw`` (pre-drawn, used to stay in
-    lockstep with the float path's hook stream) or one draw from
-    ``gen``.
+    shifts (``shift < 0``) are exact; right shifts round by the
+    artifact's own scheme.  Returns a new array the caller may modify
+    in place.
+
+    TRN, RTN and RTNE right shifts (and ``shift == 0``, the identity
+    for every scheme) compute in the codes' own integer dtype: with
+    ``q = c >> s``, RTN adds bit ``s - 1`` of ``c`` and RTNE compares
+    the remainder ``c & (2^s - 1)`` against the half.  No intermediate
+    is wider than ``|c|``, so nothing overflows for any ``s``, also past
+    the dtype's width, where NumPy's ``c >> s`` is the sign (``-1`` or
+    ``0``) and RTNE's result is 0.  Left shifts and SR run on int64.
+    SR consumes exactly one uniform array of ``codes.shape`` — either
+    ``draw`` (pre-drawn, used to stay in lockstep with the float path's
+    hook stream) or one draw from ``gen``.
     """
-    codes = np.asarray(codes, dtype=np.int64)
-    if shift <= 0:
-        return codes << (-shift)
+    codes = np.asarray(codes)
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown rounding scheme '{scheme}'")
+    if shift == 0:
+        return codes.copy()
+    if shift < 0:
+        return np.asarray(codes, np.int64) << (-shift)
     s = shift
-    if scheme == "TRN" or scheme == "exact":
-        return codes >> s
-    if scheme == "RTN":
-        return (codes + (np.int64(1) << (s - 1))) >> s
-    if scheme == "RTNE":
-        q = codes >> s
-        r = codes - (q << s)
-        half = np.int64(1) << (s - 1)
-        up = (r > half) | ((r == half) & ((q & np.int64(1)) == 1))
-        return q + up.astype(np.int64)
     if scheme == "SR":
+        codes = np.asarray(codes, np.int64)
         q = codes >> s
         residue = (codes - (q << s)).astype(np.float64) / float(2 ** s)  # qlint: disable=QL044
         if draw is None:
             draw = gen.random(size=codes.shape)
         return q + (draw < residue).astype(np.int64)
-    raise ValueError(f"unknown rounding scheme '{scheme}'")
+    if scheme == "RTNE" and s >= 8 * codes.dtype.itemsize:
+        return np.zeros_like(codes)  # |c / 2^s| <= 1/2, ties to even 0
+    q = codes >> s
+    if scheme == "RTN":
+        half_bit = codes >> (s - 1)
+        half_bit &= 1
+        q += half_bit
+    elif scheme == "RTNE":
+        remainder = codes & ((1 << s) - 1)
+        # Round up iff remainder > half, or == half with q odd; the
+        # threshold ``half - (q & 1)`` stays inside the dtype.
+        threshold = q & 1
+        np.subtract(1 << (s - 1), threshold, out=threshold)
+        q += remainder > threshold
+    return q
 
 
 def hook_rescale(
@@ -160,15 +204,22 @@ def hook_rescale(
     rounding: str,
     fmt: FixedPointFormat,
     draw: Optional[np.ndarray] = None,
+    label: Optional[str] = None,
 ) -> np.ndarray:
     """Quantization-hook rescale: certified shift + clip into ``fmt``.
 
     This is exactly the replayed schedule :func:`shift_round` → clip
     that the lowering oracle proves bit-identical to ``scaled_quantize``
-    on the float path.
+    on the float path.  The clip runs in place on the shifted codes,
+    in their dtype (:func:`shift_round`).  Under an active
+    fixed-point sanitizer the pre-clip codes are reported as one
+    rounding call of layer ``label``, as the float path's hooks do.
     """
     out = shift_round(codes, shift, rounding, draw=draw)
-    return np.clip(out, fmt.int_min, fmt.int_max)
+    sanitizer = active_sanitizer()
+    if sanitizer is not None:
+        sanitizer.record_rounding(out, fmt.int_min, fmt.int_max, label=label)
+    return np.clip(out, fmt.int_min, fmt.int_max, out=out)
 
 
 def int_conv2d(
@@ -227,6 +278,7 @@ def int_votes(
     weight: np.ndarray,
     carrier: Optional[str] = None,
     prod_shift: int = 0,
+    out_dtype: np.dtype = np.dtype(np.int64),
 ) -> np.ndarray:
     """Capsule vote projection ``û_{j|i} = W_ij × u_i`` on codes.
 
@@ -236,16 +288,23 @@ def int_votes(
     ``CapsFC.votes`` it is one GEMM per input capsule,
     ``(I, B, D_in) @ (I, D_in, J·D_out)``; the contraction is exact, so
     the summation order is irrelevant.
+
+    The product converts straight into ``out_dtype`` and shifts in
+    place.  Pass the op's sealed dtype (:func:`storage_dtype` of its
+    ``accumulator_bits``): the certificate bounds the shifted votes by
+    that width, so the unshifted product fits it too.
     """
     if prod_shift < 0:
         raise ValueError("grid alignment shifts must be left (exact)")
     in_caps, out_caps, out_dim, in_dim = weight.shape
     w_t = np.asarray(weight).reshape(in_caps, -1, in_dim).transpose(0, 2, 1)
     votes = carrier_matmul(
-        np.asarray(u).transpose(1, 0, 2), w_t, carrier, axes=(1, 0, 2)
+        np.asarray(u).transpose(1, 0, 2), w_t, carrier, axes=(1, 0, 2),
+        out_dtype=out_dtype,
     )
     votes = votes.reshape(votes.shape[0], in_caps, out_caps, out_dim)
-    return votes << prod_shift
+    votes <<= prod_shift
+    return votes
 
 
 def routing_weighted_sum(
@@ -255,7 +314,8 @@ def routing_weighted_sum(
     batched matmul ``(B,J,1,I) @ (B,J,I,D)``, with no product array.
 
     ``votes_t`` is the votes as ``(B, J, I, D)`` already on the carrier
-    (:func:`carrier_cast`), ``coupling`` is ``(B, I, J)``; returns
+    (:func:`carrier_cast`; a transposed view of the ``(B, I, J, D)``
+    votes serves), ``coupling`` is ``(B, I, J)``; returns
     ``(B, J, D)`` int64.
     """
     batch, out_caps, _, out_dim = votes_t.shape
@@ -419,23 +479,42 @@ def int_squash(
     Output codes live on grid ``2^operand_exp``."""
     fmt_op = FixedPointFormat(approx.integer_bits, approx.operand_bits)
     operand = shift_round(codes, rescale.shift, rescale.rounding, gen=gen)
-    operand = np.clip(operand, fmt_op.int_min, fmt_op.int_max)
+    np.clip(operand, fmt_op.int_min, fmt_op.int_max, out=operand)
     return squash_codes(
         operand, fmt_op.fractional_bits, axis=axis, carrier=carrier
     )
 
 
-def lut_softmax(
-    codes: np.ndarray, fmt: FixedPointFormat, table: np.ndarray
-) -> np.ndarray:
-    """:func:`repro.hw.fixed_ref.fixed_softmax` with a prebuilt
-    exponential ROM (``table``), over the last axis.  Bound models
-    build each ROM once at ``bind()`` instead of per forward."""
-    codes = saturate(np.asarray(codes, np.int64), fmt)
-    exps = table[codes - fmt.int_min]
-    total = exps.sum(axis=-1, keepdims=True)
-    qf = fmt.fractional_bits
-    return saturate((exps << qf) // np.maximum(total, 1), fmt)
+def _softmax_formats(
+    approx, integer_bits: int
+) -> Tuple[FixedPointFormat, FixedPointFormat]:
+    """(logit hook format, max-subtracted LUT operand format) of a
+    lut-softmax op."""
+    qdr = int(approx.tables.get("logit_bits", approx.operand_bits))
+    return (
+        FixedPointFormat(integer_bits, qdr),
+        FixedPointFormat(approx.integer_bits, approx.operand_bits),
+    )
+
+
+#: Exclusive bound of the int32 softmax datapath.
+_INT32_LIMIT = 2 ** 31
+
+
+def softmax_table(approx, integer_bits: int) -> np.ndarray:
+    """The exponential ROM of a lut-softmax op, cast to the op's work
+    dtype: int32 when :func:`int_softmax`'s bound holds for the ROM
+    format and the op's ``num_inputs``, int64 otherwise.  Bound models
+    build it once, at ``bind()``."""
+    fmt_logits, fmt_sub = _softmax_formats(approx, integer_bits)
+    table, rom = exp_lut(fmt_sub)
+    count = int(approx.tables.get("num_inputs", 2))
+    fits = (
+        rom.int_max << fmt_sub.fractional_bits < _INT32_LIMIT
+        and count * rom.int_max < _INT32_LIMIT
+        and fmt_logits.wordlength < 31
+    )
+    return table.astype(np.int32 if fits else np.int64)
 
 
 def int_softmax(
@@ -446,16 +525,47 @@ def int_softmax(
     Logit codes are clipped into the hook format, max-subtracted
     (exact; logits and the subtraction format share one grid by
     construction — see the qlower softmax derivation) and pushed
-    through the LUT datapath.
+    through the exponential ROM ``table``
+    (:func:`softmax_table`): ``e = table[c]``, ``total = Σ e`` and
+    ``out = (e << QF) // max(total, 1)``, as
+    :func:`repro.hw.fixed_ref.fixed_softmax` computes, bit for bit.
+    The two ``saturate`` calls are the datapath's sanitizer hooks.
+
+    Everything runs in the ROM's dtype.  int32 is exact when, with
+    ``T`` the ROM format's ``int_max`` and ``J`` the op's
+    ``num_inputs`` (at least the axis length):
+
+    * ``T · 2^QF < 2^31``: every entry is at most ``T``, so
+      ``e << QF`` fits;
+    * ``J · T < 2^31``: the sum of at most ``J`` entries fits;
+    * the logit format is narrower than 31 bits, so ``c - max(c)``
+      fits.
+
+    Otherwise :func:`softmax_table` keeps the ROM int64, where the
+    plan's accumulator bound holds.  The max and the sum fold the short
+    capsule axis slice by slice (:func:`repro.autograd.ops_nn
+    .axis_fold`); both are exact in any order.
     """
-    qdr = int(approx.tables.get("logit_bits", approx.operand_bits))
-    fmt_logits = FixedPointFormat(integer_bits, qdr)
-    fmt_sub = FixedPointFormat(approx.integer_bits, approx.operand_bits)
-    codes = np.clip(
-        np.asarray(codes, np.int64), fmt_logits.int_min, fmt_logits.int_max
+    fmt_logits, fmt_sub = _softmax_formats(approx, integer_bits)
+    if codes.shape[-1] > int(approx.tables.get("num_inputs", 2)):
+        raise ValueError(
+            f"softmax over {codes.shape[-1]} inputs exceeds the op's "
+            f"num_inputs"
+        )
+    logits = np.clip(
+        codes, fmt_logits.int_min, fmt_logits.int_max,
+        out=np.empty(codes.shape, table.dtype),
     )
-    shifted = codes - codes.max(axis=-1, keepdims=True)
-    return lut_softmax(shifted, fmt_sub, table)
+    logits -= axis_fold(logits, -1, np.maximum)
+    index = np.subtract(
+        saturate(logits, fmt_sub), fmt_sub.int_min, dtype=np.intp
+    )
+    exps = table[index]
+    total = axis_fold(exps, -1, np.add)
+    np.maximum(total, 1, out=total)
+    exps <<= fmt_sub.fractional_bits
+    exps //= total
+    return saturate(exps, fmt_sub)
 
 
 def int_capsule_predictions(codes: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ review time.  Scoped to files named ``int_kernels.py`` or
 ``int_backend.py`` (the shipped kernels, the plan walk that runs every
 model family on them, and fixtures) and to the in-repo functions those
 files import by name (``from repro.hw.fixed_ref import exp_lut`` checks
-the body of ``exp_lut`` and reports at its own lines), it flags:
+the body of ``exp_lut`` and reports at its own lines) and to the in-repo
+functions those reach in turn, it flags:
 
 * any mention of a float dtype — every load of ``np.float16/32/64``,
   ``np.double``, ``np.half`` and friends (so ``dt = np.float32`` and a
@@ -31,14 +32,16 @@ bind time — carry an explicit ``# qlint: disable=QL044``.
 An import resolves in-repo when its module file sits under the same
 source root as the importing file (the first ancestor directory that is
 not a package), or relative to the importing package.  Only functions
-defined in that module are followed, one import deep.
+are followed, transitively: every in-repo function an imported function
+names (a helper in its own module, or one its module imports) is
+checked too, each once.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.lint.findings import (
     Finding,
@@ -216,45 +219,106 @@ def _module_file(path: str, node: ast.ImportFrom) -> Optional[str]:
     return None
 
 
-def _imported_names(tree: ast.AST, path: str) -> Dict[str, List[str]]:
-    """In-repo module file -> the names ``path`` imports from it."""
-    imports: Dict[str, List[str]] = {}
+def _import_map(tree: ast.AST, path: str) -> Dict[str, Tuple[str, str]]:
+    """Local name -> (in-repo module file, name there) for every
+    ``from X import f [as g]`` in ``path`` that resolves in-repo and out
+    of QL044 scope (in-scope files are checked as files of their own)."""
+    imports: Dict[str, Tuple[str, str]] = {}
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom):
             continue
         module = _module_file(path, node)
         if module is None or _in_scope(module):
-            continue  # out of repo, or checked as a file of its own
-        imports.setdefault(module, []).extend(
-            alias.name for alias in node.names
-        )
+            continue
+        for alias in node.names:
+            imports[alias.asname or alias.name] = (module, alias.name)
     return imports
 
 
+def _imported_names(tree: ast.AST, path: str) -> Dict[str, List[str]]:
+    """In-repo module file -> the names ``path`` imports from it."""
+    imports: Dict[str, List[str]] = {}
+    for module, name in _import_map(tree, path).values():
+        imports.setdefault(module, []).append(name)
+    return imports
+
+
+class _Module:
+    """One parsed in-repo module: its functions and its imports."""
+
+    def __init__(self, path: str):
+        self.path = path
+        with open(path, "r", encoding="utf-8") as handle:
+            self.source = handle.read()
+        tree = ast.parse(self.source)
+        self.aliases = _numpy_aliases(tree)
+        self.functions = {
+            node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+        }
+        self.imports = _import_map(tree, path)
+
+    def resolve(self, name: str) -> Optional[Tuple[str, str]]:
+        """Where ``name``, as this module sees it, comes from: (module
+        file, name there); None when it is not an in-repo name."""
+        if name in self.functions:
+            return self.path, name
+        return self.imports.get(name)
+
+
 def check_imports(source: str, path: str) -> List[Finding]:
-    """QL044 findings in the in-repo functions ``path`` imports, reported
-    at the functions' own lines and honouring their files' suppressions."""
+    """QL044 findings in the in-repo functions ``path`` reaches through
+    its imports, reported at the functions' own lines and honouring
+    their files' suppressions.
+
+    The walk is transitive: from each imported function it follows every
+    name the body uses that resolves to an in-repo function — a helper
+    of the same module or one that module imports — with a visited set,
+    so each function is checked once and import cycles terminate.
+    """
     try:
         tree = ast.parse(source)
     except SyntaxError:
         return []  # check_source reports the parse error
+    modules: Dict[str, _Module] = {}
+    raw: Dict[str, List[Finding]] = {}
+    pending = [
+        (module, name, f"{name}(), which the integer backend imports")
+        for module, name in sorted(_import_map(tree, path).values())
+    ]
+    visited = set()
+    while pending:
+        module_path, name, where = pending.pop()
+        if (module_path, name) in visited:
+            continue
+        visited.add((module_path, name))
+        module = modules.get(module_path)
+        if module is None:
+            module = modules[module_path] = _Module(module_path)
+        target = module.resolve(name)
+        if target is None:
+            continue
+        if target != (module_path, name):
+            pending.append((*target, where))  # a re-export
+            continue
+        node = module.functions[name]
+        visitor = _IntFlowVisitor(module_path, module.aliases, where)
+        visitor.visit(node)
+        raw.setdefault(module_path, []).extend(visitor.findings)
+        for used in ast.walk(node):
+            if isinstance(used, ast.Name) and isinstance(used.ctx, ast.Load):
+                callee = module.resolve(used.id)
+                if callee is not None:
+                    pending.append((*callee, (
+                        f"{callee[1]}(), which the integer backend reaches "
+                        f"through {name}()"
+                    )))
     findings: List[Finding] = []
-    for module, names in sorted(_imported_names(tree, path).items()):
-        with open(module, "r", encoding="utf-8") as handle:
-            module_source = handle.read()
-        module_tree = ast.parse(module_source)
-        aliases = _numpy_aliases(module_tree)
-        raw: List[Finding] = []
-        for node in module_tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name in names:
-                visitor = _IntFlowVisitor(module, aliases, (
-                    f"{node.name}(), which the integer backend imports"
-                ))
-                visitor.visit(node)
-                raw.extend(visitor.findings)
-        findings.extend(
-            filter_suppressed(raw, parse_suppressions(module_source))
-        )
+    for module_path in sorted(raw):
+        findings.extend(filter_suppressed(
+            sorted(raw[module_path], key=lambda finding: finding.line),
+            parse_suppressions(modules[module_path].source),
+        ))
     return findings
 
 

@@ -140,19 +140,27 @@ class FixedPointSanitizer:
     # Recording (called from the instrumented kernels)
     # ------------------------------------------------------------------
     def record_rounding(
-        self, codes: np.ndarray, int_min: int, int_max: int
+        self,
+        codes: np.ndarray,
+        int_min: int,
+        int_max: int,
+        label: Optional[str] = None,
     ) -> None:
         """Inspect a pre-clip integer-code buffer from a rounding kernel.
 
         ``codes`` is the scratch buffer (float32 or float64 carrier, see
-        :mod:`repro.quant.rounding`) holding rounded (but not yet
-        saturated) integer codes; out-of-range entries are the values a
-        hardware datapath would clip (overflow), NaNs are poison.
-        NaN comparisons are false, so the two counts never overlap.
+        :mod:`repro.quant.rounding`, or the int backend's integer hook
+        codes) holding rounded (but not yet saturated) integer codes;
+        out-of-range entries are the values a hardware datapath would
+        clip (overflow), NaNs are poison.  NaN comparisons are false,
+        so the two counts never overlap.  ``label`` attributes the call
+        to a layer directly; by default the active :meth:`layer` label
+        does.
         """
         nan = int(np.isnan(codes).sum())
         overflow = int((codes < int_min).sum() + (codes > int_max).sum())
-        label = _current_label()
+        if label is None:
+            label = _current_label()
         lo = hi = None
         if codes.size and nan < codes.size:
             # NaN-safe pre-clip extrema (ignores poison values, which

@@ -273,10 +273,10 @@ class TestIntFlow:
             (package / "hw" / "fixed_ref.py").write_text(
                 handle.read().replace("qlint: disable=QL044", "")
             )
-        backend = package / "backend" / "int_backend.py"
-        with open(self.BACKEND, encoding="utf-8") as handle:
-            backend.write_text(handle.read())
-        findings = intflow.check_file(str(backend))
+        kernels = package / "backend" / "int_kernels.py"
+        with open(self.KERNELS, encoding="utf-8") as handle:
+            kernels.write_text(handle.read())
+        findings = intflow.check_file(str(kernels))
         assert [(f.path, f.line) for f in findings] == [
             (str(package / "hw" / "fixed_ref.py"), number)
         ]
@@ -297,6 +297,43 @@ class TestIntFlow:
         assert "capsule_norm(), which the integer backend imports" in message
         # Out of scope on its own: only imported functions are checked.
         assert lint([helpers]) == (0, ["qlint: 1 file(s), 0 finding(s)"])
+
+    def test_float_routine_two_calls_away_is_flagged(self):
+        """The import walk is transitive: a clean imported function's
+        helper is checked too, and reported at its own line."""
+        code, lines = lint([fixture("bad_float_two_calls_int_kernels.py")])
+        assert code == 1
+        (finding,) = [line for line in lines if " QL044 " in line]
+        path_part, line_part, message = finding.split(":", 2)
+        chain = fixture("float_chain.py")
+        assert path_part == os.path.normpath(chain)
+        with open(chain, encoding="utf-8") as handle:
+            source = handle.read().splitlines()
+        assert "np.sqrt(" in source[int(line_part) - 1]
+        assert (
+            "_root(), which the integer backend reaches through "
+            "capsule_lengths()"
+        ) in message
+
+    def test_import_walk_terminates_on_cycles(self, tmp_path):
+        """Mutually recursive helpers are each checked once."""
+        (tmp_path / "ping.py").write_text(
+            "import numpy as np\n"
+            "from pong import pong\n\n\n"
+            "def ping(codes):\n"
+            "    return pong(codes) + np.log(codes)\n"
+        )
+        (tmp_path / "pong.py").write_text(
+            "from ping import ping\n\n\n"
+            "def pong(codes):\n"
+            "    return ping(codes)\n"
+        )
+        kernels = tmp_path / "cycle_int_kernels.py"
+        kernels.write_text("from ping import ping\n")
+        findings = intflow.check_file(str(kernels))
+        assert [(os.path.basename(f.path), f.line) for f in findings] == [
+            ("ping.py", 6)
+        ]
 
     def test_int_backend_suppresses_only_the_input_quantizer(self):
         """The plan walk runs every model family on codes; its only
