@@ -61,10 +61,10 @@ def _check_shape(rows):
     low = slice(3, None)  # bits 4, 3, 2
     assert sr[low].mean() >= rtn[low].mean() - 1.0
     assert sr[low].mean() >= trn[low].mean()
-    # Documented deviation (EXPERIMENTS.md): the paper reports TRN and
-    # RTN as identical; faithful floor-truncation carries a -eps/2 bias
-    # that compounds through deep capsule stacks, so TRN can only be
-    # *worse or equal*, never better, at low wordlengths.
+    # Deviation from the paper, which reports TRN and RTN as identical:
+    # faithful floor-truncation carries a -eps/2 bias that compounds
+    # through deep capsule stacks, so TRN can only be *worse or equal*,
+    # never better, at low wordlengths.
     assert trn[low].mean() <= rtn[low].mean() + 1.0
 
 

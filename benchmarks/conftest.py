@@ -4,7 +4,8 @@ Trained models are expensive (minutes of NumPy training), so they are
 cached on disk under ``benchmarks/_cache`` keyed by configuration; the
 first benchmark run trains them, later runs load the weights.  Results
 tables for every figure are both printed and written under
-``benchmarks/results/`` so the EXPERIMENTS.md numbers are regenerable.
+``benchmarks/results/`` so the numbers quoted in README.md are
+regenerable.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """qlower — static integer-lowering analyzer for quantized artifacts.
 
-Runs the same model walkers as the qprove range certifier
+Runs the same model walks (``model.steps()``, see
+:mod:`repro.capsnet.walk`) as the qprove range certifier
 (:mod:`repro.analysis.qprove`) and the int backend that executes the
 resulting plan, but propagates a richer abstract value: alongside the
 certified value interval, every tensor carries the *power-of-two grid*
@@ -68,7 +69,6 @@ from repro.analysis.interval import (
     min_safe_bits,
     pow2_exponent,
     preclip_code_bounds,
-    clip_codes_to_value_interval,
     softmax_interval,
     squash_interval,
 )
@@ -93,8 +93,8 @@ from repro.analysis.qprove import (
     CertificationError,
     _AbstractContext,
     _SiteLog,
-    _resolve_walker,
     certify_model,
+    model_steps,
 )
 from repro.hw.special_ops import SoftmaxUnit, SquashUnit
 from repro.lint.findings import Finding
@@ -770,7 +770,7 @@ def lower_model(
     if input_bits < 1:
         raise LoweringError(f"input_bits must be >= 1, got {input_bits}")
     try:
-        walker = _resolve_walker(model)
+        steps = model_steps(model)
     except CertificationError as exc:
         raise LoweringError(str(exc)) from None
     expected = list(getattr(model, "quant_layers", []))
@@ -803,10 +803,9 @@ def lower_model(
         log,
         input_bits=input_bits,
     )
-    walker(
-        model, ctx,
-        ctx.input(Interval(float(input_range[0]), float(input_range[1]))),
-    )
+    x = ctx.input(Interval(float(input_range[0]), float(input_range[1])))
+    for _, _, fn in steps:
+        x = fn(ctx, x)
 
     findings: List[Finding] = []
     seen = set()

@@ -30,16 +30,17 @@ What is proven / assumed
   integer codes (exact by construction, no rounding events at serve
   time).
 
-Model walkers
--------------
-Each supported model family (``ShallowCaps``, ``DeepCaps``, ``LeNet5``:
+Model walks
+-----------
+Each model family (``ShallowCaps``, ``DeepCaps``, ``LeNet5``:
 everything :func:`repro.api.session.build_model` can produce) is
-described once, by a ``_walk_*`` function over the structural op
-vocabulary of :class:`_AbstractContext`.  Three contexts interpret the
-same walkers: intervals here (certificates), intervals plus grids in
-:mod:`repro.analysis.qlower` (lowering plans), and integer codes in
+described once, by its ``steps()`` walk over the structural op
+vocabulary of :mod:`repro.capsnet.walk`.  Four contexts interpret the
+same steps: autograd tensors (the float forward), intervals here
+(certificates), intervals plus grids in :mod:`repro.analysis.qlower`
+(lowering plans), and integer codes in
 :mod:`repro.backend.int_backend` (execution).  A new family needs one
-walker to be certified, lowered and served on integers.
+walk to be trained, certified, lowered and served on integers.
 """
 
 from __future__ import annotations
@@ -296,14 +297,12 @@ class _AbstractContext:
     bounds under the same per-layer label the sanitizer uses, and
     return the post-clip value interval.
 
-    Every structural operation of the walkers below is funneled through
+    Every structural operation of the model walks is funneled through
     an overridable method (``conv``/``linear``/``relu``/``squash``/...),
     so other static analyses — e.g. the integer-lowering pass in
-    :mod:`repro.analysis.qlower` — can reuse the exact same stage
-    mirror while propagating a richer abstract value.  The base
-    implementations delegate to the interval transfer functions with
-    unchanged math, so certificates are bit-identical to the
-    pre-refactor walkers.
+    :mod:`repro.analysis.qlower` — reuse the same walk while
+    propagating a richer abstract value.  The base implementations
+    delegate to the interval transfer functions.
     """
 
     def __init__(
@@ -366,7 +365,7 @@ class _AbstractContext:
         return clip_codes_to_value_interval(code_lo, code_hi, fmt, scale)
 
     # ------------------------------------------------------------------
-    # Structural ops (the walkers' only vocabulary; overridable)
+    # Structural ops (the walk vocabulary; overridable)
     # ------------------------------------------------------------------
     def input(self, x: Interval) -> Interval:
         """The model input (identity in the value domain)."""
@@ -430,204 +429,15 @@ class _AbstractContext:
         )
 
 
-# ----------------------------------------------------------------------
-# Structural walkers (mirror the models' staged forward passes)
-# ----------------------------------------------------------------------
-def _capsule_rows(maps: np.ndarray) -> np.ndarray:
-    """Capsule maps ``(B, types, dim, H, W)`` as rows ``(B, types·H·W,
-    dim)``."""
-    batch, types, dim, height, width = maps.shape
-    return maps.transpose(0, 1, 3, 4, 2).reshape(
-        batch, types * height * width, dim
-    )
-
-
-def _walk_routing(
-    ctx: _AbstractContext,
-    layer: str,
-    votes,
-    iterations: int,
-    in_caps: int,
-    out_caps: int,
-    out_dim: int,
-):
-    """Unrolled :func:`repro.capsnet.routing.dynamic_routing` over
-    votes ``(B, I, J, D)``."""
-    votes = ctx.act(layer, votes)
-    logits = ctx.zero_logits(layer, votes)
-    for iteration in range(iterations):
-        logits = ctx.routing(layer, "logits", logits)
-        coupling = ctx.routing(
-            layer, "coupling", ctx.softmax(layer, logits, out_caps)
+def model_steps(model) -> List:
+    """The model's walk (:meth:`repro.capsnet.walk.StagedModel.steps`)."""
+    steps = getattr(model, "steps", None)
+    if not callable(steps):
+        raise CertificationError(
+            f"no model walker for model type {type(model).__name__}; "
+            f"supported: ShallowCaps, DeepCaps, LeNet5"
         )
-        preactivation = ctx.routing(
-            layer, "preactivation",
-            ctx.weighted_sum(layer, coupling, votes, in_caps),
-        )
-        activation = ctx.routing(
-            layer, "activation",
-            ctx.squash(layer, preactivation, out_dim, -1),
-        )
-        if iteration < iterations - 1:
-            agreement = ctx.routing(
-                layer, "agreement",
-                ctx.agreement(layer, votes, activation, out_dim),
-            )
-            logits = ctx.add(layer, logits, agreement)
-    return activation
-
-
-def _walk_capsfc(layer, ctx: _AbstractContext, x):
-    weight = ctx.weight(layer.name, "weight", layer.weight)
-    # Votes û_{j|i} = W_ij u_i: each output coordinate accumulates over
-    # in_dim, i.e. the rows of W flattened to (I·J·D_out, D_in).
-    votes = ctx.linear(layer.name, weight, None, x, fan_in=layer.in_dim)
-    return _walk_routing(
-        ctx, layer.name, votes, layer.routing_iterations,
-        in_caps=layer.in_caps, out_caps=layer.out_caps,
-        out_dim=layer.out_dim,
-    )
-
-
-def _walk_convcaps2d(layer, ctx: _AbstractContext, x):
-    weight = ctx.weight(
-        layer.name, f"{layer.weight_tag}.weight", layer.conv.weight
-    )
-    bias = ctx.weight(
-        layer.name, f"{layer.weight_tag}.bias", layer.conv.bias
-    )
-    # (B, types, dim, H, W) -> (B, types·dim, H, W) -> capsules again.
-    flat = ctx.layout(x, lambda a: a.reshape(a.shape[0], -1, *a.shape[3:]))
-    out = ctx.layout(
-        ctx.conv(layer.name, weight, bias, flat, layer.conv),
-        lambda a: a.reshape(
-            a.shape[0], layer.out_types, layer.out_dim, *a.shape[2:]
-        ),
-    )
-    out = ctx.squash(layer.name, out, layer.out_dim, 2)
-    if layer.quantize_output:
-        out = ctx.act(layer.name, out)
-    return out
-
-
-def _walk_convcaps3d(layer, ctx: _AbstractContext, x):
-    weight = ctx.weight(
-        layer.name, f"{layer.weight_tag}.weight", layer.conv.weight
-    )
-    in_types, out_types, out_dim = (
-        layer.in_types, layer.out_types, layer.out_dim
-    )
-    grid: Dict[str, Any] = {}
-
-    def to_votes(a):
-        # (B·I, J·D, H', W') -> (B·H'·W', I, J, D): route per location.
-        _, _, height, width = a.shape
-        grid.update(batch=a.shape[0] // in_types, hw=(height, width))
-        votes = a.reshape(-1, in_types, out_types, out_dim, height, width)
-        return votes.transpose(0, 4, 5, 1, 2, 3).reshape(
-            -1, in_types, out_types, out_dim
-        )
-
-    def from_routed(a):
-        # (B·H'·W', J, D) -> (B, J, D, H', W').
-        routed = a.reshape(grid["batch"], *grid["hw"], out_types, out_dim)
-        return routed.transpose(0, 3, 4, 1, 2)
-
-    # The projection is shared across input types: fold them into B.
-    folded = ctx.layout(x, lambda a: a.reshape(-1, *a.shape[2:]))
-    votes = ctx.layout(
-        ctx.conv(layer.name, weight, None, folded, layer.conv), to_votes
-    )
-    routed = _walk_routing(
-        ctx, layer.name, votes, layer.routing_iterations,
-        in_caps=in_types, out_caps=out_types, out_dim=out_dim,
-    )
-    return ctx.layout(routed, from_routed)
-
-
-def _walk_shallow(model, ctx: _AbstractContext, x):
-    w1 = ctx.weight("L1", "weight", model.conv1.weight)
-    b1 = ctx.weight("L1", "bias", model.conv1.bias)
-    x = ctx.relu("L1", ctx.conv("L1", w1, b1, x, model.conv1))
-    x = ctx.act("L1", x)
-
-    primary = model.primary
-    w2 = ctx.weight(primary.name, "weight", primary.conv.weight)
-    b2 = ctx.weight(primary.name, "bias", primary.conv.bias)
-    x = ctx.layout(
-        ctx.conv(primary.name, w2, b2, x, primary.conv),
-        lambda a: _capsule_rows(a.reshape(
-            a.shape[0], primary.caps_types, primary.caps_dim, *a.shape[2:]
-        )),
-    )
-    x = ctx.squash(primary.name, x, primary.caps_dim, -1)
-    x = ctx.act(primary.name, x)
-
-    return _walk_capsfc(model.digit, ctx, x)
-
-
-def _walk_deep(model, ctx: _AbstractContext, x):
-    w1 = ctx.weight("L1", "weight", model.conv1.weight)
-    b1 = ctx.weight("L1", "bias", model.conv1.bias)
-    x = ctx.conv("L1", w1, b1, x, model.conv1)
-    x = ctx.batchnorm("L1", x, model.bn1)
-    x = ctx.relu("L1", x)
-    x = ctx.act("L1", x)
-    dim0 = model.config.cell_dims[0]
-    x = ctx.layout(x, lambda a: a.reshape(a.shape[0], -1, dim0, *a.shape[2:]))
-
-    for cell in model._cells:
-        trunk = _walk_convcaps2d(cell.conv1, ctx, x)
-        main = _walk_convcaps2d(
-            cell.conv3, ctx, _walk_convcaps2d(cell.conv2, ctx, trunk)
-        )
-        if cell.routed_skip:
-            lateral = _walk_convcaps3d(cell.skip, ctx, trunk)
-        else:
-            lateral = _walk_convcaps2d(cell.skip, ctx, trunk)
-        x = ctx.squash(
-            cell.name, ctx.add(cell.name, main, lateral),
-            cell.conv3.out_dim, 2,
-        )
-        x = ctx.act(cell.name, x)
-
-    return _walk_capsfc(model.class_caps, ctx, ctx.layout(x, _capsule_rows))
-
-
-def _walk_lenet(model, ctx: _AbstractContext, x):
-    for name, conv in (("L1", model.conv1), ("L2", model.conv2)):
-        w = ctx.weight(name, "weight", conv.weight)
-        b = ctx.weight(name, "bias", conv.bias)
-        # relu then 2x2 average pooling.
-        x = ctx.relu(name, ctx.conv(name, w, b, x, conv))
-        x = ctx.avgpool(name, x, 2)
-        x = ctx.act(name, x)
-    x = ctx.layout(x, lambda a: a.reshape(a.shape[0], -1))
-    for name, fc in (("L3", model.fc1), ("L4", model.fc2), ("L5", model.fc3)):
-        w = ctx.weight(name, "weight", fc.weight)
-        b = ctx.weight(name, "bias", fc.bias)
-        x = ctx.linear(name, w, b, x)
-        if name != "L5":
-            x = ctx.relu(name, x)
-        x = ctx.act(name, x)
-    return x
-
-
-def _resolve_walker(model) -> Callable:
-    from repro.baselines.lenet import LeNet5
-    from repro.capsnet.deep import DeepCaps
-    from repro.capsnet.shallow import ShallowCaps
-
-    if isinstance(model, ShallowCaps):
-        return _walk_shallow
-    if isinstance(model, DeepCaps):
-        return _walk_deep
-    if isinstance(model, LeNet5):
-        return _walk_lenet
-    raise CertificationError(
-        f"no model walker for model type {type(model).__name__}; "
-        f"supported: ShallowCaps, DeepCaps, LeNet5"
-    )
+    return steps()
 
 
 # ----------------------------------------------------------------------
@@ -652,7 +462,7 @@ def certify_model(
         raise CertificationError(
             f"accumulator_bits must be >= 1, got {accumulator_bits}"
         )
-    walker = _resolve_walker(model)
+    steps = model_steps(model)
     expected = list(getattr(model, "quant_layers", []))
     if list(config.layer_names) != expected:
         raise CertificationError(
@@ -663,10 +473,9 @@ def certify_model(
     ctx = _AbstractContext(
         config, scheme, dict(weight_values or {}), act_scales or {}, log
     )
-    walker(
-        model, ctx,
-        ctx.input(Interval(float(input_range[0]), float(input_range[1]))),
-    )
+    x = ctx.input(Interval(float(input_range[0]), float(input_range[1])))
+    for _, _, fn in steps:
+        x = fn(ctx, x)
 
     layers = []
     for layer in config.layer_names:

@@ -17,12 +17,13 @@ compute at their certified storage widths.  Every sealed op result is
 integer, which the dtype tracer checks.
 
 The backend holds no model code of its own: :class:`_PlanWalk` is one
-more interpreter of the model walkers in :mod:`repro.analysis.qprove`,
-the same walkers the range certifier and the lowering analyzer run on
-abstract values, so the integer side describes each model family
-once.  Every structural op consumes the next op of its layer's plan (a
-FIFO) — any drift between walker and plan is a hard error, not a
-silent wrong answer.  The prediction head follows the output rank:
+more interpreter of the model walks (``model.steps()``, see
+:mod:`repro.capsnet.walk`), the same walks the float forward runs on
+tensors and the range certifier and the lowering analyzer run on
+abstract values, so each model family is described once.  Every
+structural op consumes the next op of its layer's plan (a FIFO) — any
+drift between walk and plan is a hard error, not a silent wrong
+answer.  The prediction head follows the output rank:
 capsules ``(B, J, D)`` or logits ``(B, J)``.
 
 Stochastic rounding stays in lockstep with the float path: the float
@@ -52,7 +53,7 @@ from repro.analysis.lowering import (
     INT64_CARRIER,
     LoweringPlan,
 )
-from repro.analysis.qprove import CertificationError, _resolve_walker
+from repro.analysis.qprove import CertificationError, model_steps
 from repro.backend import int_kernels as k
 from repro.backend.base import InferenceBackend, check_int_gates
 from repro.quant.fixed_point import FixedPointFormat
@@ -84,7 +85,7 @@ class IntBackend(InferenceBackend):
         check_int_gates(artifact)
         self.artifact = artifact
         try:
-            self._walker = _resolve_walker(model)
+            self._steps = model_steps(model)
         except CertificationError as exc:
             raise _walk_error(f"backend 'int': {exc}") from None
         self.plan = LoweringPlan.from_dict(artifact.lowering_plan)
@@ -193,8 +194,8 @@ class _Codes:
 
 
 class _PlanWalk:
-    """One batch's walk of the plan: the shared model walkers of
-    :mod:`repro.analysis.qprove` interpreted on integer codes.
+    """One batch's walk of the plan: the shared model walk
+    (``model.steps()``) interpreted on integer codes.
 
     Each structural op consumes the next op of its layer's plan (a
     FIFO; any drift between walker and plan is a hard error) and runs
@@ -216,9 +217,10 @@ class _PlanWalk:
     def run(self, images: np.ndarray) -> np.ndarray:
         """Labels of one batch; the head follows the output rank
         (capsules ``(B, J, D)`` or logits ``(B, J)``)."""
-        out = self.backend._walker(
-            self.backend.model, self, self.input(images)
-        ).codes
+        x = self.input(images)
+        for _, _, fn in self.backend._steps:
+            x = fn(self, x)
+        out = x.codes
         if out.ndim == 3:
             return k.int_capsule_predictions(out)
         return k.int_logit_predictions(out)
@@ -305,7 +307,7 @@ class _PlanWalk:
         return self._hook(layer, f"routing:{array}", x)
 
     # ------------------------------------------------------------------
-    # Structural ops (the vocabulary of the qprove walkers)
+    # Structural ops (the walk vocabulary of repro.capsnet.walk)
     # ------------------------------------------------------------------
     def weight(self, layer: str, name: str, param) -> Optional[str]:
         """The key of a frozen weight tensor (its codes are fetched on

@@ -14,17 +14,9 @@ from typing import Dict, List
 import numpy as np
 
 from repro.analysis.arch_stats import ArchStats, LayerStats
-from repro.autograd.ops_nn import avg_pool2d, conv2d, relu
-from repro.autograd.tensor import Tensor, no_grad
+from repro.capsnet.walk import StagedModel, Step, activation_step
 from repro.nn.conv import Conv2d
 from repro.nn.layers import Linear
-from repro.nn.module import (
-    ForwardStage,
-    Module,
-    activation_stage,
-    run_forward_stages,
-)
-from repro.quant.qcontext import NULL_CONTEXT, QuantContext, RecordingContext
 
 
 def lenet5_stats() -> ArchStats:
@@ -53,7 +45,7 @@ def lenet5_stats() -> ArchStats:
     return stats
 
 
-class LeNet5(Module):
+class LeNet5(StagedModel):
     """Runnable LeNet-5 for 28×28 grayscale inputs (32×32 via padding).
 
     Forward returns logits ``(B, num_classes)``; use
@@ -63,6 +55,7 @@ class LeNet5(Module):
 
     quant_layers: List[str] = ["L1", "L2", "L3", "L4", "L5"]
     routing_layers: List[str] = []  # no dynamic routing to specialize
+    input_shape = (1, 28, 28)
 
     def __init__(self, num_classes: int = 10, seed: int = 0):
         super().__init__()
@@ -72,65 +65,35 @@ class LeNet5(Module):
         self.fc1 = Linear(16 * 5 * 5, 120, rng=rng)
         self.fc2 = Linear(120, 84, rng=rng)
         self.fc3 = Linear(84, num_classes, rng=rng)
-        # A compute and an activation-quantization step per layer, so
-        # the prefix-reuse engine serves the CNN baseline with the same
-        # machinery as the CapsNets.
-        steps: List[ForwardStage] = []
-        for name, compute in (
-            ("L1", self._stage_l1_compute),
-            ("L2", self._stage_l2_compute),
-            ("L3", self._stage_l3_compute),
-            ("L4", self._stage_l4_compute),
-            ("L5", self._stage_l5_compute),
-        ):
-            steps.append(ForwardStage(name, ("qw",), compute))
-            steps.append(activation_stage(name))
-        self._stage_list = steps
+        self._build_stages()
 
-    def forward(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
-        return run_forward_stages(self._stage_list, x, q)
+    def steps(self) -> List[Step]:
+        """The walk (:mod:`repro.capsnet.walk`): a compute and an
+        activation-quantization step per layer, so the prefix-reuse
+        engine serves the CNN baseline with the same machinery as the
+        CapsNets."""
+        steps: List[Step] = []
+        for name, conv in (("L1", self.conv1), ("L2", self.conv2)):
 
-    # ------------------------------------------------------------------
-    # Staged decomposition (consumed by repro.engine.staged)
-    # ------------------------------------------------------------------
-    def stages(self) -> List[ForwardStage]:
-        """Ordered stage decomposition of ``forward`` (see
-        :class:`~repro.nn.module.ForwardStage`), built once in
-        ``__init__``.  Folding the input through the stages **is** the
-        forward pass, so the decomposition cannot drift from the model.
-        """
-        return list(self._stage_list)
+            def conv_step(ctx, x, name=name, conv=conv):
+                weight = ctx.weight(name, "weight", conv.weight)
+                bias = ctx.weight(name, "bias", conv.bias)
+                x = ctx.relu(name, ctx.conv(name, weight, bias, x, conv))
+                return ctx.avgpool(name, x, 2)
 
-    def _stage_l1_compute(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
-        w1 = q.weight("L1", "weight", self.conv1.weight)
-        b1 = q.weight("L1", "bias", self.conv1.bias)
-        x = relu(conv2d(x, w1, b1, 1, self.conv1.padding))
-        return avg_pool2d(x, 2)
+            steps += [(name, "", conv_step), activation_step(name)]
+        for name, fc in (("L3", self.fc1), ("L4", self.fc2), ("L5", self.fc3)):
 
-    def _stage_l2_compute(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
-        w2 = q.weight("L2", "weight", self.conv2.weight)
-        b2 = q.weight("L2", "bias", self.conv2.bias)
-        x = relu(conv2d(x, w2, b2, 1, 0))
-        return avg_pool2d(x, 2)
+            def fc_step(ctx, x, name=name, fc=fc):
+                if name == "L3":
+                    x = ctx.layout(x, lambda a: a.reshape(a.shape[0], -1))
+                weight = ctx.weight(name, "weight", fc.weight)
+                bias = ctx.weight(name, "bias", fc.bias)
+                x = ctx.linear(name, weight, bias, x)
+                return x if name == "L5" else ctx.relu(name, x)
 
-    def _fc_compute(
-        self, name: str, layer: Linear, x: Tensor, q: QuantContext
-    ) -> Tensor:
-        weight = q.weight(name, "weight", layer.weight)
-        bias = q.weight(name, "bias", layer.bias)
-        x = x @ weight.swapaxes(-1, -2) + bias
-        if name != "L5":
-            x = relu(x)
-        return x
-
-    def _stage_l3_compute(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
-        return self._fc_compute("L3", self.fc1, x.flatten(1), q)
-
-    def _stage_l4_compute(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
-        return self._fc_compute("L4", self.fc2, x, q)
-
-    def _stage_l5_compute(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
-        return self._fc_compute("L5", self.fc3, x, q)
+            steps += [(name, "", fc_step), activation_step(name)]
+        return steps
 
     def layer_param_counts(self) -> Dict[str, int]:
         return {
@@ -140,14 +103,3 @@ class LeNet5(Module):
             "L4": self.fc2.weight.size + self.fc2.bias.size,
             "L5": self.fc3.weight.size + self.fc3.bias.size,
         }
-
-    def layer_activation_counts(self) -> Dict[str, int]:
-        recorder = RecordingContext(batch_size=1)
-        probe = Tensor(np.zeros((1, 1, 28, 28), dtype=np.float32))
-        was_training = self.training
-        self.eval()
-        with no_grad():
-            self.forward(probe, q=recorder)
-        if was_training:
-            self.train()
-        return dict(recorder.act_elements)

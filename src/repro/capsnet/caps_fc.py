@@ -13,8 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, grad_enabled
-from repro.capsnet.routing import dynamic_routing
+from repro.autograd.tensor import Tensor
+from repro.capsnet.routing import walk_routing
+from repro.capsnet.walk import FloatContext, capsule_votes
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.quant.qcontext import NULL_CONTEXT, QuantContext
@@ -62,58 +63,33 @@ class CapsFC(Module):
             init.normal((in_caps, out_caps, out_dim, in_dim), rng, std=0.2)
         )
 
+    #: Votes ``(B, I, J, D_out)`` of inputs ``u`` under ``weight``.
+    votes = staticmethod(capsule_votes)
+
     def forward(self, u: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
         """Compute votes and route them to output capsules."""
-        if u.shape[1] != self.in_caps or u.shape[2] != self.in_dim:
+        return self.walk(FloatContext(q), u)
+
+    def walk(self, ctx, u):
+        """The layer in any walk context (:mod:`repro.capsnet.walk`)."""
+        u = ctx.layout(u, self._check_input)
+        weight = ctx.weight(self.name, "weight", self.weight)
+        # Votes û_{j|i} = W_ij u_i: each output coordinate accumulates
+        # over in_dim, i.e. the rows of W flattened to (I·J·D_out, D_in).
+        votes = ctx.linear(self.name, weight, None, u, fan_in=self.in_dim)
+        return walk_routing(
+            ctx, self.name, votes, self.routing_iterations,
+            in_caps=self.in_caps, out_caps=self.out_caps,
+            out_dim=self.out_dim,
+        )
+
+    def _check_input(self, u):
+        if u.shape[1:] != (self.in_caps, self.in_dim):
             raise ValueError(
                 f"{self.name}: expected input capsules "
                 f"({self.in_caps}, {self.in_dim}), got {u.shape[1:]}"
             )
-        weight = q.weight(self.name, "weight", self.weight)
-        votes = self.votes(u, weight)
-        return dynamic_routing(
-            votes, iterations=self.routing_iterations, q=q, layer=self.name
-        )
-
-    def votes(self, u: Tensor, weight: Tensor) -> Tensor:
-        """Votes ``û_{j|i} = W_ij × u_i`` as ``(B, I, J, D_out)``.
-
-        One GEMM per input capsule: ``(I, B, D_in) @ (I, D_in, J·D_out)``
-        feeds every sample and every output capsule of capsule ``i``
-        through a single matrix product, instead of ``B·I·J`` separate
-        ``D_out × D_in`` matrix-vector products.  The products are
-        written through an ``(I, B, ·)`` view straight into a contiguous
-        ``(B, I, J, D_out)`` array, the layout the routing contractions
-        are fastest on, so no transposed copy is made.  Each vote is the
-        same ``D_in``-term dot product as before; on fixed-point grid
-        inputs every product and partial sum is exact in float32, so the
-        votes are bit-identical to the broadcast form, and on FP32 inputs
-        they match it to float32 roundoff.
-        """
-        batch = u.shape[0]
-        fan_out = self.out_caps * self.out_dim
-        u_t = u.data.transpose(1, 0, 2)  # (I, B, D_in)
-        w_t = weight.data.reshape(self.in_caps, fan_out, self.in_dim).transpose(
-            0, 2, 1
-        )  # (I, D_in, J·D_out)
-        out = np.empty(
-            (batch, self.in_caps, fan_out), dtype=np.result_type(u.data, w_t)
-        )
-        np.matmul(u_t, w_t, out=out.transpose(1, 0, 2))
-        out = out.reshape(batch, self.in_caps, self.out_caps, self.out_dim)
-        if not (grad_enabled() and (u.requires_grad or weight.requires_grad)):
-            return Tensor(out)
-
-        def backward_fn(grad: np.ndarray) -> None:
-            grad_t = grad.reshape(batch, self.in_caps, fan_out).transpose(1, 0, 2)
-            if weight.requires_grad or weight._backward_fn:
-                grad_w = np.matmul(u_t.transpose(0, 2, 1), grad_t)
-                weight._accumulate(grad_w.transpose(0, 2, 1).reshape(weight.shape))
-            if u.requires_grad or u._backward_fn:
-                grad_u = np.matmul(grad_t, w_t.transpose(0, 2, 1))
-                u._accumulate(grad_u.transpose(1, 0, 2))
-
-        return Tensor(out, True, (u, weight), backward_fn)
+        return u
 
     def vote_macs(self) -> int:
         """MACs for the vote computation of one sample (step 1 of Fig. 6)."""

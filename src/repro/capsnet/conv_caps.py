@@ -15,17 +15,27 @@ Two variants, following Rajasegaran et al. (CVPR 2019):
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.ops_nn import conv2d
 from repro.autograd.tensor import Tensor
-from repro.capsnet.routing import dynamic_routing
-from repro.capsnet.squash import squash
+from repro.capsnet.routing import walk_routing
+from repro.capsnet.walk import FloatContext
 from repro.nn.conv import Conv2d
 from repro.nn.module import Module
 from repro.quant.qcontext import NULL_CONTEXT, QuantContext
+
+
+def _check_capsules(layer, maps) -> None:
+    """Raise unless ``maps`` carry the layer's input capsule types and
+    dimension ``(B, types, dim, H, W)``."""
+    types, dim = maps.shape[1:3]
+    if (types, dim) != (layer.in_types, layer.in_dim):
+        raise ValueError(
+            f"{layer.name}/{layer.weight_tag}: expected capsules "
+            f"({layer.in_types}, {layer.in_dim}), got ({types}, {dim})"
+        )
 
 
 class ConvCaps2d(Module):
@@ -89,22 +99,30 @@ class ConvCaps2d(Module):
         self.conv.weight.data = self.conv.weight.data * np.float32(init_gain)
 
     def forward(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
-        batch, types, dim, height, width = x.shape
-        if types != self.in_types or dim != self.in_dim:
-            raise ValueError(
-                f"{self.name}/{self.weight_tag}: expected capsules "
-                f"({self.in_types}, {self.in_dim}), got ({types}, {dim})"
-            )
-        flat = x.reshape(batch, types * dim, height, width)
-        weight = q.weight(self.name, f"{self.weight_tag}.weight", self.conv.weight)
-        bias = q.weight(self.name, f"{self.weight_tag}.bias", self.conv.bias)
-        out = conv2d(flat, weight, bias, self.conv.stride, self.conv.padding)
-        _, _, out_h, out_w = out.shape
-        capsules = out.reshape(batch, self.out_types, self.out_dim, out_h, out_w)
-        activated = squash(capsules, axis=2)
+        return self.walk(FloatContext(q), x)
+
+    def walk(self, ctx, x):
+        """The layer in any walk context (:mod:`repro.capsnet.walk`)."""
+        weight = ctx.weight(
+            self.name, f"{self.weight_tag}.weight", self.conv.weight
+        )
+        bias = ctx.weight(self.name, f"{self.weight_tag}.bias", self.conv.bias)
+
+        def flatten(a):
+            # (B, types, dim, H, W) -> (B, types·dim, H, W)
+            _check_capsules(self, a)
+            return a.reshape(a.shape[0], -1, *a.shape[3:])
+
+        out = ctx.layout(
+            ctx.conv(self.name, weight, bias, ctx.layout(x, flatten), self.conv),
+            lambda a: a.reshape(
+                a.shape[0], self.out_types, self.out_dim, *a.shape[2:]
+            ),
+        )
+        out = ctx.squash(self.name, out, self.out_dim, 2)
         if self.quantize_output:
-            activated = q.act(self.name, activated)
-        return activated
+            out = ctx.act(self.name, out)
+        return out
 
     def output_shape(self, height: int, width: int) -> Tuple[int, int, int, int]:
         """(types, dim, H', W') for a given input spatial size."""
@@ -120,8 +138,7 @@ class ConvCaps3d(Module):
     types (the "3-D convolution" of DeepCaps).  Votes of shape
     ``(B, in_types, out_types, out_dim)`` are routed independently at
     every output location (softmax over the ``out_types`` axis), by
-    folding the spatial grid into the batch before calling
-    :func:`~repro.capsnet.routing.dynamic_routing`.
+    folding the spatial grid into the batch before routing.
     """
 
     def __init__(
@@ -160,31 +177,47 @@ class ConvCaps3d(Module):
         self.conv.weight.data = self.conv.weight.data * np.float32(init_gain)
 
     def forward(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
-        batch, types, dim, height, width = x.shape
-        if types != self.in_types or dim != self.in_dim:
-            raise ValueError(
-                f"{self.name}/{self.weight_tag}: expected capsules "
-                f"({self.in_types}, {self.in_dim}), got ({types}, {dim})"
+        return self.walk(FloatContext(q), x)
+
+    def walk(self, ctx, x):
+        """The layer in any walk context (:mod:`repro.capsnet.walk`)."""
+        weight = ctx.weight(
+            self.name, f"{self.weight_tag}.weight", self.conv.weight
+        )
+        in_types, out_types, out_dim = (
+            self.in_types, self.out_types, self.out_dim
+        )
+        grid: Dict[str, Any] = {}
+
+        def fold(a):
+            # The projection is shared across input types: fold them
+            # into the batch.
+            _check_capsules(self, a)
+            return a.reshape(-1, *a.shape[2:])
+
+        def to_votes(a):
+            # (B·I, J·D, H', W') -> (B·H'·W', I, J, D): route per location.
+            _, _, height, width = a.shape
+            grid.update(batch=a.shape[0] // in_types, hw=(height, width))
+            votes = a.reshape(-1, in_types, out_types, out_dim, height, width)
+            return votes.transpose(0, 4, 5, 1, 2, 3).reshape(
+                -1, in_types, out_types, out_dim
             )
-        weight = q.weight(self.name, f"{self.weight_tag}.weight", self.conv.weight)
-        # Shared projection: fold input types into the batch.
-        folded = x.reshape(batch * types, dim, height, width)
-        votes = conv2d(folded, weight, None, self.conv.stride, self.conv.padding)
-        _, _, out_h, out_w = votes.shape
-        # (B*I, J*D, H', W') -> (B, I, J, D, H', W') -> (B, H', W', I, J, D)
-        votes = votes.reshape(
-            batch, types, self.out_types, self.out_dim, out_h, out_w
+
+        def from_routed(a):
+            # (B·H'·W', J, D) -> (B, J, D, H', W').
+            routed = a.reshape(grid["batch"], *grid["hw"], out_types, out_dim)
+            return routed.transpose(0, 3, 4, 1, 2)
+
+        votes = ctx.layout(
+            ctx.conv(self.name, weight, None, ctx.layout(x, fold), self.conv),
+            to_votes,
         )
-        votes = votes.transpose(0, 4, 5, 1, 2, 3)
-        votes = votes.reshape(
-            batch * out_h * out_w, types, self.out_types, self.out_dim
+        routed = walk_routing(
+            ctx, self.name, votes, self.routing_iterations,
+            in_caps=in_types, out_caps=out_types, out_dim=out_dim,
         )
-        routed = dynamic_routing(
-            votes, iterations=self.routing_iterations, q=q, layer=self.name
-        )
-        # (B*H'*W', J, D) -> (B, J, D, H', W')
-        routed = routed.reshape(batch, out_h, out_w, self.out_types, self.out_dim)
-        return routed.transpose(0, 3, 4, 1, 2)
+        return ctx.layout(routed, from_routed)
 
     def output_shape(self, height: int, width: int) -> Tuple[int, int, int, int]:
         _, out_h, out_w = self.conv.output_shape(height, width)

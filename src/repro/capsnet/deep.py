@@ -22,20 +22,20 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.ops_nn import conv2d, relu
-from repro.autograd.tensor import Tensor, no_grad
+from repro.autograd.tensor import Tensor
 from repro.capsnet.caps_fc import CapsFC
 from repro.capsnet.conv_caps import ConvCaps2d, ConvCaps3d
-from repro.capsnet.squash import squash
+from repro.capsnet.walk import (
+    FloatContext,
+    StagedModel,
+    Step,
+    activation_step,
+    capsule_rows,
+)
 from repro.nn.conv import Conv2d
 from repro.nn.layers import BatchNorm2d
-from repro.nn.module import (
-    ForwardStage,
-    Module,
-    activation_stage,
-    run_forward_stages,
-)
-from repro.quant.qcontext import NULL_CONTEXT, QuantContext, RecordingContext
+from repro.nn.module import Module
+from repro.quant.qcontext import NULL_CONTEXT, QuantContext
 
 
 @dataclass(frozen=True)
@@ -107,20 +107,24 @@ class CapsCell(Module):
             )
 
     def forward(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
-        return q.act(self.name, self.compute(x, q))
+        ctx = FloatContext(q)
+        return ctx.act(self.name, self.walk(ctx, x))
 
-    def compute(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
-        """Everything up to (not including) the cell-output quantization.
+    def walk(self, ctx, x):
+        """Everything up to (not including) the cell-output hook, in any
+        walk context (:mod:`repro.capsnet.walk`).
 
         Depends on the cell's weights (and, with a routed skip, on its
         ``qa``/``qdr`` through the routing loop) but not on the final
         activation hook — the staged engine caches this boundary
         separately so activation-only probes skip the convolutions.
         """
-        trunk = self.conv1(x, q=q)
-        main = self.conv3(self.conv2(trunk, q=q), q=q)
-        lateral = self.skip(trunk, q=q)
-        return squash(main + lateral, axis=2)
+        trunk = self.conv1.walk(ctx, x)
+        main = self.conv3.walk(ctx, self.conv2.walk(ctx, trunk))
+        lateral = self.skip.walk(ctx, trunk)
+        return ctx.squash(
+            self.name, ctx.add(self.name, main, lateral), self.conv3.out_dim, 2
+        )
 
     def param_count(self) -> int:
         count = 0
@@ -131,7 +135,7 @@ class CapsCell(Module):
         return count
 
 
-class DeepCaps(Module):
+class DeepCaps(StagedModel):
     """DeepCaps model: Conv+BN → 4 capsule cells → class capsules."""
 
     #: Quantization-layer names, in order (x-axis of Fig. 12).
@@ -186,56 +190,39 @@ class DeepCaps(Module):
             name="L6",
             rng=rng,
         )
-        # Two steps per Fig. 12 layer — compute and activation
-        # quantization — so activation-only probes reuse the cached
-        # convolution outputs.  The last cell's compute step
-        # additionally consumes ``qa``/``qdr`` (its skip branch routes),
-        # as does the class-capsule step.
-        steps: List[ForwardStage] = [
-            ForwardStage("L1", ("qw",), self._stage_l1_compute),
-            # L1's act step also regroups channels into capsules, so it
-            # keeps a bespoke callable instead of activation_stage().
-            ForwardStage("L1", ("qa",), self._stage_l1_act, tag="act"),
-        ]
-        for cell in cells:
-            fields = ("qw", "qa", "qdr") if cell.routed_skip else ("qw",)
-            steps.append(ForwardStage(cell.name, fields, cell.compute))
-            steps.append(activation_stage(cell.name))
-        steps.append(ForwardStage("L6", ("qw", "qa", "qdr"), self._stage_l6))
-        self._stage_list = steps
+        self.input_shape = (cfg.input_channels, cfg.input_size, cfg.input_size)
+        self._build_stages()
 
-    def forward(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
-        return run_forward_stages(self._stage_list, x, q)
-
-    # ------------------------------------------------------------------
-    # Staged decomposition (consumed by repro.engine.staged)
-    # ------------------------------------------------------------------
-    def stages(self) -> List[ForwardStage]:
-        """Ordered stage decomposition of ``forward`` (see
-        :class:`~repro.nn.module.ForwardStage`), built once in
-        ``__init__``.  Folding the input through the stages **is** the
-        forward pass, so the decomposition cannot drift from the model.
-        """
-        return list(self._stage_list)
-
-    def _stage_l1_compute(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
-        weight = q.weight("L1", "weight", self.conv1.weight)
-        bias = q.weight("L1", "bias", self.conv1.bias)
-        features = conv2d(x, weight, bias, self.conv1.stride, self.conv1.padding)
-        return relu(self.bn1(features))
-
-    def _stage_l1_act(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
-        features = q.act("L1", x)
-        batch, channels, height, width = features.shape
+    def steps(self) -> List[Step]:
+        """The walk (:mod:`repro.capsnet.walk`), two steps per Fig. 12
+        layer — compute and activation quantization — so activation-only
+        probes reuse the cached convolution outputs.  The last cell's
+        compute step also consumes ``qa``/``qdr`` (its skip branch
+        routes), as does the class-capsule step."""
+        conv1, bn1 = self.conv1, self.bn1
         dim0 = self.config.cell_dims[0]
-        return features.reshape(batch, channels // dim0, dim0, height, width)
 
-    def _stage_l6(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
-        batch, types, dim, height, width = x.shape
-        flat = x.transpose(0, 1, 3, 4, 2).reshape(
-            batch, types * height * width, dim
-        )
-        return self.class_caps(flat, q=q)
+        def l1(ctx, x):
+            weight = ctx.weight("L1", "weight", conv1.weight)
+            bias = ctx.weight("L1", "bias", conv1.bias)
+            x = ctx.batchnorm("L1", ctx.conv("L1", weight, bias, x, conv1), bn1)
+            return ctx.relu("L1", x)
+
+        def l1_act(ctx, x):
+            # Quantize, then regroup the channels into capsules.
+            return ctx.layout(
+                ctx.act("L1", x),
+                lambda a: a.reshape(a.shape[0], -1, dim0, *a.shape[2:]),
+            )
+
+        def l6(ctx, x):
+            return self.class_caps.walk(ctx, ctx.layout(x, capsule_rows))
+
+        steps: List[Step] = [("L1", "", l1), ("L1", "act", l1_act)]
+        for cell in self._cells:
+            steps += [(cell.name, "", cell.walk), activation_step(cell.name)]
+        steps.append(("L6", "", l6))
+        return steps
 
     # ------------------------------------------------------------------
     # Introspection used by the framework and the memory accounting
@@ -247,26 +234,3 @@ class DeepCaps(Module):
             counts[cell.name] = cell.param_count()
         counts["L6"] = self.class_caps.weight.size
         return counts
-
-    def layer_activation_counts(self) -> Dict[str, int]:
-        """Activation elements per layer for one sample (A-mem accounting)."""
-        recorder = self.record_sizes()
-        return dict(recorder.act_elements)
-
-    def record_sizes(self) -> RecordingContext:
-        """Probe forward pass that records every hooked array size."""
-        cfg = self.config
-        recorder = RecordingContext(batch_size=1)
-        probe = Tensor(
-            np.zeros(
-                (1, cfg.input_channels, cfg.input_size, cfg.input_size),
-                dtype=np.float32,
-            )
-        )
-        was_training = self.training
-        self.eval()
-        with no_grad():
-            self.forward(probe, q=recorder)
-        if was_training:
-            self.train()
-        return recorder

@@ -15,9 +15,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.ops_nn import conv2d
 from repro.autograd.tensor import Tensor
-from repro.capsnet.squash import squash
+from repro.capsnet.walk import FloatContext, capsule_rows
 from repro.nn.conv import Conv2d
 from repro.nn.module import Module
 from repro.quant.qcontext import NULL_CONTEXT, QuantContext
@@ -64,23 +63,26 @@ class PrimaryCaps(Module):
 
     def forward(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
         """``(B, C, H, W)`` feature map → ``(B, num_caps, caps_dim)``."""
-        return q.act(self.name, self.compute(x, q))
+        ctx = FloatContext(q)
+        return ctx.act(self.name, self.walk(ctx, x))
 
-    def compute(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
-        """Everything up to (not including) the activation quantization.
+    def walk(self, ctx, x):
+        """Everything up to (not including) the activation hook, in any
+        walk context (:mod:`repro.capsnet.walk`).
 
         Depends on the layer's weights (``qw``) but not its ``qa``,
         which is why the staged engine caches this boundary separately.
         """
-        weight = q.weight(self.name, "weight", self.conv.weight)
-        bias = q.weight(self.name, "bias", self.conv.bias)
-        out = conv2d(x, weight, bias, self.conv.stride, self.conv.padding)
-        batch, _, height, width = out.shape
-        # (B, types*dim, H, W) -> (B, types, dim, H, W) -> (B, types, H, W, dim)
-        capsules = out.reshape(batch, self.caps_types, self.caps_dim, height, width)
-        capsules = capsules.transpose(0, 1, 3, 4, 2)
-        capsules = capsules.reshape(batch, self.caps_types * height * width, self.caps_dim)
-        return squash(capsules, axis=-1)
+        weight = ctx.weight(self.name, "weight", self.conv.weight)
+        bias = ctx.weight(self.name, "bias", self.conv.bias)
+        # (B, types·dim, H, W) -> (B, types, dim, H, W) -> (B, types·H·W, dim)
+        capsules = ctx.layout(
+            ctx.conv(self.name, weight, bias, x, self.conv),
+            lambda a: capsule_rows(a.reshape(
+                a.shape[0], self.caps_types, self.caps_dim, *a.shape[2:]
+            )),
+        )
+        return ctx.squash(self.name, capsules, self.caps_dim, -1)
 
     def output_caps(self, height: int, width: int) -> Tuple[int, int]:
         """(num_capsules, caps_dim) for a given input spatial size."""

@@ -28,19 +28,59 @@ hooks are a large share of its time.  Each hook is one :meth:`RoundingScheme.app
 rounds float32 arrays of formats up to 23 bits on a float32 carrier
 (see :mod:`repro.quant.rounding`), bit-identical to float64 rounding.
 Votes are expected as a contiguous ``(B, I, J, D)`` array (as
-:meth:`~repro.capsnet.caps_fc.CapsFC.votes` builds them); the
-``(B, J, I, D)`` view the contractions use is taken here, which keeps
-their matmuls faster than a strided layout handed in by the caller.
+:func:`~repro.capsnet.walk.capsule_votes` builds them); the float
+context takes the ``(B, J, I, D)`` view the contractions use once per
+routing walk, which keeps their matmuls faster than a strided layout
+handed in by the caller.
+
+:func:`walk_routing` is the one description of the algorithm: the float
+forward (:func:`dynamic_routing`), the range certifier, the lowering
+analyzer and the integer backend all run it, each in its own context
+(see :mod:`repro.capsnet.walk`).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.autograd.ops_nn import softmax
 from repro.autograd.tensor import Tensor
-from repro.capsnet.squash import squash
+from repro.capsnet.walk import FloatContext
 from repro.quant.qcontext import NULL_CONTEXT, QuantContext
+
+
+def walk_routing(
+    ctx,
+    layer: str,
+    votes,
+    iterations: int,
+    in_caps: int,
+    out_caps: int,
+    out_dim: int,
+):
+    """Route votes ``(B, I, J, D)`` to output capsules ``(B, J, D)``
+    (steps 2-7 above) in any walk context."""
+    if iterations < 1:
+        raise ValueError(f"routing needs at least 1 iteration, got {iterations}")
+    votes = ctx.act(layer, votes)
+    logits = ctx.zero_logits(layer, votes)
+    for iteration in range(iterations):
+        logits = ctx.routing(layer, "logits", logits)
+        coupling = ctx.routing(
+            layer, "coupling", ctx.softmax(layer, logits, out_caps)
+        )
+        preactivation = ctx.routing(
+            layer, "preactivation",
+            ctx.weighted_sum(layer, coupling, votes, in_caps),
+        )
+        activation = ctx.routing(
+            layer, "activation",
+            ctx.squash(layer, preactivation, out_dim, -1),
+        )
+        if iteration < iterations - 1:
+            agreement = ctx.routing(
+                layer, "agreement",
+                ctx.agreement(layer, votes, activation, out_dim),
+            )
+            logits = ctx.add(layer, logits, agreement)
+    return activation
 
 
 def dynamic_routing(
@@ -65,47 +105,14 @@ def dynamic_routing(
     layer:
         Layer name used for per-layer wordlength lookup.
     """
-    if iterations < 1:
-        raise ValueError(f"routing needs at least 1 iteration, got {iterations}")
     if votes.ndim != 4:
         raise ValueError(
             f"votes must be (batch, in_caps, out_caps, out_dim), got {votes.shape}"
         )
-
-    votes = q.act(layer, votes)
-    batch, in_caps, out_caps, _ = votes.shape
-    logits = Tensor(np.zeros((batch, in_caps, out_caps), dtype=np.float32))
-    # Both contractions below run as matmuls over a (B, J, I, D) view of
-    # the votes, so no (B, I, J, D) elementwise temporary is materialized
-    # per iteration (the former broadcast-multiply-then-sum built one for
-    # the preactivation and one for the agreement).  matmul accumulates
-    # the I / D sums in a different order than sum(), so outputs match
-    # the reference contraction to float32 roundoff (~1e-6 relative, see
-    # tests/test_capsnet_squash_routing.py) rather than bit-for-bit.
-    votes_t = votes.transpose(0, 2, 1, 3)
-
-    activation = None
-    for iteration in range(iterations):
-        logits = q.routing(layer, "logits", logits)
-        coupling = softmax(logits, axis=2)
-        coupling = q.routing(layer, "coupling", coupling)
-        # s_j = Σ_i c_ij · û_{j|i} — (B, J, 1, I) @ (B, J, I, D)
-        preactivation = (
-            coupling.transpose(0, 2, 1).expand_dims(2) @ votes_t
-        ).squeeze(2)
-        preactivation = q.routing(layer, "preactivation", preactivation)
-        activation = squash(preactivation, axis=-1)
-        activation = q.routing(layer, "activation", activation)
-        if iteration < iterations - 1:
-            # a_ij = v_j · û_{j|i} — (B, J, I, D) @ (B, J, D, 1)
-            agreement = (
-                (votes_t @ activation.expand_dims(-1))
-                .squeeze(-1)
-                .transpose(0, 2, 1)
-            )
-            agreement = q.routing(layer, "agreement", agreement)
-            logits = logits + agreement
-    return activation
+    _, in_caps, out_caps, out_dim = votes.shape
+    return walk_routing(
+        FloatContext(q), layer, votes, iterations, in_caps, out_caps, out_dim
+    )
 
 
 def routing_array_names() -> tuple:

@@ -19,18 +19,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.autograd.ops_nn import conv2d, relu
-from repro.autograd.tensor import Tensor, no_grad
 from repro.capsnet.caps_fc import CapsFC
 from repro.capsnet.primary import PrimaryCaps
+from repro.capsnet.walk import StagedModel, Step, activation_step
 from repro.nn.conv import Conv2d
-from repro.nn.module import (
-    ForwardStage,
-    Module,
-    activation_stage,
-    run_forward_stages,
-)
-from repro.quant.qcontext import NULL_CONTEXT, QuantContext, RecordingContext
 
 
 @dataclass(frozen=True)
@@ -55,7 +47,7 @@ class ShallowCapsConfig:
     seed: int = 0
 
 
-class ShallowCaps(Module):
+class ShallowCaps(StagedModel):
     """CapsNet: Conv(ReLU) → PrimaryCaps → DigitCaps (Fig. 5).
 
     ``forward`` returns the class capsules ``(B, num_classes,
@@ -96,43 +88,29 @@ class ShallowCaps(Module):
             name="L3",
             rng=rng,
         )
-        # Each layer is split at its compute/quantize boundary: the
-        # compute step depends only on the layer's weights, so an
-        # activation-bits-only probe reuses the cached compute output
-        # and re-runs just the hook.  The routed L3 consumes
-        # ``qa``/``qdr`` inside its loop and stays one step.
-        self._stage_list = [
-            ForwardStage("L1", ("qw",), self._stage_l1_compute),
-            activation_stage("L1"),
-            ForwardStage("L2", ("qw",), self._stage_l2_compute),
-            activation_stage("L2"),
-            ForwardStage("L3", ("qw", "qa", "qdr"), self._stage_l3),
+        self.input_shape = (cfg.input_channels, cfg.input_size, cfg.input_size)
+        self._build_stages()
+
+    def steps(self) -> List[Step]:
+        """The walk (:mod:`repro.capsnet.walk`), split at each layer's
+        compute/quantize boundary: the compute step depends only on the
+        layer's weights, so an activation-bits-only probe reuses the
+        cached compute output and re-runs just the hook.  The routed L3
+        consumes ``qa``/``qdr`` inside its loop and stays one step."""
+        conv1 = self.conv1
+
+        def l1(ctx, x):
+            weight = ctx.weight("L1", "weight", conv1.weight)
+            bias = ctx.weight("L1", "bias", conv1.bias)
+            return ctx.relu("L1", ctx.conv("L1", weight, bias, x, conv1))
+
+        return [
+            ("L1", "", l1),
+            activation_step("L1"),
+            ("L2", "", self.primary.walk),
+            activation_step("L2"),
+            ("L3", "", self.digit.walk),
         ]
-
-    def forward(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
-        return run_forward_stages(self._stage_list, x, q)
-
-    # ------------------------------------------------------------------
-    # Staged decomposition (consumed by repro.engine.staged)
-    # ------------------------------------------------------------------
-    def stages(self) -> List[ForwardStage]:
-        """Ordered stage decomposition of ``forward`` (see
-        :class:`~repro.nn.module.ForwardStage`), built once in
-        ``__init__``.  Folding the input through every stage **is** the
-        forward pass, so the decomposition cannot drift from the model.
-        """
-        return list(self._stage_list)
-
-    def _stage_l1_compute(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
-        weight = q.weight("L1", "weight", self.conv1.weight)
-        bias = q.weight("L1", "bias", self.conv1.bias)
-        return relu(conv2d(x, weight, bias, self.conv1.stride, self.conv1.padding))
-
-    def _stage_l2_compute(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
-        return self.primary.compute(x, q=q)
-
-    def _stage_l3(self, x: Tensor, q: QuantContext = NULL_CONTEXT) -> Tensor:
-        return self.digit(x, q=q)
 
     # ------------------------------------------------------------------
     # Introspection used by the framework and the memory accounting
@@ -144,26 +122,3 @@ class ShallowCaps(Module):
             "L2": self.primary.conv.weight.size + self.primary.conv.bias.size,
             "L3": self.digit.weight.size,
         }
-
-    def layer_activation_counts(self) -> Dict[str, int]:
-        """Activation elements per layer for one sample (A-mem accounting)."""
-        recorder = self.record_sizes()
-        return dict(recorder.act_elements)
-
-    def record_sizes(self) -> RecordingContext:
-        """Probe forward pass that records every hooked array size."""
-        cfg = self.config
-        recorder = RecordingContext(batch_size=1)
-        probe = Tensor(
-            np.zeros(
-                (1, cfg.input_channels, cfg.input_size, cfg.input_size),
-                dtype=np.float32,
-            )
-        )
-        was_training = self.training
-        self.eval()
-        with no_grad():
-            self.forward(probe, q=recorder)
-        if was_training:
-            self.train()
-        return recorder

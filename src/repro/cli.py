@@ -697,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser(
         "lint",
         help="quantization-aware static analysis "
-             "(stage deps, determinism, serve locking; exit 0 clean, "
+             "(determinism, integer flow, serve locking; exit 0 clean, "
              "1 on findings, 2 on usage errors)",
     )
     p_lint.add_argument(

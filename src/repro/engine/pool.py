@@ -9,8 +9,8 @@ long-lived executor processes** instead:
 
 * each worker is forked once (inheriting models, artifacts and caches
   copy-on-write) and then serves requests in a loop, so per-request
-  state — lazily bound models, dequantized weight caches, a process-
-  local prefix cache tier — stays **warm across requests**;
+  state — lazily bound models and dequantized weight caches — stays
+  **warm across requests**;
 * the parent talks to each worker over a private duplex pipe, with
   request/result payloads travelling through two pre-allocated
   :mod:`multiprocessing.shared_memory` buffers per worker (one copy in,

@@ -11,8 +11,8 @@ probes.  This module recomputes only from the change down:
   forward pass into :class:`~repro.nn.module.ForwardStage` steps; the
   fold over stages **is** the forward, so the decomposition cannot
   drift from the model.  Layers are split at their compute/quantize
-  boundary, each step declaring which config fields (``qw``/``qa``/
-  ``qdr``) it consumes — an activation-bits-only probe therefore reuses
+  boundary, each step recording which config fields (``qw``/``qa``/
+  ``qdr``) its hooks consume — an activation-bits-only probe therefore reuses
   the expensive compute outputs and re-runs only the quantization hook;
 * :func:`stage_fingerprints` captures everything a stage boundary
   activation depends on besides the input batch: the consumed config

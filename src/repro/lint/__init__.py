@@ -2,17 +2,19 @@
 
 Four analyzers, one CLI (``qcapsnets lint``), one CI gate:
 
-* :mod:`repro.lint.stagedeps` — QL001/QL002 stage-dependency checker;
 * :mod:`repro.lint.determinism` — QL010/QL011/QL012 determinism lint;
-* :mod:`repro.lint.concurrency` — QL020 serve concurrency audit;
+* :mod:`repro.lint.concurrency` — QL020/QL021/QL022 serve concurrency
+  audit;
+* :mod:`repro.lint.intflow` — QL044 integer-flow checker of the int
+  backend;
 * :mod:`repro.lint.sanitizer` — QL030/QL031 runtime fixed-point
   sanitizer (``QuantSpec(sanitize=True)`` / ``--sanitize``).
 
 The sanitizer half is imported eagerly — the quant kernels call
 :func:`active_sanitizer` on their hot path, so it must be a dependency
-leaf.  The analyzers are loaded lazily via ``__getattr__``: they import
-model code, which itself imports the quant kernels, and an eager import
-here would cycle.
+leaf.  The analyzers and the CLI runner are loaded lazily via
+``__getattr__``, so the kernels' import of the sanitizer does not load
+them.
 """
 
 from repro.lint.findings import RULES, Finding
@@ -32,12 +34,11 @@ __all__ = [
     "active_sanitizer",
     "concurrency",
     "determinism",
-    "stagedeps",
     "run_lint",
     "list_rules",
 ]
 
-_LAZY_MODULES = {"concurrency", "determinism", "stagedeps"}
+_LAZY_MODULES = {"concurrency", "determinism"}
 _LAZY_CLI = {"run_lint", "list_rules"}
 
 

@@ -1,9 +1,7 @@
 """Lint runner backing ``qcapsnets lint``.
 
 Expands the requested paths to Python files, runs the static analyzers
-(determinism, concurrency) over each, runs the stage-dependency checker
-over the model zoo when the target covers model code (or over the
-staged models defined in an explicitly named file), and optionally
+(determinism, integer flow, concurrency) over each, and optionally
 executes ``--runtime`` modules under a strict-origin
 :class:`~repro.lint.sanitizer.FixedPointSanitizer` to convert runtime
 overflow/NaN events into findings.
@@ -29,19 +27,9 @@ import os
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from repro.lint import concurrency, determinism, intflow, stagedeps
+from repro.lint import concurrency, determinism, intflow
 from repro.lint.findings import RULES, Finding
 from repro.lint.sanitizer import FixedPointSanitizer
-
-#: Directory path fragments whose files hold staged model definitions;
-#: seeing any of them triggers the model-zoo stage-dependency check.
-_MODEL_FRAGMENTS = (
-    os.path.join("repro", "capsnet"),
-    os.path.join("repro", "baselines"),
-)
-
-#: Fragment identifying the shipped source tree (zoo models cover it).
-_SRC_FRAGMENT = os.path.join("src", "repro")
 
 
 def _iter_python_files(paths: Sequence[str]) -> List[str]:
@@ -88,56 +76,6 @@ def _import_module_from_path(path: str) -> object:
         sys.modules.pop(name, None)
         raise
     return module
-
-
-def _staged_models_of_module(module: object) -> List[object]:
-    """Instantiate the no-arg staged model classes a module defines.
-
-    Used for explicitly named files outside the shipped tree (fixtures,
-    user models): every module-level class defined *in that module*
-    with a ``stages`` method and a no-argument constructor is checked.
-    """
-    models: List[object] = []
-    for name in dir(module):
-        value = getattr(module, name)
-        if not isinstance(value, type):
-            continue
-        if getattr(value, "__module__", None) != getattr(
-            module, "__name__", None
-        ):
-            continue
-        if not callable(getattr(value, "stages", None)):
-            continue
-        try:
-            models.append(value())
-        except TypeError:
-            continue  # needs constructor arguments: not checkable here
-    return models
-
-
-def _stage_findings(files: Sequence[str]) -> List[Finding]:
-    """Stage-dependency findings for the requested targets."""
-    findings: List[Finding] = []
-    shipped = [f for f in files if _SRC_FRAGMENT in os.path.normpath(f)]
-    if any(_MODEL_FRAGMENTS[0] in f or _MODEL_FRAGMENTS[1] in f
-           for f in shipped):
-        findings.extend(stagedeps.check_models(stagedeps.model_zoo()))
-    for path in files:
-        normalized = os.path.normpath(path)
-        if _SRC_FRAGMENT in normalized:
-            continue  # covered by the zoo, and not no-arg constructible
-        try:
-            module = _import_module_from_path(path)
-        except BaseException as error:  # fixture import errors are findings
-            findings.append(Finding(
-                "QL002", path, 0,
-                f"cannot import module for stage analysis: {error}",
-            ))
-            continue
-        findings.extend(
-            stagedeps.check_models(_staged_models_of_module(module))
-        )
-    return findings
 
 
 def _runtime_findings(runtime: Sequence[str]) -> List[Finding]:
@@ -235,7 +173,6 @@ def run_lint(
     # Lock ordering is likewise run-level: a cycle needs two files'
     # acquisition paths unioned before it becomes visible.
     findings.extend(concurrency.check_lock_order(edges, sources=sources))
-    findings.extend(_stage_findings(files))
     findings.extend(_runtime_findings(runtime))
 
     if selected:

@@ -19,10 +19,6 @@ from typing import Dict, List, Set
 
 #: Rule ids, their one-line meaning (also the ``lint --rules`` listing).
 RULES: Dict[str, str] = {
-    "QL001": "ForwardStage reads a config field missing from its "
-             "declared dependency fields (stale-cache hazard)",
-    "QL002": "ForwardStage forwards its quantization context through a "
-             "call the checker cannot resolve",
     "QL010": "unseeded RNG construction (non-reproducible stream)",
     "QL011": "draw from the module-level random/np.random global state",
     "QL012": "stochastic-rounding draw stream advanced outside "

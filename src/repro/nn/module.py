@@ -23,10 +23,10 @@ class ForwardStage:
 
     A staged model's forward pass is the fold of its input through an
     ordered list of these records; each holds the quantization ``layer``
-    it belongs to, the callable mapping the previous boundary activation
-    (plus a quantization context) to the next one, and the config
-    ``fields`` of that layer the step consumes — the dependency
-    declaration the prefix-reuse engine fingerprints:
+    it belongs to, the callable ``fn(x, q)`` mapping the previous
+    boundary activation (plus a quantization context) to the next one,
+    and the config ``fields`` of that layer the step consumes — the
+    dependencies the prefix-reuse engine fingerprints:
 
     * ``("qw",)`` — the compute step of a layer (weight hooks only);
     * ``("qa",)`` — a trailing activation-quantization step;
@@ -34,10 +34,13 @@ class ForwardStage:
       quantized with ``qa`` and the routing arrays with ``qdr`` inside
       the loop, so the whole step depends on all three).
 
-    Splitting layers at the compute/quantize boundary is what makes
-    activation-only probes cheap: a config that changes just ``qa`` of a
-    layer reuses the layer's cached compute output and re-runs only the
-    quantization hook.
+    The models build their stages from their walk
+    (:class:`repro.capsnet.walk.StagedModel`), which records ``fields``
+    from the hooks each step calls.  Splitting layers at the
+    compute/quantize boundary is what makes activation-only probes
+    cheap: a config that changes just ``qa`` of a layer reuses the
+    layer's cached compute output and re-runs only the quantization
+    hook.
     """
 
     layer: str
@@ -50,33 +53,6 @@ class ForwardStage:
     def name(self) -> str:
         """Unique stage identifier (``layer`` or ``layer:tag``)."""
         return f"{self.layer}:{self.tag}" if self.tag else self.layer
-
-
-def run_forward_stages(stages: List["ForwardStage"], x, q):
-    """Fold ``x`` through ``stages`` — *the* forward pass of a staged model.
-
-    Every staged model's ``forward`` delegates here, so the ``stages()``
-    decomposition the prefix-reuse engine consumes cannot drift from the
-    model's actual computation.
-    """
-    for stage in stages:
-        x = stage.fn(x, q)
-    return x
-
-
-def activation_stage(layer: str) -> ForwardStage:
-    """A trailing activation-quantization step for ``layer``.
-
-    Runs just the layer's ``q.act`` hook, so an activation-bits-only
-    probe reuses the cached compute output of the layer and re-runs only
-    this step.  Shared by every staged model (the closure is identical
-    across them — only the layer name differs).
-    """
-
-    def act(x, q):
-        return q.act(layer, x)
-
-    return ForwardStage(layer, ("qa",), act, tag="act")
 
 
 class Parameter(Tensor):

@@ -13,10 +13,10 @@ The contract of :mod:`repro.backend`:
   run on int64 and give the same labels;
 * inputs outside the plan's certified input domain (or non-finite) are
   refused, never silently quantized;
-* the int backend runs the certifier's model walkers against the plan
-  op by op: a plan missing an op or carrying an extra one is refused,
-  and a model type without a walker is named at certify, lower and
-  bind;
+* the int backend runs the models' shared walk (``steps()``) against
+  the plan op by op: a plan missing an op or carrying an extra one is
+  refused, and a model type without a walk is named at certify, lower
+  and bind;
 * correctness: LeNet-5 plans contain only exact ops, so int-backend
   labels are bit-identical to the float path for every sample and
   every rounding scheme.  Capsule plans contain certified
@@ -33,6 +33,7 @@ The contract of :mod:`repro.backend`:
 """
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ from repro.backend import (
     resolve_backend,
 )
 from repro.baselines import LeNet5
-from repro.capsnet import DeepCaps, presets
+from repro.capsnet import DeepCaps, ShallowCaps, presets
 from repro.cli import main, parse_tenant_spec
 from repro.data import synth_digits
 from repro.nn import Adam, Trainer
@@ -368,8 +369,8 @@ class TestIntegerPathTracer:
 
 
 # ----------------------------------------------------------------------
-# Walk/plan consistency: the int backend runs the certifier's model
-# walkers, consuming the plan op by op; any drift is a hard error
+# Walk/plan consistency: the int backend runs the models' shared walk,
+# consuming the plan op by op; any drift is a hard error
 # ----------------------------------------------------------------------
 class TestWalkConsistency:
     @pytest.mark.parametrize("family", ["lenet", "shallow", "deep"])
@@ -406,14 +407,42 @@ class TestWalkConsistency:
         class Mystery:
             quant_layers = lenet_model.quant_layers
 
+        message = (
+            "no model walker for model type Mystery; "
+            "supported: ShallowCaps, DeepCaps, LeNet5"
+        )
         artifact = lenet_ready["RTN"]
-        with pytest.raises(CertificationError, match="Mystery"):
+        with pytest.raises(CertificationError, match=message):
             certify_model(Mystery(), artifact.config, "RTN")
-        with pytest.raises(LoweringError, match="Mystery"):
+        with pytest.raises(LoweringError, match=message):
             lower_model(Mystery(), artifact.config, "RTN")
         quantized = artifact.bind(lenet_model).quantized
-        with pytest.raises(ArtifactError, match="Mystery"):
+        with pytest.raises(ArtifactError, match=message):
             IntBackend(artifact, Mystery(), quantized)
+        with pytest.raises(ArtifactError, match=message):
+            artifact.bind(Mystery(), backend="int")
+
+    def test_zero_routing_iterations_are_refused_by_every_interpreter(self):
+        """The iteration check lives in the one routing walk, so the
+        stage recorder, the float forward, the certifier and the
+        lowering analyzer all raise the same error."""
+        match = "routing needs at least 1 iteration, got 0"
+        with pytest.raises(ValueError, match=match):
+            ShallowCaps(replace(
+                presets.shallowcaps_tiny(), routing_iterations=0
+            ))
+        model = ShallowCaps(presets.shallowcaps_tiny())
+        model.digit.routing_iterations = 0
+        config = QuantizationConfig.uniform(
+            model.quant_layers, qw=6, qa=6, qdr=8
+        )
+        images = np.zeros((1, 1, 14, 14), dtype=np.float32)
+        with pytest.raises(ValueError, match=match):
+            model(Tensor(images))
+        with pytest.raises(ValueError, match=match):
+            certify_model(model, config, "RTN")
+        with pytest.raises(ValueError, match=match):
+            lower_model(model, config, "RTN")
 
 
 # ----------------------------------------------------------------------

@@ -261,3 +261,66 @@ class TestPresets:
     def test_small_presets_instantiate_quickly(self):
         ShallowCaps(presets.shallowcaps_small())
         DeepCaps(presets.deepcaps_small())
+
+
+class TestRecordedDependencies:
+    """Every zoo model's stage table ``(layer, tag, fields)``.
+
+    ``fields`` are the config fields a stage consumes, which the prefix
+    cache fingerprints; a missing one would let the cache serve a stale
+    boundary.  The tables below are a literal copy of the dependencies
+    the models declared by hand before the fields were recorded from the
+    hooks each step calls.
+    """
+
+    SHALLOW = [
+        ("L1", "", ("qw",)),
+        ("L1", "act", ("qa",)),
+        ("L2", "", ("qw",)),
+        ("L2", "act", ("qa",)),
+        ("L3", "", ("qw", "qa", "qdr")),
+    ]
+    DEEP = [
+        ("L1", "", ("qw",)),
+        ("L1", "act", ("qa",)),
+        ("B2", "", ("qw",)),
+        ("B2", "act", ("qa",)),
+        ("B3", "", ("qw",)),
+        ("B3", "act", ("qa",)),
+        ("B4", "", ("qw",)),
+        ("B4", "act", ("qa",)),
+        ("B5", "", ("qw", "qa", "qdr")),
+        ("B5", "act", ("qa",)),
+        ("L6", "", ("qw", "qa", "qdr")),
+    ]
+    LENET = [
+        ("L1", "", ("qw",)),
+        ("L1", "act", ("qa",)),
+        ("L2", "", ("qw",)),
+        ("L2", "act", ("qa",)),
+        ("L3", "", ("qw",)),
+        ("L3", "act", ("qa",)),
+        ("L4", "", ("qw",)),
+        ("L4", "act", ("qa",)),
+        ("L5", "", ("qw",)),
+        ("L5", "act", ("qa",)),
+    ]
+
+    @pytest.mark.parametrize("name, dataset, table", [
+        ("lenet5", "digits", "LENET"),
+        ("shallow-small", "digits", "SHALLOW"),
+        ("shallow-tiny", "digits", "SHALLOW"),
+        ("shallow-paper", "digits", "SHALLOW"),
+        ("deep-small", "digits", "DEEP"),
+        ("deep-paper", "cifar", "DEEP"),
+    ])
+    def test_zoo_stage_table(self, name, dataset, table):
+        from repro.api.session import build_model
+        from repro.baselines import LeNet5
+
+        model = LeNet5() if name == "lenet5" else build_model(name, dataset)
+        stages = [
+            (stage.layer, stage.tag, tuple(stage.fields))
+            for stage in model.stages()
+        ]
+        assert stages == getattr(self, table)

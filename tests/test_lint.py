@@ -4,23 +4,21 @@ The analyzer acceptance criteria:
 
 * every known-bad fixture yields exactly one finding naming its rule,
   file and a non-zero line; every known-good fixture yields zero;
-* the shipped tree is clean: ``qcapsnets lint src`` exits 0, and the
-  model zoo passes the stage-dependency checker;
+* the shipped tree is clean: ``qcapsnets lint src`` exits 0;
 * ``# qlint: disable=`` and ``# qlint: guarded-by()`` annotations are
   honored;
 * the analyzers catch the repo's actual historical bug classes
-  (undeclared stage reads, unseeded RNGs, unguarded counters) when
+  (unseeded RNGs, unguarded counters, floats in the int path) when
   they are reintroduced.
 """
 
 import ast
-import inspect
 import json
 import os
 
 import pytest
 
-from repro.lint import RULES, concurrency, determinism, intflow, stagedeps
+from repro.lint import RULES, concurrency, determinism, intflow
 from repro.lint.cli import run_lint
 from repro.lint.findings import (
     Finding,
@@ -48,7 +46,6 @@ def fixture(name):
 # ----------------------------------------------------------------------
 class TestFixtureMatrix:
     @pytest.mark.parametrize("name, rule", [
-        ("bad_stage_deps.py", "QL001"),
         ("bad_unseeded.py", "QL010"),
         ("bad_sr_escape.py", "QL012"),
         ("bad_unguarded.py", "QL020"),
@@ -69,7 +66,6 @@ class TestFixtureMatrix:
         assert int(line_part) > 0
 
     @pytest.mark.parametrize("name", [
-        "good_stage_deps.py",
         "good_guarded.py",
         "good_fork_child.py",
         "good_lock_order.py",
@@ -150,10 +146,6 @@ class TestRuleFilters:
 # Shipped tree is clean (the CI gate invariant)
 # ----------------------------------------------------------------------
 class TestShippedTree:
-    def test_model_zoo_stage_declarations_are_complete(self):
-        findings = stagedeps.check_models(stagedeps.model_zoo())
-        assert findings == []
-
     def test_serve_layer_is_lock_clean(self):
         serve_dir = os.path.join("src", "repro", "serve")
         findings = []
@@ -354,88 +346,6 @@ class TestIntFlow:
             f.line for f in intflow.check_source(unsuppressed, self.BACKEND)
         }
         assert raw == suppressed
-
-
-# ----------------------------------------------------------------------
-# Stage-dependency checker internals
-# ----------------------------------------------------------------------
-class TestStageDeps:
-    def test_required_fields_follow_q_forwarding(self):
-        from repro.api.session import build_model
-
-        model = build_model("shallow-small", "digits")
-        # L3 is the routed DigitCaps stage: weight + routed votes.
-        by_name = {stage.name: stage for stage in model.stages()}
-        required = stagedeps.required_fields(by_name["L3"].fn)
-        assert required == {"qw", "qa", "qdr"}
-
-    def test_activation_stage_requires_only_qa(self):
-        from repro.api.session import build_model
-
-        model = build_model("shallow-small", "digits")
-        act_stages = [s for s in model.stages() if s.tag == "act"]
-        assert act_stages
-        for stage in act_stages:
-            assert stagedeps.required_fields(stage.fn) == {"qa"}
-
-    def test_removed_declaration_is_detected(self):
-        """Reintroducing the historical bug class is caught."""
-        from repro.api.session import build_model
-        from repro.nn.module import ForwardStage
-
-        model = build_model("shallow-small", "digits")
-
-        class Stripped:
-            """The same model with every stage declaring only qw."""
-
-            def stages(self):
-                return [
-                    ForwardStage(s.layer, ("qw",), s.fn, s.tag)
-                    for s in model.stages()
-                ]
-
-        findings = stagedeps.check_model(Stripped())
-        assert findings  # the qa/qdr-consuming stages are all flagged
-        assert {f.rule for f in findings} == {"QL001"}
-
-    def test_deepcaps_skip_cell_declarations_audit(self):
-        """The DeepCaps routed skip cell needs qdr; plain cells do not."""
-        from repro.api.session import build_model
-
-        model = build_model("deep-small", "digits")
-        cell_stages = [
-            s for s in model.stages() if s.tag == "" and "L" in s.layer
-        ]
-        routed = [
-            s for s in cell_stages
-            if "qdr" in stagedeps.required_fields(s.fn)
-        ]
-        plain = [
-            s for s in cell_stages
-            if "qdr" not in stagedeps.required_fields(s.fn)
-        ]
-        assert routed and plain
-        for stage in routed:
-            assert "qdr" in stage.fields
-        for stage in plain:
-            # Over-declaration is allowed but the shipped tree is exact.
-            assert stagedeps.required_fields(stage.fn) <= set(stage.fields)
-
-    def test_decorated_stage_location_is_the_def_line(self):
-        # co_firstlineno points at the first decorator; findings must
-        # anchor on the ``def`` line instead.
-        def passthrough(fn):
-            return fn
-
-        @passthrough
-        def staged(x, q):
-            return x
-
-        lines, start = inspect.getsourcelines(staged)
-        path, line = stagedeps._stage_location(staged)
-        assert path.endswith("test_lint.py")
-        assert line > start  # past the decorator line
-        assert lines[line - start].lstrip().startswith("def staged")
 
 
 # ----------------------------------------------------------------------
@@ -892,11 +802,11 @@ class TestLockOrderCycles:
 # ----------------------------------------------------------------------
 class TestFindings:
     def test_format_names_path_line_rule(self):
-        finding = Finding("QL001", "a/b.py", 12, "boom")
-        assert finding.format() == "a/b.py:12: QL001 boom"
+        finding = Finding("QL010", "a/b.py", 12, "boom")
+        assert finding.format() == "a/b.py:12: QL010 boom"
 
     def test_rule_table_covers_every_emitted_rule(self):
-        for rule in ("QL001", "QL002", "QL010", "QL011", "QL012",
+        for rule in ("QL010", "QL011", "QL012",
                      "QL020", "QL021", "QL022", "QL030", "QL031",
                      "QL040", "QL041", "QL042", "QL043"):
             assert rule in RULES
