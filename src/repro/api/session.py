@@ -420,26 +420,12 @@ class Session:
         names = tuple(schemes) if schemes is not None else self.spec.schemes
         images, labels = self.test_data
         budget = self.budget_mbit()
-        branch_parallel = self.spec.workers > 1
 
         def make(name: str) -> QCapsNets:
-            if branch_parallel:
-                # Branch-level fan-out owns the worker pool: a forked
-                # branch is daemonic and cannot spawn batch workers of
-                # its own, so its evaluator runs batches sequentially
-                # (exactly what a sequential branch would compute).
-                evaluator = Evaluator.from_spec(
-                    self.spec.with_overrides(workers=1),
-                    self.model, images, labels,
-                    scheme=name, staged_executor=self.executor,
-                    scales=self._calibration_scales(),
-                )
-            else:
-                evaluator = self._evaluator(name)
             return QCapsNets.from_spec(
                 self.spec, self.model, images, labels,
                 memory_budget_mbit=budget,
-                evaluator=evaluator,
+                evaluator=self._evaluator(name),
             )
 
         return scheme_search(make, schemes=names, workers=self.spec.workers)

@@ -79,8 +79,12 @@ class QuantSpec:
     budgets_mbit:
         Optional budget grid for :meth:`~repro.api.session.Session.sweep`.
     workers:
-        Forked worker processes for parallel branches/batches
-        (bit-identical to sequential; see :mod:`repro.engine.parallel`).
+        Forked worker processes that fan out the independent Algorithm-1
+        branches of :meth:`~repro.api.session.Session.select` (one per
+        scheme) and :meth:`~repro.api.session.Session.sweep` (one per
+        budget); bit-identical to sequential, see
+        :mod:`repro.engine.parallel`.  A single ``quantize`` always runs
+        in-process.
     cache_bytes:
         Byte budget of the session's shared prefix-activation cache.
     seed:

@@ -28,9 +28,10 @@ derivation, cache sharing, worker fan-out) lives in the API layer.
 and test split from the artifact's embedded spec provenance, so the
 artifact file (plus the trained-weights file it names) is all you need.
 
-Every subcommand is deterministic given ``--seed`` — including under
-``--workers``: parallel branches/batches merge in a fixed order, so the
-reported models are bit-identical to a sequential run.
+Every subcommand is deterministic given ``--seed`` — including
+``select --workers``: the forked scheme branches merge in a fixed
+order, so the reported models are bit-identical to a sequential run.
+A single search (``quantize``) always runs in one process.
 """
 
 from __future__ import annotations
@@ -516,9 +517,6 @@ def _add_search_options(p) -> None:
     group.add_argument("--budget-divisor", type=float, default=None,
                        help="derive the budget as FP32 size / divisor "
                             "(default: 5)")
-    group.add_argument("--workers", type=int, default=None,
-                       help="forked workers for parallel branches/batches "
-                            "(bit-identical results; default: 1)")
     group.add_argument("--cache-bytes", type=int, default=None,
                        help="prefix-cache byte budget per search "
                             "process (default: 256 MiB)")
@@ -556,6 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_options(p_select)
     _add_search_options(p_select)
+    p_select.add_argument("--workers", type=int, default=None,
+                          help="forked workers running the scheme branches "
+                               "in parallel (bit-identical results; "
+                               "default: 1)")
     p_select.add_argument("--schemes", nargs="+", default=None,
                           choices=SCHEME_CHOICES,
                           help="rounding-scheme library "

@@ -31,17 +31,15 @@ stage-level work avoided by prefix reuse.
 
 :mod:`repro.engine.parallel` adds the process-level dimension: a
 deterministic :class:`~repro.engine.parallel.ForkPool` fans independent
-Algorithm-1 branches (one per rounding scheme or memory budget) and —
-for the deterministic schemes — independent evaluation batches across
+Algorithm-1 branches (one per rounding scheme or memory budget) across
 forked workers with copy-on-write access to the parent's weights, test
 split and warm caches, merging results by task order so every outcome
-is bit-identical to the sequential run.
+is bit-identical to the sequential run.  Within one branch the batches
+run in-process, in dataset order.
 """
 
 from repro.engine.parallel import (
     ForkPool,
-    batch_parallel_safe,
-    default_workers,
     drain_stats,
     fork_available,
     run_branches,
@@ -72,9 +70,7 @@ __all__ = [
     "StreamingEvaluator",
     "WorkerCrash",
     "WorkerError",
-    "batch_parallel_safe",
     "config_signature",
-    "default_workers",
     "drain_stats",
     "floor_oracle",
     "floor_threshold",

@@ -1,19 +1,16 @@
-"""Parallel probe execution for the quantization search.
+"""Parallel branch execution for the quantization search.
 
 The paper runs the Sec. III-B rounding-scheme library search as
 parallel branches of Algorithm 1 — "the framework runs Algorithm 1 once
 per rounding scheme" — and the branches are embarrassingly parallel:
 each owns its evaluator, its quantized-weight caches and (for
 stochastic rounding) a private RNG stream, so no branch can observe
-another.  The same holds one level down: the budget grid of
-:func:`~repro.framework.pareto.sweep_memory_budgets` is a set of
-independent Algorithm-1 runs, and within one branch the evaluation
-*batches* of an :class:`~repro.engine.plan.InferencePlan` are
-independent under the deterministic rounding schemes (TRN/RTN/RTNE
-quantize each batch as a pure function of the config — no cross-batch
-state).
+another.  The budget grid of
+:func:`~repro.framework.pareto.sweep_memory_budgets` is likewise a set
+of independent Algorithm-1 runs.  One search, by contrast, runs its
+evaluation batches in-process and in dataset order.
 
-This module fans those independent units across **forked** worker
+This module fans those independent branches across **forked** worker
 processes:
 
 * :class:`ForkPool` — a minimal deterministic process pool.  Workers
@@ -22,28 +19,12 @@ processes:
   scales and any warm prefix cache — as copy-on-write memory, with no
   serialization of inputs.  Only results cross the process boundary.
   The parent executes the first task shard itself while the children
-  run: its core never idles, and its cache writes (unlike a child's)
-  outlive the call, so cross-config prefix reuse keeps accruing for
-  the parent's share of the work.  Results are merged **by task
+  run, so its core never idles.  Results are merged **by task
   index**, so the output order (and therefore everything derived from
   it) is independent of worker scheduling;
 * :func:`run_branches` — named branch fan-out (one branch per rounding
   scheme or memory budget), merged back into a dict preserving the
-  caller's branch order;
-* :func:`shard_batch_counts` — per-batch correct-prediction counts of
-  one configuration over a contiguous shard range, computed with a
-  private snapshot context in each worker.  Summing integer counts is
-  order-independent, which makes the parallel accuracy *bit-identical*
-  to the sequential one;
-* :func:`speculative_chunks` — the chunking used by parallel
-  ``meets_floor``: evaluate the next ``workers`` batches concurrently,
-  merge counts in dataset order, re-check the early-exit thresholds.
-  Speculation wastes at most ``workers - 1`` batches per verdict.
-
-Stochastic rounding is excluded from *batch-level* parallelism: its
-draws are consumed in strict dataset order, so batch ``k`` depends on
-the stream position left by batch ``k-1``.  Branch-level parallelism is
-unaffected — each SR branch owns a whole private stream.
+  caller's branch order.
 
 Determinism
 -----------
@@ -59,17 +40,11 @@ task, the pool degrades to an inline loop — same results, no processes.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import queue as queue_module
 import traceback
 from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
 
 import numpy as np
-
-from repro.autograd.tensor import Tensor, no_grad
-from repro.engine.plan import InferencePlan
-from repro.quant.config import QuantizationConfig
-from repro.quant.rounding import StochasticRounding
 
 T = TypeVar("T")
 
@@ -97,9 +72,8 @@ def fork_available() -> bool:
 
     Daemonic processes (our own pool workers) may not spawn children,
     so a branch that is itself running inside a fork pool reports False
-    and any nested fan-out degrades to inline execution instead of
-    crashing — e.g. a ``select(workers=N)`` branch whose evaluator was
-    configured for batch-level workers.
+    and any nested fan-out (say, a ``select`` called from inside a
+    forked branch) degrades to inline execution instead of crashing.
     """
     try:
         if multiprocessing.current_process().daemon:
@@ -107,11 +81,6 @@ def fork_available() -> bool:
         return "fork" in multiprocessing.get_all_start_methods()
     except Exception:  # pragma: no cover - exotic platforms
         return False
-
-
-def default_workers() -> int:
-    """A sensible ``--workers`` default: the machine's CPU count."""
-    return os.cpu_count() or 1
 
 
 def _shards(num_items: int, workers: int) -> List[List[int]]:
@@ -183,11 +152,9 @@ class ForkPool:
 
         # The parent runs the first shard itself (below, while the
         # children work): its core would otherwise idle in the drain
-        # loop, one fewer process is forked, and — crucially for the
-        # staged engine — whatever the parent-shard tasks store in
-        # caches *persists* across map() calls, whereas child caches
-        # die with the child.  Cross-config prefix reuse therefore
-        # keeps working for the parent's share of the batches.
+        # loop, one fewer process is forked, and whatever the
+        # parent-shard tasks store in caches *persists* across map()
+        # calls, whereas child caches die with the child.
         parent_shard, *child_shards = _shards(num_items, self.workers)
 
         context = multiprocessing.get_context("fork")
@@ -201,20 +168,22 @@ class ForkPool:
         for process in processes:
             process.start()
 
-        received: Dict[int, Tuple[bool, object]] = {}
+        received: Dict[int, object] = {}
         failures: Dict[int, str] = {}
+        shard_of = {index: shard for shard in child_shards for index in shard}
+        # Child-task results the drain still waits for.
+        pending = set(shard_of)
         try:
             for index in parent_shard:
                 # Exception, not BaseException: a KeyboardInterrupt in
                 # the parent must abort immediately (the finally joins
                 # the children), not be reported as a task failure.
                 try:
-                    received[index] = (True, fn(index))
+                    received[index] = fn(index)
                 except Exception:
                     failures[index] = traceback.format_exc()
-                    received[index] = (False, failures[index])
                     break  # mirror a failed worker: abandon the shard
-            while len(received) < num_items:
+            while pending:
                 try:
                     index, ok, payload = results_queue.get(
                         timeout=_LIVENESS_TIMEOUT_S
@@ -223,25 +192,26 @@ class ForkPool:
                     # Liveness check only on timeout: the blocking get
                     # already returned every result the children sent.
                     _drain_stats["timeouts"] += 1
-                    dead = [p for p in processes if not p.is_alive()]
-                    if len(dead) == len(processes) and results_queue.empty():
-                        missing = sorted(
-                            set(range(num_items)) - set(received)
-                        )
+                    alive = any(p.is_alive() for p in processes)
+                    if not alive and results_queue.empty():
                         if failures:
                             break  # a reported failure explains the gap
                         raise RuntimeError(
                             f"parallel workers died without reporting "
-                            f"results for tasks {missing}"
+                            f"results for tasks {sorted(pending)}"
                         )
                     continue
                 _drain_stats["results"] += 1
-                received[index] = (ok, payload)
-                if not ok:
+                pending.discard(index)
+                if ok:
+                    received[index] = payload
+                else:
                     failures[index] = str(payload)
-                    # A failed shard stops its worker; the others drain.
-                    if len(failures) >= len(processes):
-                        break
+                    # A failed task stops its worker: the rest of its
+                    # shard never arrives, so stop waiting for it.
+                    pending.difference_update(
+                        later for later in shard_of[index] if later > index
+                    )
         finally:
             for process in processes:
                 process.join(timeout=5)
@@ -257,8 +227,7 @@ class ForkPool:
             )
         self.forked_tasks += num_items - len(parent_shard)
         self.parent_tasks += len(parent_shard)
-        return [received[index][1] for index in range(num_items)]
-
+        return [received[index] for index in range(num_items)]
 
 def run_branches(
     branches: Sequence[Tuple[str, Callable[[], T]]], workers: int = 1
@@ -279,116 +248,9 @@ def run_branches(
     return dict(zip(names, results))
 
 
-# ----------------------------------------------------------------------
-# Batch-level parallelism (deterministic schemes)
-# ----------------------------------------------------------------------
-def batch_parallel_safe(scheme) -> bool:
-    """Whether per-batch fan-out preserves exactness for ``scheme``.
-
-    Deterministic schemes quantize every batch as a pure function of
-    the configuration; stochastic rounding threads one RNG stream
-    through the batches in dataset order, so its batches must stay
-    sequential (branch-level parallelism still applies).
-    """
-    return not isinstance(scheme, StochasticRounding)
-
-
-def _batch_counts(engine, config: QuantizationConfig,
-                  batch_indices: Sequence[int], context=None) -> List[int]:
-    """Correct-prediction counts of ``config`` on the given batches.
-
-    Without ``context``, a private snapshot :class:`InferencePlan`
-    context is built, so the caller's plan state is untouched; runs
-    inside the engine's staged executor when it has one.  In the
-    parent's shard of a :class:`ForkPool` call the cache writes persist
-    across configs (cross-config prefix reuse); a forked child
-    additionally inherits whatever the parent's cache held at fork time
-    copy-on-write.
-    """
-    if context is None:
-        context = InferencePlan(
-            config, engine.scheme, seed=engine.seed, scales=engine.scales
-        ).context
-    counts = []
-    with no_grad():
-        for index in batch_indices:
-            start = index * engine.batch_size
-            stop = min(start + engine.batch_size, engine.total)
-            batch = Tensor(engine.images[start:stop])
-            if engine.executor is not None:
-                outputs = engine.executor.run(
-                    index, batch, context, split=engine.split_token
-                )
-            else:
-                outputs = engine.model(batch, q=context)
-            predictions = engine.predict_fn(outputs)
-            counts.append(
-                int((predictions == engine.labels[start:stop]).sum())
-            )
-    return counts
-
-
-def shard_batch_counts(
-    engine, config: QuantizationConfig, batch_indices: Sequence[int],
-    workers: int, parent_context=None,
-) -> List[int]:
-    """Per-batch correct counts over ``batch_indices``, fanned out in
-    contiguous shards across ``workers`` forked processes.
-
-    Requires a deterministic scheme (:func:`batch_parallel_safe`): each
-    count is then a pure function of (batch, config), so the merged
-    list — and any accuracy derived from it — is bit-identical to a
-    sequential evaluation.
-
-    ``parent_context`` (optional) is used for the first shard — the one
-    :class:`ForkPool` runs in the parent process.  Passing the calling
-    plan's own context lets its quantized-weight cache persist across
-    the speculative chunks of one ``meets_floor`` probe, so the parent
-    quantizes weights once per probe instead of once per chunk (a
-    forked child's context dies with the child either way).
-    """
-    if not batch_parallel_safe(engine.scheme):
-        raise ValueError(
-            "batch-level parallelism requires a deterministic rounding "
-            "scheme; stochastic rounding consumes its stream in batch order"
-        )
-    indices = list(batch_indices)
-    shards = _shards(len(indices), max(1, workers))
-    shard_results = ForkPool(workers).map(
-        lambda shard_index: _batch_counts(
-            engine, config, [indices[i] for i in shards[shard_index]],
-            context=parent_context if shard_index == 0 else None,
-        ),
-        len(shards),
-    )
-    merged: List[int] = []
-    for result in shard_results:
-        merged.extend(result)
-    return merged
-
-
-def speculative_chunks(num_pending: int, workers: int) -> List[int]:
-    """Chunk lengths for speculative early-exit evaluation.
-
-    ``meets_floor`` re-checks its thresholds after every chunk (it
-    tracks the position itself via its plan), so a chunk length of
-    ``workers`` bounds wasted speculation to ``workers - 1`` batches
-    beyond what a sequential early exit would have run.
-    """
-    chunk = max(1, workers)
-    return [
-        min(chunk, num_pending - offset)
-        for offset in range(0, num_pending, chunk)
-    ]
-
-
 __all__ = [
     "ForkPool",
-    "batch_parallel_safe",
-    "default_workers",
     "drain_stats",
     "fork_available",
     "run_branches",
-    "shard_batch_counts",
-    "speculative_chunks",
 ]

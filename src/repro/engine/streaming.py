@@ -36,12 +36,6 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.autograd.tensor import Tensor, no_grad
-from repro.engine.parallel import (
-    batch_parallel_safe,
-    fork_available,
-    shard_batch_counts,
-    speculative_chunks,
-)
 from repro.engine.plan import InferencePlan, config_signature
 from repro.engine.staged import DEFAULT_PREFIX_CACHE_BYTES, StagedExecutor
 from repro.nn.module import Module
@@ -152,8 +146,6 @@ class StreamingEvaluator:
         Seed for per-plan stochastic-rounding streams.
     scales:
         Calibrated pre-scaling factors passed to every plan.
-    predict_fn:
-        Maps model outputs to predicted labels.
     max_plans:
         Bound on retained plans (an *incomplete* plan holds
         pre-quantized weights; completed plans release them).  The
@@ -189,7 +181,6 @@ class StreamingEvaluator:
         batch_size: int = 128,
         seed: int = 0,
         scales: Optional[Dict[str, float]] = None,
-        predict_fn: Callable[[Tensor], np.ndarray] = default_predictions,
         max_plans: int = 16,
         use_prefix_cache: bool = True,
         prefix_cache_bytes: int = DEFAULT_PREFIX_CACHE_BYTES,
@@ -211,7 +202,6 @@ class StreamingEvaluator:
         self.batch_size = batch_size
         self.seed = seed
         self.scales = scales
-        self.predict_fn = predict_fn
         self.max_plans = max_plans
         self.total = int(labels.shape[0])
         if self.total == 0:
@@ -317,7 +307,7 @@ class StreamingEvaluator:
                 )
             else:
                 outputs = self.model(batch, q=plan.context)
-            predictions = self.predict_fn(outputs)
+            predictions = default_predictions(outputs)
         correct = int((predictions == self.labels[start:stop]).sum())
         plan.record_batch(correct, stop - start)
         self.batches_evaluated += 1
@@ -352,70 +342,20 @@ class StreamingEvaluator:
         plan = self._plans.get(config_signature(config))
         return plan.final_accuracy if plan is not None else None
 
-    def _can_fan_out(self, workers: int) -> bool:
-        """Whether per-batch fan-out is applicable for this evaluator.
-
-        Requires a forkable platform: without one the pool degrades to
-        an inline loop, and the speculative chunking of ``meets_floor``
-        would waste batches for zero parallelism.
-        """
-        return (
-            workers > 1
-            and batch_parallel_safe(self.scheme)
-            and fork_available()
-        )
-
-    def _absorb_counts(self, plan: InferencePlan, counts) -> None:
-        """Account worker-computed per-batch correct counts, in dataset
-        order, exactly as sequential :meth:`_advance` calls would."""
-        for correct in counts:
-            start = plan.next_batch * self.batch_size
-            stop = min(start + self.batch_size, self.total)
-            plan.record_batch(int(correct), stop - start)
-            self.batches_evaluated += 1
-        if plan.next_batch == self.num_batches:
-            plan.final_accuracy = 100.0 * plan.correct / self.total
-            plan.release_weights()
-            self.full_runs += 1
-
-    def accuracy(self, config: QuantizationConfig, workers: int = 1) -> float:
-        """Exact full-split accuracy (%), resuming any partial progress.
-
-        ``workers > 1`` fans the remaining batches across forked worker
-        processes for the deterministic schemes (stochastic rounding
-        always runs sequentially — its draws are consumed in dataset
-        order).  Each batch's correct count is a pure function of
-        (batch, config), so the summed accuracy is bit-identical to a
-        sequential evaluation.
-        """
+    def accuracy(self, config: QuantizationConfig) -> float:
+        """Exact full-split accuracy (%), resuming any partial progress."""
         plan = self.plan_for(config)
         with self._inference_mode():
-            if self._can_fan_out(workers) and plan.next_batch < self.num_batches:
-                pending = range(plan.next_batch, self.num_batches)
-                counts = shard_batch_counts(
-                    self, config, pending, workers,
-                    parent_context=plan.context,
-                )
-                self._absorb_counts(plan, counts)
             while plan.next_batch < self.num_batches:
                 self._advance(plan)
         return plan.final_accuracy
 
-    def meets_floor(
-        self, config: QuantizationConfig, floor: float, workers: int = 1
-    ) -> bool:
+    def meets_floor(self, config: QuantizationConfig, floor: float) -> bool:
         """Exactly ``accuracy(config) >= floor``, with early exit.
 
         Runs batches only until the verdict is decided: ``True`` as soon
         as the accumulated correct count guarantees the floor, ``False``
         as soon as the remaining samples cannot reach it.
-
-        ``workers > 1`` evaluates the pending batches speculatively in
-        chunks of ``workers`` (deterministic schemes only), re-checking
-        the thresholds after each chunk — the verdict is identical to
-        the sequential one, and the plan absorbs exactly the chunks
-        consumed, so at most ``workers - 1`` batches are speculated past
-        the sequential exit point.
         """
         plan = self.plan_for(config)
         threshold = floor_threshold(floor, self.total)
@@ -428,17 +368,6 @@ class StreamingEvaluator:
             return None
 
         with self._inference_mode():
-            if self._can_fan_out(workers):
-                pending = self.num_batches - plan.next_batch
-                for length in speculative_chunks(pending, workers):
-                    if verdict() is not None:
-                        break
-                    chunk = range(plan.next_batch, plan.next_batch + length)
-                    counts = shard_batch_counts(
-                        self, config, chunk, workers,
-                        parent_context=plan.context,
-                    )
-                    self._absorb_counts(plan, counts)
             while verdict() is None:
                 self._advance(plan)
         decided = verdict()

@@ -58,15 +58,14 @@ class Evaluator:
         the early-exit granularity).
     seed:
         Seed restored before each evaluation (stochastic rounding).
-    calibration_images:
-        Inputs used to calibrate per-array power-of-two pre-scaling
-        (defaults to a prefix of the test images); see
-        :mod:`repro.quant.calibrate`.
     scales:
         Precomputed calibration scales — skips the calibration forward
-        pass entirely.  Calibration is scheme-independent, so sibling
-        per-scheme evaluators over one model/split (a session, a scheme
-        sweep) can share one dict instead of each re-measuring it.
+        pass entirely (by default the test images calibrate the
+        per-array power-of-two pre-scaling; see
+        :mod:`repro.quant.calibrate`).  Calibration is scheme-independent,
+        so sibling per-scheme evaluators over one model/split (a session,
+        a scheme sweep) can share one dict instead of each re-measuring
+        it.
     use_engine:
         Route queries through the batched inference engine (default).
         ``False`` evaluates every query over the full split — same
@@ -84,11 +83,6 @@ class Evaluator:
         its prefix cache with sibling evaluators over the same model
         (the per-scheme frameworks of the selection sweep, a budget
         grid).  Results are bit-identical with or without sharing.
-    workers:
-        Fan independent evaluation batches across this many forked
-        worker processes for the deterministic rounding schemes
-        (stochastic rounding always evaluates sequentially; results are
-        bit-identical either way).  ``1`` (default) stays in-process.
     """
 
     def __init__(
@@ -99,23 +93,18 @@ class Evaluator:
         scheme: RoundingScheme,
         batch_size: int = 128,
         seed: int = 0,
-        calibration_images: Optional[np.ndarray] = None,
         use_engine: bool = True,
         use_prefix_cache: bool = True,
         prefix_cache_bytes: int = DEFAULT_PREFIX_CACHE_BYTES,
         staged_executor=None,
-        workers: int = 1,
         scales: Optional[Dict[str, float]] = None,
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.model = model
         self.images = images
         self.labels = labels
         self.scheme = scheme
         self.batch_size = batch_size
         self.seed = seed
-        self.workers = workers
         #: Full-split quantized evaluations performed (cache misses).
         self.eval_count = 0
         #: Floor verdicts served (cache hits included).
@@ -123,13 +112,9 @@ class Evaluator:
         self._cache: Dict[Tuple, float] = {}
         self._fp32_accuracy: Optional[float] = None
         self._naive_batches = 0
-        if scales is not None:
-            self.scales = scales
-        else:
-            source = (
-                calibration_images if calibration_images is not None else images
-            )
-            self.scales = calibrate_scales(model, source, batch_size=batch_size)
+        if scales is None:
+            scales = calibrate_scales(model, images, batch_size=batch_size)
+        self.scales = scales
         self.engine: Optional[StreamingEvaluator] = (
             StreamingEvaluator(
                 model,
@@ -139,7 +124,6 @@ class Evaluator:
                 batch_size=batch_size,
                 seed=seed,
                 scales=self.scales,
-                predict_fn=default_predictions,
                 use_prefix_cache=use_prefix_cache,
                 prefix_cache_bytes=prefix_cache_bytes,
                 executor=staged_executor,
@@ -161,7 +145,7 @@ class Evaluator:
     ) -> "Evaluator":
         """Construct from a declarative :class:`repro.api.QuantSpec`.
 
-        ``spec`` supplies ``batch_size``, ``seed``, ``workers`` and the
+        ``spec`` supplies ``batch_size``, ``seed`` and the
         prefix-cache byte budget (``cache_bytes``); ``scheme`` defaults
         to the spec's first scheme and may be a name or an instance.
         ``staged_executor`` injects a session-shared prefix cache and
@@ -180,7 +164,6 @@ class Evaluator:
             seed=spec.seed,
             prefix_cache_bytes=spec.cache_bytes,
             staged_executor=staged_executor,
-            workers=spec.workers,
             scales=scales,
         )
 
@@ -236,9 +219,7 @@ class Evaluator:
         if self._fp32_accuracy is None:
             null_config = self._null_config()
             if self.engine is not None and null_config is not None:
-                self._fp32_accuracy = self.engine.accuracy(
-                    null_config, workers=self.workers
-                )
+                self._fp32_accuracy = self.engine.accuracy(null_config)
             else:
                 self._fp32_accuracy = evaluate_accuracy(
                     self.model,
@@ -259,7 +240,7 @@ class Evaluator:
         if cached is not None:
             return cached
         if self.engine is not None:
-            value = self.engine.accuracy(config, workers=self.workers)
+            value = self.engine.accuracy(config)
         else:
             context = self.quant_context(config)
             value = evaluate_accuracy(
@@ -289,7 +270,7 @@ class Evaluator:
         if cached is not None:
             return cached >= floor
         if self.engine is not None:
-            verdict = self.engine.meets_floor(config, floor, workers=self.workers)
+            verdict = self.engine.meets_floor(config, floor)
             # A verdict near the floor can consume the whole split;
             # keep the exact accuracy that fell out rather than
             # recomputing it after the plan is evicted.

@@ -119,11 +119,10 @@ class QCapsNets:
         branches of :func:`~repro.framework.selection.scheme_search` or a
         budget grid) — see :mod:`repro.engine.staged` for the
         sharing semantics.  Ignored when ``evaluator`` is given.
-    workers:
-        Fan independent evaluation batches of this run across forked
-        worker processes (deterministic schemes only; bit-identical
-        results — see :mod:`repro.engine.parallel`).  Ignored when
-        ``evaluator`` is given.
+
+    One run evaluates its batches in-process, in dataset order; only
+    independent runs (the scheme branches of ``scheme_search``, a budget
+    grid) fan out across processes — see :mod:`repro.engine.parallel`.
     """
 
     @classmethod
@@ -151,7 +150,7 @@ class QCapsNets:
 
         ``spec`` may be any object carrying the spec's search fields
         (``tolerance``, ``schemes``, ``budget_mbit``, ``batch_size``,
-        ``seed``, ``q_init``, ``min_bits``, ``workers``); per-branch
+        ``seed``, ``q_init``, ``min_bits``); per-branch
         overrides (``scheme``, ``memory_budget_mbit``) and shared
         resources (``evaluator``, ``staged_executor``) are passed
         explicitly by the caller — typically
@@ -180,7 +179,6 @@ class QCapsNets:
             accuracy_fp32=accuracy_fp32,
             evaluator=evaluator,
             staged_executor=staged_executor,
-            workers=spec.workers,
         )
         return self
 
@@ -202,7 +200,6 @@ class QCapsNets:
         use_engine: bool = True,
         use_prefix_cache: bool = True,
         staged_executor=None,
-        workers: int = 1,
     ):
         if accuracy_tolerance < 0:
             raise ValueError(
@@ -233,7 +230,7 @@ class QCapsNets:
                 model, test_images, test_labels, scheme,
                 batch_size=batch_size, seed=seed, use_engine=use_engine,
                 use_prefix_cache=use_prefix_cache,
-                staged_executor=staged_executor, workers=workers,
+                staged_executor=staged_executor,
             )
         self.param_counts = model.layer_param_counts()
         self.act_counts = model.layer_activation_counts()

@@ -27,6 +27,7 @@ from repro.api import (
     Session,
     SpecError,
 )
+from repro.engine import ForkPool
 from repro.framework import QCapsNets, QCapsNetsResult
 from repro.quant import (
     QuantizationConfig,
@@ -346,6 +347,36 @@ class TestSession:
             other = parallel.per_scheme[name]
             for label, model in result.models().items():
                 assert other.models()[label].accuracy == model.accuracy
+
+    def test_quantize_never_forks(
+        self, monkeypatch, tiny_spec, trained_tiny, tiny_data
+    ):
+        """One search runs its batches in-process, in dataset order,
+        whatever ``spec.workers`` says: only ``select``/``sweep``
+        branches fan out across processes."""
+        _, test = tiny_data
+        data = (test.images[:128], test.labels[:128])
+
+        def refuse_fork(pool, fn, num_items):
+            raise AssertionError("a single search forked workers")
+
+        monkeypatch.setattr(ForkPool, "map", refuse_fork)
+
+        def run(workers):
+            spec = tiny_spec.with_overrides(
+                schemes=("RTN",), batch_size=32, workers=workers
+            )
+            return Session(spec, model=trained_tiny, test_data=data).quantize()
+
+        # batch_size < split size: the search evaluates several batches.
+        reference, result = run(1), run(3)
+        assert result.summary() == reference.summary()
+        assert result.batches_evaluated == reference.batches_evaluated > 4
+        assert result.phase_stats == reference.phase_stats
+        for label, model in reference.models().items():
+            other = result.models()[label]
+            assert other.accuracy == model.accuracy
+            assert other.config.to_dict() == model.config.to_dict()
 
     def test_sweep_requires_a_grid(self, session):
         with pytest.raises(SpecError, match="budget grid"):

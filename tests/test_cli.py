@@ -35,10 +35,12 @@ class TestParser:
             )
 
     def test_quantize_workers_flag(self):
-        args = build_parser().parse_args(
-            ["quantize", "--weights", "w.npz", "--workers", "3"]
-        )
-        assert resolve_spec(args).workers == 3
+        """One search never forks, so ``quantize`` has no ``--workers``
+        (``select`` keeps it for its scheme branches)."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["quantize", "--weights", "w.npz", "--workers", "3"]
+            )
         default = build_parser().parse_args(["quantize", "--weights", "w.npz"])
         assert resolve_spec(default).workers == 1
 
@@ -62,15 +64,16 @@ class TestParser:
 
     def test_shared_search_options_land_in_both(self):
         """The factored option group keeps quantize and select in sync."""
-        for command in ("quantize", "select"):
+        for command, extra in (("quantize", []),
+                               ("select", ["--workers", "2"])):
             args = build_parser().parse_args([
                 command, "--weights", "w.npz", "--tolerance", "0.05",
-                "--budget-mbit", "0.25", "--workers", "2",
+                "--budget-mbit", "0.25", *extra,
             ])
             spec = resolve_spec(args)
             assert spec.tolerance == 0.05
             assert spec.budget_mbit == 0.25
-            assert spec.workers == 2
+            assert spec.workers == (2 if extra else 1)
             assert spec.weights == "w.npz"
 
     def test_spec_file_with_flag_overrides(self, tmp_path):

@@ -1,29 +1,29 @@
-"""Tests for the parallel probe executor and shared prefix cache.
+"""Tests for the parallel branch executor and shared prefix cache.
 
 Two contracts are pinned here:
 
 * **Determinism** — the parallel scheme sweep (workers 1/2/3) produces
   a :class:`SelectionOutcome` bit-identical to the sequential path for
   all four rounding schemes, SR included: path, winner, per-scheme
-  model configs and accuracies.  Likewise parallel batch fan-out inside
-  one evaluator, and the parallel budget sweep.
+  model configs and accuracies.  Likewise the parallel budget sweep.
 * **Isolation** — sharing one staged executor across evaluators never
   leaks between SR streams (different seeds / schemes), while the
   legitimately shareable state (scheme-free FP32 prefixes, equal
   deterministic configs across seeds) is actually shared.
 """
 
+import time
+
 import pytest
 
 from repro.engine import (
     ForkPool,
     StagedExecutor,
-    batch_parallel_safe,
     config_signature,
     fork_available,
     run_branches,
 )
-from repro.engine.parallel import _shards, speculative_chunks
+from repro.engine.parallel import _shards
 from repro.framework import (
     Evaluator,
     QCapsNets,
@@ -103,9 +103,8 @@ class TestForkPool:
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_parent_runs_first_shard_in_process(self):
         """The first shard executes in the parent (its side effects are
-        visible afterwards); the rest runs in children (theirs are not).
-        This is what keeps the staged-engine cache warming up across
-        map() calls under batch fan-out."""
+        visible afterwards); the rest runs in children (theirs are not),
+        so caches the parent's branches warm outlive the map() call."""
         seen = []
         pool = ForkPool(2)
         result = pool.map(lambda i: seen.append(i) or i, 6)
@@ -134,10 +133,34 @@ class TestForkPool:
             assert all(shard for shard in shards)
             assert len(shards) <= workers
 
-    def test_speculative_chunks_bound_waste(self):
-        assert speculative_chunks(8, 3) == [3, 3, 2]
-        assert speculative_chunks(2, 5) == [2]
-        assert speculative_chunks(0, 3) == []
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    @pytest.mark.parametrize("workers, failing", [
+        (3, {4}),     # middle of a child shard ([3, 4, 5])
+        (3, {4, 6}),  # two child shards fail; the lowest is reported
+        (2, {1}),     # parent shard ([0, 1, 2, 3])
+        (3, {1}),     # parent shard ([0, 1, 2])
+    ])
+    def test_failed_task_raises_without_liveness_wait(
+        self, monkeypatch, workers, failing
+    ):
+        """A failed task abandons the rest of its shard; the drain must
+        stop waiting for those results instead of sitting out the
+        liveness timeout."""
+        monkeypatch.setattr(
+            "repro.engine.parallel._LIVENESS_TIMEOUT_S", 30.0
+        )
+
+        def task(index):
+            if index in failing:
+                raise ZeroDivisionError(f"task {index}")
+            return index
+
+        start = time.monotonic()
+        with pytest.raises(RuntimeError) as error:
+            ForkPool(workers).map(task, 9)
+        assert time.monotonic() - start < 10.0
+        assert f"parallel task {min(failing)} failed" in str(error.value)
+        assert "ZeroDivisionError" in str(error.value)
 
 
 class TestRunBranches:
@@ -151,53 +174,6 @@ class TestRunBranches:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             run_branches([("x", lambda: 1), ("x", lambda: 2)], workers=1)
-
-
-# ----------------------------------------------------------------------
-# Batch-level parallelism inside one evaluator
-# ----------------------------------------------------------------------
-class TestParallelBatches:
-    @pytest.mark.parametrize("scheme", ["TRN", "RTN", "RTNE"])
-    def test_parallel_accuracy_bit_identical(
-        self, trained_tiny, tiny_data, scheme
-    ):
-        _, test = tiny_data
-        sequential = _evaluator(trained_tiny, test, scheme)
-        parallel = _evaluator(trained_tiny, test, scheme, workers=3)
-        for bits in (3, 6):
-            config = _uniform(bits)
-            assert parallel.accuracy(config) == sequential.accuracy(config)
-        assert parallel.batches_evaluated == sequential.batches_evaluated
-        # The parent ran its shard in-process, so its prefix cache keeps
-        # warming up across configs even under fan-out.
-        assert len(parallel.staged_executor.cache) > 0
-
-    def test_parallel_meets_floor_verdicts_identical(
-        self, trained_tiny, tiny_data
-    ):
-        _, test = tiny_data
-        sequential = _evaluator(trained_tiny, test, "RTN")
-        parallel = _evaluator(trained_tiny, test, "RTN", workers=2)
-        config = _uniform(6)
-        exact = sequential.accuracy(config)
-        for floor in (5.0, exact - 0.5, exact + 0.5, 99.0):
-            assert parallel.meets_floor(config, floor) == (exact >= floor)
-
-    def test_sr_falls_back_to_sequential(self, trained_tiny, tiny_data):
-        """Stochastic rounding must not fan batches out — its stream is
-        consumed in dataset order — but still give exact results with
-        workers requested."""
-        _, test = tiny_data
-        parallel = _evaluator(trained_tiny, test, "SR", workers=3)
-        reference = _evaluator(trained_tiny, test, "SR")
-        config = _uniform(5)
-        assert not batch_parallel_safe(parallel.scheme)
-        assert parallel.accuracy(config) == reference.accuracy(config)
-
-    def test_workers_validated(self, trained_tiny, tiny_data):
-        _, test = tiny_data
-        with pytest.raises(ValueError):
-            _evaluator(trained_tiny, test, "RTN", workers=0)
 
 
 # ----------------------------------------------------------------------
