@@ -413,13 +413,24 @@ class Session:
         """Sec. III-B library search across the spec's schemes.
 
         Every branch shares the session executor, so scheme-free (FP32)
-        prefixes — notably the whole baseline pass — are computed once
-        across the library, including work already cached by earlier
-        ``quantize()`` / ``sweep()`` calls in this session.
+        prefixes are computed once across the library, including work
+        already cached by earlier ``quantize()`` / ``sweep()`` calls in
+        this session.  The FP32 baseline is measured before the branches
+        run (once, and resumed from the executor by every other
+        scheme's evaluator), so each branch's ``batches_evaluated``
+        counts only its own search, with or without ``spec.workers``.
         """
         names = tuple(schemes) if schemes is not None else self.spec.schemes
         images, labels = self.test_data
         budget = self.budget_mbit()
+        # The calibration scales and the FP32 pass are shared state
+        # every branch needs: measure them in every branch's evaluator
+        # before any branch runs (later evaluators resume the pass from
+        # the shared executor), so forked branches inherit them instead
+        # of redoing them, and no branch counts the baseline pass among
+        # its search batches, whatever the worker count.
+        for name in names:
+            self._evaluator(name).accuracy_fp32()
 
         def make(name: str) -> QCapsNets:
             return QCapsNets.from_spec(

@@ -1,9 +1,20 @@
 """Neural-network operations: convolution, activations, softmax, norms.
 
-The convolution is implemented with an explicit im2col lowering so that
-the inner loop is a single large matrix multiplication — the only way to
-get acceptable throughput from a pure-NumPy engine.  The same lowering
-(patch extraction into columns) is what the paper's hardware accelerator
+A convolution is lowered so that its inner loop is one large matrix
+multiplication — the only way to get acceptable throughput from a
+pure-NumPy engine.  The lowering is shared with the integer backend
+(:func:`repro.backend.int_kernels.int_conv2d`), which runs it on its
+GEMM carriers:
+
+* one pass casts, transposes and zero-pads the input into NHWC;
+* one strided copy builds the ``(B·oh·ow, kh·kw·C)`` patch rows;
+* one GEMM multiplies them by the ``(kh·kw·C, F)`` weight rows;
+* one pass writes the C-contiguous NCHW output (adding the bias).
+
+Convolutions whose patch rows would copy runs of only a few pixels
+(the C = 1 first convs, :func:`channels_last`) keep the NCHW im2col
+columns instead.  Either way each output is one ``kh·kw·C``-term dot
+product, the patch extraction the paper's hardware accelerator
 reference (CapsAcc, DATE 2019) performs in its systolic array, so MAC
 counts derived from this code path match the analytical model in
 :mod:`repro.hw`.
@@ -12,7 +23,7 @@ counts derived from this code path match the analytical model in
 from __future__ import annotations
 
 import numbers
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -28,8 +39,17 @@ def as_pair(value: IntPair, name: str = "value") -> Tuple[int, int]:
     2-sequence of them; anything else raises ``ValueError`` naming the
     offending parameter.  Shared by the op-level and module-level
     (:class:`repro.nn.conv.Conv2d`) normalization so the two cannot
-    drift.
+    drift.  An already-normalized pair of plain ints (what every layer
+    stores) returns as it is, without the checks.
     """
+    if (
+        type(value) is tuple
+        and len(value) == 2
+        and type(value[0]) is int
+        and type(value[1]) is int
+    ):
+        return value
+
     def integral(v) -> bool:
         # bool is Integral but a True/False kernel size or stride is a
         # misplaced flag, not a dimension.
@@ -50,13 +70,9 @@ def as_pair(value: IntPair, name: str = "value") -> Tuple[int, int]:
     return (int(pair[0]), int(pair[1]))
 
 
-def conv_output_shape(
-    height: int, width: int, kernel: IntPair, stride: IntPair = 1, padding: IntPair = 0
+def _output_hw(
+    height: int, width: int, kh: int, kw: int, sh: int, sw: int, ph: int, pw: int
 ) -> Tuple[int, int]:
-    """Spatial output shape of a 2-D convolution (floor semantics)."""
-    kh, kw = as_pair(kernel)
-    sh, sw = as_pair(stride)
-    ph, pw = as_pair(padding)
     out_h = (height + 2 * ph - kh) // sh + 1
     out_w = (width + 2 * pw - kw) // sw + 1
     if out_h <= 0 or out_w <= 0:
@@ -67,43 +83,172 @@ def conv_output_shape(
     return out_h, out_w
 
 
-def im2col(
-    x: np.ndarray, kernel: IntPair, stride: IntPair = 1, padding: IntPair = 0
-) -> np.ndarray:
-    """Lower image patches to columns.
+def conv_output_shape(
+    height: int, width: int, kernel: IntPair, stride: IntPair = 1, padding: IntPair = 0
+) -> Tuple[int, int]:
+    """Spatial output shape of a 2-D convolution (floor semantics)."""
+    return _output_hw(
+        height, width, *as_pair(kernel), *as_pair(stride), *as_pair(padding)
+    )
 
-    Parameters
-    ----------
-    x:
-        Input of shape ``(B, C, H, W)``.
 
-    Returns
-    -------
-    Array of shape ``(B, C * kh * kw, out_h * out_w)``.
-    """
+#: Fewest input elements (``kw · C``) one patch-row copy moves as a
+#: contiguous run for which channels-last rows beat NCHW columns.  Below
+#: it (the C = 1 first convs) the rows' runs are a few pixels long and
+#: the columns, whose runs are whole output rows, are faster.
+_MIN_ROW_RUN = 16
+
+
+def channels_last(kernel_width: int, channels: int) -> bool:
+    """Whether a convolution over ``channels`` input channels lowers to
+    channels-last patch rows (else to NCHW columns)."""
+    return kernel_width * channels >= _MIN_ROW_RUN
+
+
+class ConvGeometry(NamedTuple):
+    """Shape of one 2-D convolution, computed once per call."""
+
+    batch: int
+    channels: int
+    height: int
+    width: int
+    kh: int
+    kw: int
+    sh: int
+    sw: int
+    ph: int
+    pw: int
+    out_h: int
+    out_w: int
+    #: Patches as channels-last rows ``(B·oh·ow, kh·kw·C)`` (else NCHW
+    #: columns ``(B, C·kh·kw, oh·ow)``); :func:`channels_last`.
+    channels_last: bool
+
+
+def conv_geometry(
+    input_shape: Tuple[int, int, int, int],
+    kernel: IntPair,
+    stride: IntPair = 1,
+    padding: IntPair = 0,
+    rows: Optional[bool] = None,
+) -> ConvGeometry:
+    """The :class:`ConvGeometry` of a convolution over ``(B, C, H, W)``
+    input; ``rows`` forces a patch layout (default: the shape rule
+    :func:`channels_last`)."""
+    batch, channels, height, width = input_shape
     kh, kw = as_pair(kernel)
     sh, sw = as_pair(stride)
     ph, pw = as_pair(padding)
-    batch, channels, height, width = x.shape
-    out_h, out_w = conv_output_shape(height, width, (kh, kw), (sh, sw), (ph, pw))
-
-    if ph or pw:
-        padded = np.zeros(
-            (batch, channels, height + 2 * ph, width + 2 * pw), dtype=x.dtype
-        )
-        padded[:, :, ph : ph + height, pw : pw + width] = x
-        x = padded
-    # One strided view (B, C, kh, kw, out_h, out_w) over the input and
-    # one copy of it.  The copy is explicit: a reshape of the view may
-    # itself be a (read-only) view of x, e.g. for 1x1 kernels.
-    shape = (batch, channels, kh, kw, out_h, out_w)
-    s_b, s_c, s_h, s_w = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x, shape, (s_b, s_c, s_h, s_w, s_h * sh, s_w * sw), writeable=False
+    out_h, out_w = _output_hw(height, width, kh, kw, sh, sw, ph, pw)
+    if rows is None:
+        rows = channels_last(kw, channels)
+    return ConvGeometry(
+        batch, channels, height, width, kh, kw, sh, sw, ph, pw,
+        out_h, out_w, rows,
     )
-    cols = np.empty(shape, dtype=x.dtype)
-    cols[...] = windows
-    return cols.reshape(batch, channels * kh * kw, out_h * out_w)
+
+
+def conv_weight_matrix(weight: np.ndarray) -> np.ndarray:
+    """``(F, C, kh, kw)`` filters as the GEMM operand of their patches:
+    ``(kh·kw·C, F)`` weight rows for channels-last patch rows, else the
+    ``(F, C·kh·kw)`` matrix of NCHW columns.  The layout follows the
+    filter shape (:func:`channels_last`), as the geometry's does."""
+    filters, channels, _, kw = weight.shape
+    if channels_last(kw, channels):
+        return weight.transpose(2, 3, 1, 0).reshape(-1, filters)
+    return weight.reshape(filters, -1)
+
+
+def conv_patches(
+    x: np.ndarray, geom: ConvGeometry, dtype: Optional[np.dtype] = None
+) -> np.ndarray:
+    """Patch matrix of ``x`` (``(B, C, H, W)``, any strides) as ``dtype``.
+
+    Channels-last: one pass casts, transposes and zero-pads ``x`` into
+    NHWC, and one strided copy builds the ``(B·oh·ow, kh·kw·C)`` patch
+    rows, whose row-major ``(kh, kw, C)`` order matches
+    :func:`conv_weight_matrix`.  Otherwise the ``(B, C·kh·kw, oh·ow)``
+    im2col columns, built the same way in NCHW order.
+    """
+    g = geom
+    dtype = x.dtype if dtype is None else dtype
+    height, width = g.height + 2 * g.ph, g.width + 2 * g.pw
+    if g.channels_last:
+        source = x.transpose(0, 2, 3, 1)
+        shape = (g.batch, height, width, g.channels)
+        interior = np.s_[:, g.ph : g.ph + g.height, g.pw : g.pw + g.width, :]
+    else:
+        source = x
+        shape = (g.batch, g.channels, height, width)
+        interior = np.s_[:, :, g.ph : g.ph + g.height, g.pw : g.pw + g.width]
+    if g.ph or g.pw:
+        padded = np.zeros(shape, dtype=dtype)
+        padded[interior] = source
+    elif g.channels_last or x.dtype != dtype:
+        padded = np.empty(shape, dtype=dtype)
+        padded[...] = source
+    else:
+        padded = x
+    # One strided view over the padded input and one copy of it.  The
+    # copy is explicit: a reshape of the view may itself be a
+    # (read-only) view of the input, e.g. for 1x1 kernels.
+    if g.channels_last:
+        s_b, s_h, s_w, s_c = padded.strides
+        window = (g.batch, g.out_h, g.out_w, g.kh, g.kw, g.channels)
+        steps = (s_b, s_h * g.sh, s_w * g.sw, s_h, s_w, s_c)
+        matrix = (g.batch * g.out_h * g.out_w, -1)
+    else:
+        s_b, s_c, s_h, s_w = padded.strides
+        window = (g.batch, g.channels, g.kh, g.kw, g.out_h, g.out_w)
+        steps = (s_b, s_c, s_h, s_w, s_h * g.sh, s_w * g.sw)
+        matrix = (g.batch, -1, g.out_h * g.out_w)
+    patches = np.empty(window, dtype=dtype)
+    patches[...] = np.lib.stride_tricks.as_strided(
+        padded, window, steps, writeable=False
+    )
+    return patches.reshape(matrix)
+
+
+def conv_scatter(patches: np.ndarray, geom: ConvGeometry) -> np.ndarray:
+    """Adjoint of :func:`conv_patches`: sum patch entries back into a
+    ``(B, C, H, W)`` image (a view for channels-last rows)."""
+    g = geom
+    height, width = g.height + 2 * g.ph, g.width + 2 * g.pw
+    if g.channels_last:
+        padded = np.zeros(
+            (g.batch, height, width, g.channels), dtype=patches.dtype
+        )
+        patches = patches.reshape(
+            g.batch, g.out_h, g.out_w, g.kh, g.kw, g.channels
+        )
+    else:
+        padded = np.zeros(
+            (g.batch, g.channels, height, width), dtype=patches.dtype
+        )
+        patches = patches.reshape(
+            g.batch, g.channels, g.kh, g.kw, g.out_h, g.out_w
+        )
+    for i in range(g.kh):
+        rows = slice(i, i + g.sh * g.out_h, g.sh)
+        for j in range(g.kw):
+            cols = slice(j, j + g.sw * g.out_w, g.sw)
+            if g.channels_last:
+                padded[:, rows, cols, :] += patches[:, :, :, i, j, :]
+            else:
+                padded[:, :, rows, cols] += patches[:, :, i, j, :, :]
+    if g.channels_last:
+        padded = padded.transpose(0, 3, 1, 2)
+    return padded[:, :, g.ph : g.ph + g.height, g.pw : g.pw + g.width]
+
+
+def im2col(
+    x: np.ndarray, kernel: IntPair, stride: IntPair = 1, padding: IntPair = 0
+) -> np.ndarray:
+    """Lower ``(B, C, H, W)`` image patches to ``(B, C·kh·kw, oh·ow)``
+    columns (the NCHW-order :func:`conv_patches`)."""
+    return conv_patches(
+        x, conv_geometry(x.shape, kernel, stride, padding, rows=False)
+    )
 
 
 def col2im(
@@ -114,24 +259,41 @@ def col2im(
     padding: IntPair = 0,
 ) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter columns back into an image."""
-    kh, kw = as_pair(kernel)
-    sh, sw = as_pair(stride)
-    ph, pw = as_pair(padding)
-    batch, channels, height, width = input_shape
-    out_h, out_w = conv_output_shape(height, width, (kh, kw), (sh, sw), (ph, pw))
-
-    padded = np.zeros(
-        (batch, channels, height + 2 * ph, width + 2 * pw), dtype=cols.dtype
+    return conv_scatter(
+        cols, conv_geometry(input_shape, kernel, stride, padding, rows=False)
     )
-    cols = cols.reshape(batch, channels, kh, kw, out_h, out_w)
-    for i in range(kh):
-        i_end = i + sh * out_h
-        for j in range(kw):
-            j_end = j + sw * out_w
-            padded[:, :, i:i_end:sh, j:j_end:sw] += cols[:, :, i, j, :, :]
-    if ph or pw:
-        return padded[:, :, ph : ph + height, pw : pw + width]
-    return padded
+
+
+def conv_gemm(
+    patches: np.ndarray, w_mat: np.ndarray, geom: ConvGeometry
+) -> np.ndarray:
+    """The convolution's one GEMM, as ``(B, F, oh·ow)`` (for patch rows,
+    a transposed view of the ``(B·oh·ow, F)`` product)."""
+    if geom.channels_last:
+        product = patches @ w_mat
+        return product.reshape(geom.batch, -1, product.shape[1]).transpose(
+            0, 2, 1
+        )
+    return np.matmul(w_mat, patches)
+
+
+def gemm_epilogue(
+    product: np.ndarray, bias: Optional[np.ndarray], dtype: np.dtype
+) -> np.ndarray:
+    """``product + bias`` (``bias`` broadcastable, or ``None``) as a
+    C-contiguous ``dtype`` array, written in one pass: in place when
+    ``product`` already is one, else converted as it is written
+    (``dtype`` may be an integer type the caller's bound proves exact)."""
+    if product.flags.c_contiguous and product.dtype == dtype:
+        if bias is not None:
+            product += bias
+        return product
+    out = np.empty(product.shape, dtype=dtype)
+    if bias is None:
+        np.copyto(out, product, casting="unsafe")
+    else:
+        np.add(product, bias, out=out, casting="unsafe")
+    return out
 
 
 def conv2d(
@@ -144,19 +306,21 @@ def conv2d(
     """2-D convolution (cross-correlation) over ``(B, C, H, W)`` input.
 
     ``weight`` has shape ``(F, C, kh, kw)``; ``bias`` shape ``(F,)``.
+    One GEMM of the :func:`conv_patches` of ``x`` against
+    :func:`conv_weight_matrix`; the output is C-contiguous NCHW.
     """
     x = as_tensor(x)
     weight = as_tensor(weight)
-    batch, _, height, width = x.shape
     filters, _, kh, kw = weight.shape
-    out_h, out_w = conv_output_shape(height, width, (kh, kw), stride, padding)
-
-    cols = im2col(x.data, (kh, kw), stride, padding)
-    w_mat = weight.data.reshape(filters, -1)
-    out = np.matmul(w_mat, cols)  # (B, F, out_h*out_w) via broadcasting
-    if bias is not None:
-        out = out + bias.data[:, None]
-    out = out.reshape(batch, filters, out_h, out_w)
+    geom = conv_geometry(x.shape, (kh, kw), stride, padding)
+    dtype = np.result_type(x.data, weight.data)
+    w_mat = conv_weight_matrix(weight.data)
+    patches = conv_patches(x.data, geom, dtype)
+    out = gemm_epilogue(
+        conv_gemm(patches, w_mat, geom),
+        None if bias is None else bias.data[:, None],
+        dtype,
+    ).reshape(geom.batch, filters, geom.out_h, geom.out_w)
 
     needs_grad = grad_enabled() and (
         x.requires_grad
@@ -167,15 +331,27 @@ def conv2d(
         return Tensor(out)
 
     def backward_fn(grad: np.ndarray) -> None:
-        grad_mat = grad.reshape(batch, filters, out_h * out_w)
+        if geom.channels_last:
+            grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, filters)
+        else:
+            grad_mat = grad.reshape(geom.batch, filters, -1)
         if weight.requires_grad or weight._backward_fn:
-            grad_w = np.einsum("bfo,bco->fc", grad_mat, cols, optimize=True)
-            weight._accumulate(grad_w.reshape(weight.shape))
+            if geom.channels_last:
+                grad_w = (patches.T @ grad_mat).reshape(kh, kw, -1, filters)
+                grad_w = grad_w.transpose(3, 2, 0, 1)
+            else:
+                grad_w = np.einsum(
+                    "bfo,bco->fc", grad_mat, patches, optimize=True
+                ).reshape(weight.shape)
+            weight._accumulate(grad_w)
         if bias is not None and (bias.requires_grad or bias._backward_fn):
-            bias._accumulate(grad_mat.sum(axis=(0, 2)))
+            bias._accumulate(grad.sum(axis=(0, 2, 3)))
         if x.requires_grad or x._backward_fn:
-            grad_cols = np.matmul(w_mat.T, grad_mat)
-            x._accumulate(col2im(grad_cols, x.shape, (kh, kw), stride, padding))
+            if geom.channels_last:
+                grad_patches = grad_mat @ w_mat.T
+            else:
+                grad_patches = np.matmul(w_mat.T, grad_mat)
+            x._accumulate(conv_scatter(grad_patches, geom))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor(out, True, parents, backward_fn)

@@ -12,8 +12,9 @@ argmax, floats exist only inside the audited carrier helpers of
 :mod:`repro.backend.int_kernels`: contractions and squash ops whose
 plan op records a ``carrier`` run on float32/float64 (BLAS GEMMs, and
 squash's divisions and square root), exact by the bound the plan
-recorded, and come back as integer codes.  Hooks, softmax and votes
-compute at their certified storage widths.  Every sealed op result is
+recorded, and come back as integer codes.  Hooks, softmax and the
+MACs (conv, linear, votes; bias and grid shift included) compute at
+their certified storage widths.  Every sealed op result is
 integer, which the dtype tracer checks.
 
 The backend holds no model code of its own: :class:`_PlanWalk` is one
@@ -72,10 +73,11 @@ def _walk_error(message: str) -> Exception:
 class IntBackend(InferenceBackend):
     """Integer executor of a certified lowering plan (module docstring).
 
-    Construction enforces the gates, casts every weight matrix once to
-    the carriers its layer's contractions record, and prebuilds every
-    softmax exponential ROM the plan needs (one per distinct LUT
-    format), so a bound model never rebuilds tables per forward.
+    Construction enforces the gates and prebuilds every softmax
+    exponential ROM the plan needs (one per distinct LUT format); each
+    weight's MAC operand (lowered, scaled onto its op's output grid and
+    cast to the op's carrier) is built on first use.  So a bound model
+    never rebuilds tables or operands per forward.
     """
 
     name = "int"
@@ -90,14 +92,10 @@ class IntBackend(InferenceBackend):
             raise _walk_error(f"backend 'int': {exc}") from None
         self.plan = LoweringPlan.from_dict(artifact.lowering_plan)
         self._ops = {lp.layer: lp.ops for lp in self.plan.layers}
-        carriers: Dict[str, set] = {}
-        for layer, ops in self._ops.items():
-            for op in ops:
-                if op.op in ("conv", "linear") and op.carrier is not None:
-                    carriers.setdefault(layer, set()).add(op.carrier)
         self._weights: Dict[str, Tuple[np.ndarray, int]] = {}
-        #: (weight key, carrier) -> the weight's codes in that carrier.
-        self._carried: Dict[Tuple[str, str], np.ndarray] = {}
+        #: (weight key, carrier, prod_shift) -> the weight's GEMM operand
+        #: (:meth:`gemm_weight`), built on first use.
+        self._carried: Dict[Tuple[str, Optional[str], int], np.ndarray] = {}
         for key, (codes, fmt, scale) in artifact.weight_codes.items():
             exponent = pow2_exponent(scale)
             if exponent is None:
@@ -107,12 +105,6 @@ class IntBackend(InferenceBackend):
                 )
             codes = np.asarray(codes, np.int64)
             self._weights[key] = (codes, exponent - fmt.fractional_bits)
-            layer = key.split(":", 1)[0]
-            if not key.endswith("bias"):
-                for carrier in carriers.get(layer, ()):
-                    self._carried[key, carrier] = k.carrier_cast(
-                        codes, carrier
-                    )
         #: :meth:`_table_key` -> exponential ROM in its work dtype,
         #: built once per bound model (tests assert two predicts reuse
         #: the same table object).
@@ -127,13 +119,23 @@ class IntBackend(InferenceBackend):
                             approx, self.plan.integer_bits
                         )
 
-    def weight(
-        self, key: str, carrier: Optional[str] = None
-    ) -> Tuple[np.ndarray, int]:
-        """(codes, grid exponent) of a frozen weight tensor, the codes
-        pre-cast to ``carrier`` when the plan uses it for this layer."""
-        codes, exponent = self._weights[key]
-        return self._carried.get((key, carrier), codes), exponent
+    def weight(self, key: str) -> Tuple[np.ndarray, int]:
+        """(int64 codes, grid exponent) of a frozen weight tensor."""
+        return self._weights[key]
+
+    def gemm_weight(
+        self, key: str, carrier: Optional[str], prod_shift: int, lower
+    ) -> np.ndarray:
+        """A weight's MAC operand: ``lower(codes, prod_shift, carrier)``
+        (:func:`~repro.backend.int_kernels.conv_weight`,
+        ``linear_weight`` or ``scaled_weight``), built once per bound
+        model and reused by every batch."""
+        cache = (key, carrier, prod_shift)
+        operand = self._carried.get(cache)
+        if operand is None:
+            operand = lower(self._weights[key][0], prod_shift, carrier)
+            self._carried[cache] = operand
+        return operand
 
     @staticmethod
     def _table_key(approx) -> Tuple[int, ...]:
@@ -188,7 +190,7 @@ class _Codes:
     codes: np.ndarray
     exp: Optional[int]
     #: carrier -> these codes as routing votes ``(B, J, I, D)`` on that
-    #: carrier (None: int64), a transposed view cast on first use and
+    #: carrier (None: int64), a contiguous copy cast on first use and
     #: shared by every routing contraction over the same votes.
     carried: Dict[Optional[str], np.ndarray] = field(default_factory=dict)
 
@@ -342,36 +344,41 @@ class _PlanWalk:
     def layout(self, x: _Codes, fn) -> _Codes:
         return _Codes(fn(x.codes), x.exp)
 
-    def _operands(self, op, weight, bias, x):
-        """(weight codes on the op's carrier, bias codes or None, and
-        the exact left shifts aligning products and bias onto the
-        op's output grid)."""
-        w, w_exp = self.backend.weight(weight, op.carrier)
+    def _operands(self, op, weight, bias, x, lower):
+        """(the weight's MAC operand on the op's carrier, scaled onto the
+        op's output grid; the bias codes or None; and the exact left
+        shift aligning the bias onto that grid)."""
+        w_exp = self.backend.weight(weight)[1]
+        w = self.backend.gemm_weight(
+            weight, op.carrier, w_exp + x.exp - op.out_exp, lower
+        )
         if bias is None:
-            return w, None, w_exp + x.exp - op.out_exp, 0
+            return w, None, 0
         b, b_exp = self.backend.weight(bias)
-        return w, b, w_exp + x.exp - op.out_exp, b_exp - op.out_exp
+        return w, b, b_exp - op.out_exp
 
     def conv(self, layer, weight, bias, x: _Codes, conv) -> _Codes:
         op = self.take(layer, "conv")
-        w, b, prod_shift, bias_shift = self._operands(op, weight, bias, x)
+        w, b, bias_shift = self._operands(op, weight, bias, x, k.conv_weight)
         return self.seal(op, k.int_conv2d(
-            x.codes, w, b, conv.stride, conv.padding,
-            prod_shift=prod_shift, bias_shift=bias_shift, carrier=op.carrier,
+            x.codes, w, b, conv.kernel_size, conv.stride, conv.padding,
+            bias_shift=bias_shift, carrier=op.carrier,
+            out_dtype=k.storage_dtype(op.accumulator_bits),
         ))
 
     def linear(self, layer, weight, bias, x: _Codes, fan_in=None) -> _Codes:
         op = self.take(layer, "linear")
-        w, b, prod_shift, bias_shift = self._operands(op, weight, bias, x)
+        out_dtype = k.storage_dtype(op.accumulator_bits)
         if fan_in is not None:
-            out = k.int_votes(
-                x.codes, w, op.carrier, prod_shift,
-                out_dtype=k.storage_dtype(op.accumulator_bits),
-            )
+            w, _, _ = self._operands(op, weight, None, x, k.scaled_weight)
+            out = k.int_votes(x.codes, w, op.carrier, out_dtype=out_dtype)
         else:
+            w, b, bias_shift = self._operands(
+                op, weight, bias, x, k.linear_weight
+            )
             out = k.int_linear(
-                x.codes, w, b, prod_shift=prod_shift, bias_shift=bias_shift,
-                carrier=op.carrier,
+                x.codes, w, b, bias_shift=bias_shift, carrier=op.carrier,
+                out_dtype=out_dtype,
             )
         return self.seal(op, out)
 
@@ -441,16 +448,18 @@ class _PlanWalk:
         op's carrier (int64 without one); the product array is never
         built.  The ``mul`` is still taken from the plan and traced,
         marked ``fused`` into the ``sum``.  The votes are cast to the
-        carrier once, in their own ``(B, I, J, D)`` layout, and the
-        contraction reads the ``(B, J, I, D)`` transpose as a view.
+        carrier once per routing walk, as one C-contiguous
+        ``(B, J, I, D)`` array that every contraction reads (strided
+        batches of a transposed view make the GEMMs slower than the
+        copy costs).
         """
         mul = self.take(layer, "mul")
         total = self.take(layer, "sum")
         carrier = total.carrier
         if carrier not in votes.carried:
             votes.carried[carrier] = k.carrier_cast(
-                votes.codes, carrier
-            ).transpose(0, 2, 1, 3)
+                votes.codes.transpose(0, 2, 1, 3), carrier
+            )
         out = contract(votes.carried[carrier], operand.codes, carrier)
         self.record(mul, out, fused="sum")
         return self.seal(total, out)

@@ -6,9 +6,10 @@ amounts come from a certified :class:`repro.analysis.lowering
 .LoweringPlan`, so each kernel is the executable form of one plan op:
 
 * multiply-accumulate ops (conv / linear / votes) are exact on the
-  product grid; biases join by exact left shift onto the common grid;
-  their GEMMs run on the plan's float *carrier* when it records one
-  (:func:`carrier_matmul`);
+  plan's output grid: the weights are pre-scaled onto it
+  (:func:`scaled_weight`) and biases join by exact left shift; their
+  GEMMs, bias add included, run on the plan's float *carrier* when it
+  records one;
 * rescales are the certified shift schedule (:func:`shift_round`),
   which the replay oracle :func:`repro.analysis.qlower.replay_plan`
   runs against the float fixed-point path for every rounding scheme;
@@ -33,9 +34,10 @@ instead of widening to int64 between ops:
   to at bind (:func:`softmax_table`), int32 when the ROM format and the
   op's input count prove every table entry shifted by ``QF`` and every
   row sum below ``2^31``, int64 otherwise;
-* **votes** (:func:`int_votes`): the carrier product converts straight
-  into the op's sealed dtype and shifts left in place, exact because
-  the certificate bounds the shifted votes by that width.
+* **MACs** (:func:`int_conv2d`, :func:`int_linear`, :func:`int_votes`):
+  the carrier result (shifted products plus the shifted bias) converts
+  once, straight into the op's sealed dtype, exact because the
+  certificate bounds the result by that width.
 
 Floats exist in exactly three places, each line with an explicit
 ``QL044`` suppression, and the qlint ``intflow`` checker guards the rest
@@ -44,12 +46,13 @@ of the file — and the in-repo functions it reaches through its imports
 
 * the stochastic-rounding residue comparison, part of the certified
   replay recipe (the float path draws the same uniforms);
-* the carrier helper (:func:`carrier_cast` / :func:`carrier_matmul`),
-  which runs integer GEMMs on float32/float64 BLAS.  It is exact by the
-  bound the lowering plan records for each carrier (every operand,
-  product and partial sum is an integer the carrier represents, in any
-  summation order), and it hands back integer codes (int64 unless the
-  caller holds a tighter bound);
+* the carrier helpers (:func:`carrier_cast` / :func:`carrier_matmul`,
+  and the convolution lowering of :mod:`repro.autograd.ops_nn` that
+  :func:`int_conv2d` runs on carrier arrays), which run integer GEMMs
+  on float32/float64 BLAS.  They are exact by the bound the lowering
+  plan records for each carrier (every operand, product and partial
+  sum is an integer the carrier represents, in any summation order),
+  and they hand back integer codes;
 * the squash carrier's floor division, truncating division and square
   root (:func:`_floor_div`, :func:`_trunc_div`, :func:`_isqrt`), exact
   by the bound :func:`squash_codes` states.
@@ -61,7 +64,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.ops_nn import axis_fold, conv_output_shape, im2col
+from repro.autograd.ops_nn import (
+    axis_fold,
+    conv_gemm,
+    conv_geometry,
+    conv_patches,
+    conv_weight_matrix,
+    gemm_epilogue,
+)
 from repro.hw.fixed_ref import exp_lut, saturate
 from repro.lint.sanitizer import active_sanitizer
 from repro.quant.fixed_point import FixedPointFormat
@@ -134,7 +144,7 @@ def storage_dtype(bits: Optional[int]) -> np.dtype:
 
 def narrow(codes: np.ndarray, bits: Optional[int]) -> np.ndarray:
     """Store ``codes`` at the certified width (no copy when they are
-    already stored at it; the hooks, softmax and votes compute at their
+    already stored at it; the hooks, softmax and MACs compute at their
     widths, the other kernels widen as they need)."""
     if bits is None:
         return codes
@@ -222,89 +232,139 @@ def hook_rescale(
     return np.clip(out, fmt.int_min, fmt.int_max, out=out)
 
 
+def scaled_weight(
+    codes: np.ndarray, prod_shift: int, carrier: Optional[str]
+) -> np.ndarray:
+    """Weight codes times ``2^prod_shift`` as a C-contiguous carrier
+    array: the MAC kernels' weight operand, whose products land on the
+    op's output grid directly.
+
+    Exact: the shift is a power of two, and the plan's carrier bound
+    ``Σ|w|·max|x|·2^prod_shift (+ |b|·2^bias_shift)`` covers every
+    scaled product and partial sum.  Bound models build it once per
+    weight (``IntBackend._carried``).
+    """
+    if prod_shift < 0:
+        raise ValueError("grid alignment shifts must be left (exact)")
+    return carrier_cast(np.asarray(codes, np.int64) << prod_shift, carrier)
+
+
+def conv_weight(
+    codes: np.ndarray, prod_shift: int, carrier: Optional[str]
+) -> np.ndarray:
+    """``(F, C, kh, kw)`` weight codes as :func:`int_conv2d`'s operand:
+    the :func:`repro.autograd.ops_nn.conv_weight_matrix` of the
+    :func:`scaled_weight`."""
+    return scaled_weight(
+        conv_weight_matrix(np.asarray(codes)), prod_shift, carrier
+    )
+
+
+def linear_weight(
+    codes: np.ndarray, prod_shift: int, carrier: Optional[str]
+) -> np.ndarray:
+    """``(units, fan_in)`` weight codes as :func:`int_linear`'s
+    ``(fan_in, units)`` operand (:func:`scaled_weight`)."""
+    return scaled_weight(np.asarray(codes).T, prod_shift, carrier)
+
+
+def _carried_bias(
+    bias: Optional[np.ndarray], bias_shift: int, carrier: Optional[str]
+) -> Optional[np.ndarray]:
+    """Bias codes ``b·2^bias_shift`` on the carrier (``None``: no bias)."""
+    return None if bias is None else scaled_weight(bias, bias_shift, carrier)
+
+
 def int_conv2d(
     x: np.ndarray,
     weight: np.ndarray,
     bias: Optional[np.ndarray],
+    kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
-    prod_shift: int = 0,
     bias_shift: int = 0,
     carrier: Optional[str] = None,
+    out_dtype: np.dtype = np.dtype(np.int64),
 ) -> np.ndarray:
     """Integer convolution on codes; exact on the output grid.
 
-    Products live on grid ``2^(e_w + e_x)``; ``prod_shift`` /
-    ``bias_shift`` left-align products and bias onto the plan's output
-    grid (both are exact left shifts by construction:
-    ``out_exp = min(product_exp, bias_exp)``).  ``x`` is cast to the
-    carrier before ``im2col``, so the column matrix is built at the
-    carrier's width.
+    ``weight`` is the :func:`conv_weight` operand, already scaled by
+    ``2^prod_shift`` onto the plan's output grid; ``bias_shift``
+    left-aligns the bias codes onto it (both shifts are exact:
+    ``out_exp = min(product_exp, bias_exp)``).  The convolution is the
+    float path's channels-last lowering (:mod:`repro.autograd.ops_nn`)
+    on the carrier:
+
+    * one pass casts ``x`` to the carrier, in NHWC order and zero-padded;
+    * one strided copy builds the ``(B·oh·ow, kh·kw·C)`` patch rows;
+    * one GEMM multiplies them by the ``(kh·kw·C, F)`` weight rows;
+    * one pass adds the bias in the carrier and writes the result as a
+      C-contiguous NCHW ``out_dtype`` array.
+
+    (C = 1 first convs use NCHW columns instead:
+    :func:`repro.autograd.ops_nn.channels_last`.)  Pass the op's sealed
+    dtype (:func:`storage_dtype` of its ``accumulator_bits``) as
+    ``out_dtype``: the certificate bounds the result by that width, and
+    the carrier bound covers every partial sum, so the result converts
+    once, straight from the carrier.
     """
-    if prod_shift < 0 or bias_shift < 0:
-        raise ValueError("grid alignment shifts must be left (exact)")
-    x = carrier_cast(x, carrier)
-    kh, kw = weight.shape[2], weight.shape[3]
-    cols = im2col(x, (kh, kw), stride, padding)
-    w_mat = weight.reshape(weight.shape[0], -1)
-    out = carrier_matmul(w_mat, cols, carrier) << prod_shift
-    if bias is not None:
-        out = out + (np.asarray(bias, np.int64) << bias_shift)[:, None]
-    out_h, out_w = conv_output_shape(
-        x.shape[2], x.shape[3], (kh, kw), stride, padding
+    geom = conv_geometry(x.shape, kernel, stride, padding)
+    patches = conv_patches(x, geom, _carrier_dtype(carrier))
+    bias = _carried_bias(bias, bias_shift, carrier)
+    out = gemm_epilogue(
+        conv_gemm(patches, weight, geom),
+        None if bias is None else bias[:, None],
+        out_dtype,
     )
-    return out.reshape(x.shape[0], weight.shape[0], out_h, out_w)
+    return out.reshape(geom.batch, -1, geom.out_h, geom.out_w)
 
 
 def int_linear(
     x: np.ndarray,
     weight: np.ndarray,
     bias: Optional[np.ndarray],
-    prod_shift: int = 0,
     bias_shift: int = 0,
     carrier: Optional[str] = None,
+    out_dtype: np.dtype = np.dtype(np.int64),
 ) -> np.ndarray:
-    """Integer dense layer ``x @ W.T (+ bias)``, exact on the plan grid."""
-    if prod_shift < 0 or bias_shift < 0:
-        raise ValueError("grid alignment shifts must be left (exact)")
-    out = carrier_matmul(x, np.asarray(weight).T, carrier) << prod_shift
-    if bias is not None:
-        out = out + (np.asarray(bias, np.int64) << bias_shift)
-    return out
+    """Integer dense layer ``x @ W.T (+ bias)``, exact on the plan grid.
+
+    ``weight`` is the :func:`linear_weight` operand (scaled by
+    ``2^prod_shift``); the bias joins in the carrier and the result
+    converts once into ``out_dtype``, as in :func:`int_conv2d`.
+    """
+    product = np.matmul(carrier_cast(x, carrier), weight)
+    return gemm_epilogue(
+        product, _carried_bias(bias, bias_shift, carrier), out_dtype
+    )
 
 
 def int_votes(
     u: np.ndarray,
     weight: np.ndarray,
     carrier: Optional[str] = None,
-    prod_shift: int = 0,
     out_dtype: np.dtype = np.dtype(np.int64),
 ) -> np.ndarray:
     """Capsule vote projection ``û_{j|i} = W_ij × u_i`` on codes.
 
-    ``weight`` is ``(I, J, D_out, D_in)``, ``u`` is ``(B, I, D_in)``;
-    the result is ``(B, I, J, D_out)``, left-aligned by ``prod_shift``
-    onto the plan's output grid.  Like the float path's
-    ``CapsFC.votes`` it is one GEMM per input capsule,
+    ``weight`` is ``(I, J, D_out, D_in)`` (the :func:`scaled_weight`
+    operand, so the votes land on the plan's output grid), ``u`` is
+    ``(B, I, D_in)``; the result is ``(B, I, J, D_out)``.  Like the
+    float path's ``CapsFC.votes`` it is one GEMM per input capsule,
     ``(I, B, D_in) @ (I, D_in, J·D_out)``; the contraction is exact, so
     the summation order is irrelevant.
 
-    The product converts straight into ``out_dtype`` and shifts in
-    place.  Pass the op's sealed dtype (:func:`storage_dtype` of its
-    ``accumulator_bits``): the certificate bounds the shifted votes by
-    that width, so the unshifted product fits it too.
+    The product converts straight into ``out_dtype``.  Pass the op's
+    sealed dtype (:func:`storage_dtype` of its ``accumulator_bits``):
+    the certificate bounds the votes by that width.
     """
-    if prod_shift < 0:
-        raise ValueError("grid alignment shifts must be left (exact)")
     in_caps, out_caps, out_dim, in_dim = weight.shape
     w_t = np.asarray(weight).reshape(in_caps, -1, in_dim).transpose(0, 2, 1)
     votes = carrier_matmul(
         np.asarray(u).transpose(1, 0, 2), w_t, carrier, axes=(1, 0, 2),
         out_dtype=out_dtype,
     )
-    votes = votes.reshape(votes.shape[0], in_caps, out_caps, out_dim)
-    votes <<= prod_shift
-    return votes
+    return votes.reshape(votes.shape[0], in_caps, out_caps, out_dim)
 
 
 def routing_weighted_sum(
@@ -363,10 +423,14 @@ def int_batchnorm(
     codes: np.ndarray, multipliers: np.ndarray, offsets: np.ndarray
 ) -> np.ndarray:
     """Per-channel integer affine ``m_c · code + B_c`` from the plan's
-    batch-norm tables (output lands on the plan's ``2^out_exp`` grid)."""
+    batch-norm tables (output lands on the plan's ``2^out_exp`` grid).
+    The product widens straight into one int64 array and the offset
+    adds in place."""
     m = np.asarray(multipliers, np.int64)[None, :, None, None]
     off = np.asarray(offsets, np.int64)[None, :, None, None]
-    return np.asarray(codes, np.int64) * m + off
+    out = np.multiply(codes, m, dtype=np.int64)
+    out += off
+    return out
 
 
 def _floor_div(

@@ -348,6 +348,51 @@ class TestSession:
             for label, model in result.models().items():
                 assert other.models()[label].accuracy == model.accuracy
 
+    def test_parallel_select_calibrates_once(
+        self, monkeypatch, tmp_path, tiny_spec, trained_tiny, tiny_data
+    ):
+        """Forked scheme branches inherit the session's calibration
+        scales and FP32 baseline instead of each measuring them; one
+        line per ``calibrate_scales`` call, in whichever process."""
+        from repro.api import session as session_module
+
+        _, test = tiny_data
+        data = (test.images[:128], test.labels[:128])
+        calls = tmp_path / "calibrate_calls"
+        calibrate = session_module.calibrate_scales
+
+        def counted(*args, **kwargs):
+            with open(calls, "a") as log:
+                log.write("call\n")
+            return calibrate(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "calibrate_scales", counted)
+
+        def select(workers):
+            calls.write_text("")
+            spec = tiny_spec.with_overrides(
+                schemes=("TRN", "RTN", "SR"), batch_size=32, workers=workers
+            )
+            outcome = Session(spec, model=trained_tiny, test_data=data).select()
+            return outcome, calls.read_text().count("call")
+
+        (sequential, one), (parallel, three) = select(1), select(3)
+        assert one == 1
+        assert three == 1
+        assert parallel.path == sequential.path
+        assert parallel.best.config.to_dict() == (
+            sequential.best.config.to_dict()
+        )
+        for name, result in sequential.per_scheme.items():
+            other = parallel.per_scheme[name]
+            assert other.accuracy_fp32 == result.accuracy_fp32
+            assert other.summary() == result.summary()
+            for label, model in result.models().items():
+                assert other.models()[label].accuracy == model.accuracy
+                assert other.models()[label].config.to_dict() == (
+                    model.config.to_dict()
+                )
+
     def test_quantize_never_forks(
         self, monkeypatch, tiny_spec, trained_tiny, tiny_data
     ):

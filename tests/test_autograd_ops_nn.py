@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.autograd import (
     Tensor,
@@ -16,8 +18,14 @@ from repro.autograd import (
 from repro.autograd.ops_nn import (
     _axis_max,
     avg_pool2d,
+    channels_last,
     col2im,
+    conv_gemm,
+    conv_geometry,
     conv_output_shape,
+    conv_patches,
+    conv_scatter,
+    conv_weight_matrix,
     im2col,
     max_pool2d,
 )
@@ -70,6 +78,111 @@ class TestIm2col:
         x = rng.standard_normal((1, 1, 4, 4))
         cols = im2col(x, 1)
         assert np.allclose(cols.reshape(4, 4), x[0, 0])
+
+
+@st.composite
+def conv_cases(draw):
+    """(x, w, b, stride, padding): C in 1..4, kernels 1/3/9, stride 1-2,
+    padding 0-1; ``x`` is a non-contiguous view half the time."""
+    channels = draw(st.integers(1, 4))
+    kernel = draw(st.sampled_from([1, 3, 9]))
+    stride = draw(st.integers(1, 2))
+    padding = draw(st.integers(0, 1))
+    height = max(1, kernel - 2 * padding) + draw(st.integers(0, 4))
+    width = max(1, kernel - 2 * padding) + draw(st.integers(0, 4))
+    batch = draw(st.integers(1, 3))
+    filters = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        x = rng.standard_normal((batch, height, width, channels))
+        x = x.transpose(0, 3, 1, 2)  # NCHW view of NHWC memory
+    else:
+        x = rng.standard_normal((batch, channels, height, width))
+    w = rng.standard_normal((filters, channels, kernel, kernel))
+    b = rng.standard_normal(filters)
+    return x, w, b, stride, padding
+
+
+class TestConvLowering:
+    """The channels-last patch rows and the NCHW columns are two layouts
+    of one lowering; :func:`channels_last` picks one from the shape."""
+
+    def test_shape_rule(self):
+        # C = 1 first convs keep NCHW columns; every capsule conv of
+        # the zoo (C >= 8) lowers to patch rows.
+        assert not channels_last(9, 1) and not channels_last(3, 1)
+        assert not channels_last(3, 2) and not channels_last(3, 5)
+        assert channels_last(9, 2) and channels_last(3, 8)
+        for shape, rows in (((2, 1, 9, 9), False), ((2, 16, 9, 9), True)):
+            geom = conv_geometry(shape, 3, 1, 1)
+            assert geom.channels_last is rows
+            w = np.zeros((4, shape[1], 3, 3))
+            expected = (9 * shape[1], 4) if rows else (4, 9 * shape[1])
+            assert conv_weight_matrix(w).shape == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=conv_cases())
+    def test_matches_naive(self, case):
+        x, w, b, stride, padding = case
+        x32, w32, b32 = (a.astype(np.float32) for a in (x, w, b))
+        out = conv2d(Tensor(x32), Tensor(w32), Tensor(b32), stride, padding)
+        assert out.data.flags.c_contiguous and out.data.dtype == np.float32
+        ref = naive_conv2d(x32, w32, b32, stride, padding)
+        assert out.shape == ref.shape
+        assert np.allclose(out.data, ref, atol=1e-4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=conv_cases(),
+        dtype=st.sampled_from([np.int16, np.int32, np.int64]),
+        rows=st.booleans(),
+    )
+    def test_integer_codes_are_exact(self, case, dtype, rows):
+        """Both layouts lower integer codes of any width exactly."""
+        x, w, _, stride, padding = case
+        x = np.rint(x * 20).astype(dtype)
+        w = np.rint(w * 20).astype(np.int64)
+        geom = conv_geometry(x.shape, w.shape[2:], stride, padding, rows=rows)
+        w_mat = (
+            w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
+            if rows else w.reshape(w.shape[0], -1)
+        )
+        patches = conv_patches(x, geom, np.dtype(np.int64))
+        out = conv_gemm(patches, w_mat, geom)
+        ref = naive_conv2d(x.astype(np.int64), w, None, stride, padding)
+        assert np.array_equal(out.reshape(ref.shape), ref.astype(np.int64))
+
+    @pytest.mark.parametrize("rows", [False, True])
+    @pytest.mark.parametrize("stride, padding", [(1, 0), (2, 1), (1, 2)])
+    def test_scatter_is_the_adjoint_of_patches(
+        self, rng, rows, stride, padding
+    ):
+        """<P x, y> == <x, P' y> for the patch rows and the columns."""
+        x = rng.standard_normal((2, 3, 7, 6))
+        geom = conv_geometry(x.shape, (3, 2), stride, padding, rows=rows)
+        patches = conv_patches(x, geom)
+        y = rng.standard_normal(patches.shape)
+        back = conv_scatter(y, geom)
+        assert back.shape == x.shape
+        assert (patches * y).sum() == pytest.approx((x * back).sum(), rel=1e-10)
+
+    @pytest.mark.parametrize("channels, kernel, stride, padding, rows", [
+        (1, 3, 1, 1, False),
+        (1, 5, 2, 0, False),
+        (6, 3, 2, 1, True),
+        (2, 9, 1, 1, True),
+    ])
+    def test_gradcheck_on_both_layouts(
+        self, rng, channels, kernel, stride, padding, rows
+    ):
+        size = kernel + 2
+        x = rng.standard_normal((2, channels, size, size))
+        w = rng.standard_normal((2, channels, kernel, kernel))
+        b = rng.standard_normal(2)
+        assert conv_geometry(x.shape, kernel).channels_last is rows
+        assert gradcheck(
+            lambda a, ww, bb: conv2d(a, ww, bb, stride, padding), [x, w, b]
+        )
 
 
 class TestConv2d:

@@ -3,14 +3,23 @@
 A contraction whose plan op records ``carrier`` runs as a float32 or
 float64 GEMM instead of an int64 one.  That is sound only because the
 lowering plan bounds every product and partial sum — Σ|w|·max|x| per
-output (plus the bias) for MACs, ``count · max|term|`` for routing sums
-— below the carrier's exact-integer limit, in any summation order.
+output on the output grid (products scaled by ``2^prod_shift``) plus
+the shifted bias for MACs, ``count · max|term|`` for routing sums —
+below the carrier's exact-integer limit, in any summation order.  The
+MAC kernels fold the shift into their weights and add the bias in the
+carrier, so the carrier must be chosen from that full bound.
 
 * ``choose_carrier`` is strict at both limits;
 * the carrier kernels are bit-identical to the int64 reference over
   drawn shapes, strides and paddings, with codes whose bound sits at
   and just past each limit (the ``+1`` cases are the ones a float GEMM
-  one notch too narrow would round);
+  one notch too narrow would round), and return the sealed dtype they
+  are asked for;
+* the convolution equals a naive loop on int16/int32/int64 codes in
+  either patch layout, on every carrier; a shifted product plus bias
+  lands exactly on the float32 limit ``2^24 - 1``, and products whose
+  unshifted bound alone would pick float32 need float64 once shifted
+  (float32 would round ``2^26 + 2``);
 * the fused routing contraction equals the ``mul`` + ``sum`` it
   replaces;
 * the plan takes the bound from Σ|w|·|x|, not from the final interval:
@@ -32,6 +41,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_autograd_ops_nn import conv_cases, naive_conv2d
 from test_backend import copy_plan, make_ready, snap
 
 from repro.analysis import lower_artifact, lower_model
@@ -109,6 +119,16 @@ def operand_codes(shape, peak, signed, rng):
     return x
 
 
+def conv_on(x, weight, bias, kernel, stride, padding, prod_shift,
+            bias_shift, carrier, out_dtype=np.int64):
+    """:func:`~repro.backend.int_kernels.int_conv2d` on raw weight codes."""
+    return k.int_conv2d(
+        x, k.conv_weight(weight, prod_shift, carrier), bias,
+        (kernel, kernel), (stride, stride), (padding, padding),
+        bias_shift=bias_shift, carrier=carrier, out_dtype=out_dtype,
+    )
+
+
 bounds = st.sampled_from(sorted(BOUNDS))
 seeds = st.integers(0, 2 ** 32 - 1)
 
@@ -126,6 +146,9 @@ class TestCarrierKernels:
         self, bound, seed, signed, batch, channels, size, out_channels,
         kernel, stride, padding, prod_shift,
     ):
+        """The carrier is chosen from the plan's full bound: the
+        products scaled by ``2^prod_shift`` plus the shifted bias, all
+        of which the folded epilogue accumulates in the carrier."""
         rng = np.random.default_rng(seed)
         count, a, b = BOUNDS[bound]
         fan_in = channels * kernel * kernel
@@ -134,19 +157,75 @@ class TestCarrierKernels:
         ).reshape(out_channels, channels, kernel, kernel)
         x = operand_codes((batch, channels, size, size), a, signed, rng)
         bias = rng.integers(-3, 4, size=out_channels)
-        args = (x, weight, bias, (stride, stride), (padding, padding))
-        reference = k.int_conv2d(*args, prod_shift=prod_shift, bias_shift=1)
-        got = k.int_conv2d(
-            *args, prod_shift=prod_shift, bias_shift=1,
-            carrier=choose_carrier(bound),
-        )
-        assert got.dtype == np.int64
+        full_bound = (bound << prod_shift) + (int(abs(bias).max()) << 1)
+        reference = conv_on(x, weight, bias, kernel, stride, padding,
+                            prod_shift, bias_shift=1, carrier=None)
+        assert reference.dtype == np.int64
+        sealed = k.storage_dtype(int(abs(reference).max()).bit_length() + 1)
+        got = conv_on(x, weight, bias, kernel, stride, padding, prod_shift,
+                      bias_shift=1, carrier=choose_carrier(full_bound),
+                      out_dtype=sealed)
+        assert got.dtype == sealed and got.flags.c_contiguous
         assert np.array_equal(got, reference)
         if not signed and padding == 0:
             # Every window sees only peak inputs: the sum hits the bound.
             assert (reference - (bias << 1)[:, None, None]).max() == (
                 bound << prod_shift
             )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=conv_cases(),
+        dtype=st.sampled_from([np.int16, np.int32, np.int64]),
+        carrier=st.sampled_from([None, "float32", "float64"]),
+        prod_shift=st.integers(0, 2),
+    )
+    def test_conv_matches_naive(self, case, dtype, carrier, prod_shift):
+        """Codes of every storage width, in either patch layout and
+        through non-contiguous inputs, on every carrier (|codes| <= 60
+        keep Σ|w|·|x|·2^prod_shift far below 2^24)."""
+        *arrays, stride, padding = case
+        x, w, b = (
+            np.clip(np.rint(a * 20), -60, 60).astype(np.int64) for a in arrays
+        )
+        x = x.astype(dtype)
+        reference = naive_conv2d(
+            x.astype(np.int64), w << prod_shift, b << 1, stride, padding
+        )
+        got = conv_on(x, w, b, w.shape[2], stride, padding, prod_shift,
+                      bias_shift=1, carrier=carrier, out_dtype=np.int32)
+        assert got.dtype == np.int32 and got.flags.c_contiguous
+        assert np.array_equal(got, reference)
+
+    @pytest.mark.parametrize(
+        "row_sum, peak, prod_shift, bias, bias_shift, carrier, top", [
+            # (2^23 - 1)·2 + 1: the float32 limit, reached exactly.
+            (178481, 47, 1, 1, 0, "float32", 2 ** 24 - 1),
+            # (2^24 - 1)·4 + 3·2: the unshifted products alone would
+            # pick float32, which rounds 2^26 + 2 down to 2^26.
+            (255 * 273, 241, 2, 3, 1, "float64", 2 ** 26 + 2),
+        ],
+    )
+    def test_conv_folds_shift_and_bias_at_the_float32_limit(
+        self, row_sum, peak, prod_shift, bias, bias_shift, carrier, top
+    ):
+        rng = np.random.default_rng(0)
+        weight = row_codes(2, 9, row_sum, False, rng).reshape(2, 1, 3, 3)
+        x = operand_codes((2, 1, 5, 5), peak, False, rng)
+        bias = np.array([bias, -bias])
+        full_bound = (row_sum * peak << prod_shift) + (
+            int(abs(bias).max()) << bias_shift
+        )
+        assert full_bound == top and choose_carrier(full_bound) == carrier
+        args = (x, weight, bias, 3, 1, 0, prod_shift, bias_shift)
+        reference = conv_on(*args, carrier=None)
+        assert reference.max() == top
+        got = conv_on(*args, carrier=carrier, out_dtype=np.int32)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, reference)
+        if carrier == "float64":
+            narrow = conv_on(*args, carrier="float32", out_dtype=np.int32)
+            assert narrow.max() == 2 ** 26 != top
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -162,8 +241,12 @@ class TestCarrierKernels:
         weight = row_codes(units, fan_in, count * b, signed, rng)
         x = operand_codes((batch, fan_in), a, signed, rng)
         bias = rng.integers(-3, 4, size=units)
-        reference = k.int_linear(x, weight, bias)
-        got = k.int_linear(x, weight, bias, carrier=choose_carrier(bound))
+        # The bias joins in the carrier: the plan's bound includes it.
+        carrier = choose_carrier(bound + int(abs(bias).max()))
+        reference = k.int_linear(x, k.linear_weight(weight, 0, None), bias)
+        got = k.int_linear(
+            x, k.linear_weight(weight, 0, carrier), bias, carrier=carrier
+        )
         assert np.array_equal(got, reference)
 
     @settings(max_examples=30, deadline=None)

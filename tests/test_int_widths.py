@@ -211,13 +211,14 @@ class TestVoteWidths:
         top = 2 ** (code_bits - 1)
         u = rng.integers(-top, top, size=(batch, in_caps, in_dim))
         w = rng.integers(-top, top, size=(in_caps, out_caps, out_dim, in_dim))
-        wide = k.int_votes(u, w, carrier, prod_shift)
+        scaled = k.scaled_weight(w, prod_shift, carrier)
+        wide = k.int_votes(u, scaled, carrier)
         np.testing.assert_array_equal(
             wide, np.einsum("ijod,bid->bijo", w, u) << prod_shift
         )
         bits = min_safe_bits(float(wide.min()), float(wide.max()))
         sealed = k.storage_dtype(bits)
-        got = k.int_votes(u, w, carrier, prod_shift, out_dtype=sealed)
+        got = k.int_votes(u, scaled, carrier, out_dtype=sealed)
         assert wide.dtype == np.int64 and got.dtype == sealed
         np.testing.assert_array_equal(got, wide)
 
