@@ -415,22 +415,26 @@ class Session:
         Every branch shares the session executor, so scheme-free (FP32)
         prefixes are computed once across the library, including work
         already cached by earlier ``quantize()`` / ``sweep()`` calls in
-        this session.  The FP32 baseline is measured before the branches
-        run (once, and resumed from the executor by every other
-        scheme's evaluator), so each branch's ``batches_evaluated``
-        counts only its own search, with or without ``spec.workers``.
+        this session.  The calibration scales and the FP32 baseline pass
+        are measured before the branches run, so forked branches
+        (``spec.workers``) inherit them instead of redoing them.  Each
+        branch still runs its own baseline pass (resumed from the
+        executor), so its ``batches_evaluated`` counts what
+        ``quantize()`` of that scheme counts.
         """
         names = tuple(schemes) if schemes is not None else self.spec.schemes
         images, labels = self.test_data
         budget = self.budget_mbit()
-        # The calibration scales and the FP32 pass are shared state
-        # every branch needs: measure them in every branch's evaluator
-        # before any branch runs (later evaluators resume the pass from
-        # the shared executor), so forked branches inherit them instead
-        # of redoing them, and no branch counts the baseline pass among
-        # its search batches, whatever the worker count.
-        for name in names:
-            self._evaluator(name).accuracy_fp32()
+        scales = self._calibration_scales()  # once, before any fork
+        if self.executor is not None:
+            # Warm the scheme-free FP32 prefixes on a throwaway
+            # evaluator: the branches' evaluators stay unmeasured, so
+            # each resumes (and counts) its baseline pass as quantize()
+            # would.
+            Evaluator.from_spec(
+                self.spec, self.model, images, labels, scheme=names[0],
+                staged_executor=self.executor, scales=scales,
+            ).accuracy_fp32()
 
         def make(name: str) -> QCapsNets:
             return QCapsNets.from_spec(

@@ -11,13 +11,10 @@ GEMM carriers:
 * one GEMM multiplies them by the ``(kh·kw·C, F)`` weight rows;
 * one pass writes the C-contiguous NCHW output (adding the bias).
 
-Convolutions whose patch rows would copy runs of only a few pixels
-(the C = 1 first convs, :func:`channels_last`) keep the NCHW im2col
-columns instead.  Either way each output is one ``kh·kw·C``-term dot
-product, the patch extraction the paper's hardware accelerator
-reference (CapsAcc, DATE 2019) performs in its systolic array, so MAC
-counts derived from this code path match the analytical model in
-:mod:`repro.hw`.
+Each output is one ``kh·kw·C``-term dot product, the patch extraction
+the paper's hardware accelerator reference (CapsAcc, DATE 2019)
+performs in its systolic array, so MAC counts derived from this code
+path match the analytical model in :mod:`repro.hw`.
 """
 
 from __future__ import annotations
@@ -39,17 +36,8 @@ def as_pair(value: IntPair, name: str = "value") -> Tuple[int, int]:
     2-sequence of them; anything else raises ``ValueError`` naming the
     offending parameter.  Shared by the op-level and module-level
     (:class:`repro.nn.conv.Conv2d`) normalization so the two cannot
-    drift.  An already-normalized pair of plain ints (what every layer
-    stores) returns as it is, without the checks.
+    drift.
     """
-    if (
-        type(value) is tuple
-        and len(value) == 2
-        and type(value[0]) is int
-        and type(value[1]) is int
-    ):
-        return value
-
     def integral(v) -> bool:
         # bool is Integral but a True/False kernel size or stride is a
         # misplaced flag, not a dimension.
@@ -92,19 +80,6 @@ def conv_output_shape(
     )
 
 
-#: Fewest input elements (``kw · C``) one patch-row copy moves as a
-#: contiguous run for which channels-last rows beat NCHW columns.  Below
-#: it (the C = 1 first convs) the rows' runs are a few pixels long and
-#: the columns, whose runs are whole output rows, are faster.
-_MIN_ROW_RUN = 16
-
-
-def channels_last(kernel_width: int, channels: int) -> bool:
-    """Whether a convolution over ``channels`` input channels lowers to
-    channels-last patch rows (else to NCHW columns)."""
-    return kernel_width * channels >= _MIN_ROW_RUN
-
-
 class ConvGeometry(NamedTuple):
     """Shape of one 2-D convolution, computed once per call."""
 
@@ -120,161 +95,88 @@ class ConvGeometry(NamedTuple):
     pw: int
     out_h: int
     out_w: int
-    #: Patches as channels-last rows ``(B·oh·ow, kh·kw·C)`` (else NCHW
-    #: columns ``(B, C·kh·kw, oh·ow)``); :func:`channels_last`.
-    channels_last: bool
 
 
 def conv_geometry(
     input_shape: Tuple[int, int, int, int],
-    kernel: IntPair,
-    stride: IntPair = 1,
-    padding: IntPair = 0,
-    rows: Optional[bool] = None,
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
 ) -> ConvGeometry:
     """The :class:`ConvGeometry` of a convolution over ``(B, C, H, W)``
-    input; ``rows`` forces a patch layout (default: the shape rule
-    :func:`channels_last`)."""
+    input, from already-normalized ``(h, w)`` pairs (as
+    :class:`repro.nn.conv.Conv2d` stores them; see :func:`as_pair`)."""
     batch, channels, height, width = input_shape
-    kh, kw = as_pair(kernel)
-    sh, sw = as_pair(stride)
-    ph, pw = as_pair(padding)
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
     out_h, out_w = _output_hw(height, width, kh, kw, sh, sw, ph, pw)
-    if rows is None:
-        rows = channels_last(kw, channels)
     return ConvGeometry(
-        batch, channels, height, width, kh, kw, sh, sw, ph, pw,
-        out_h, out_w, rows,
+        batch, channels, height, width, kh, kw, sh, sw, ph, pw, out_h, out_w
     )
 
 
 def conv_weight_matrix(weight: np.ndarray) -> np.ndarray:
-    """``(F, C, kh, kw)`` filters as the GEMM operand of their patches:
-    ``(kh·kw·C, F)`` weight rows for channels-last patch rows, else the
-    ``(F, C·kh·kw)`` matrix of NCHW columns.  The layout follows the
-    filter shape (:func:`channels_last`), as the geometry's does."""
-    filters, channels, _, kw = weight.shape
-    if channels_last(kw, channels):
-        return weight.transpose(2, 3, 1, 0).reshape(-1, filters)
-    return weight.reshape(filters, -1)
+    """``(F, C, kh, kw)`` filters as the ``(kh·kw·C, F)`` weight rows
+    that multiply :func:`conv_patches`."""
+    return weight.transpose(2, 3, 1, 0).reshape(-1, weight.shape[0])
 
 
 def conv_patches(
     x: np.ndarray, geom: ConvGeometry, dtype: Optional[np.dtype] = None
 ) -> np.ndarray:
-    """Patch matrix of ``x`` (``(B, C, H, W)``, any strides) as ``dtype``.
+    """``(B·oh·ow, kh·kw·C)`` patch rows of ``x`` (``(B, C, H, W)``, any
+    strides) as ``dtype``.
 
-    Channels-last: one pass casts, transposes and zero-pads ``x`` into
-    NHWC, and one strided copy builds the ``(B·oh·ow, kh·kw·C)`` patch
-    rows, whose row-major ``(kh, kw, C)`` order matches
-    :func:`conv_weight_matrix`.  Otherwise the ``(B, C·kh·kw, oh·ow)``
-    im2col columns, built the same way in NCHW order.
+    One pass casts, transposes and zero-pads ``x`` into NHWC, and one
+    strided copy builds the rows, whose row-major ``(kh, kw, C)`` order
+    matches :func:`conv_weight_matrix`.
     """
     g = geom
     dtype = x.dtype if dtype is None else dtype
-    height, width = g.height + 2 * g.ph, g.width + 2 * g.pw
-    if g.channels_last:
-        source = x.transpose(0, 2, 3, 1)
-        shape = (g.batch, height, width, g.channels)
-        interior = np.s_[:, g.ph : g.ph + g.height, g.pw : g.pw + g.width, :]
-    else:
-        source = x
-        shape = (g.batch, g.channels, height, width)
-        interior = np.s_[:, :, g.ph : g.ph + g.height, g.pw : g.pw + g.width]
-    if g.ph or g.pw:
-        padded = np.zeros(shape, dtype=dtype)
-        padded[interior] = source
-    elif g.channels_last or x.dtype != dtype:
-        padded = np.empty(shape, dtype=dtype)
-        padded[...] = source
-    else:
-        padded = x
-    # One strided view over the padded input and one copy of it.  The
-    # copy is explicit: a reshape of the view may itself be a
-    # (read-only) view of the input, e.g. for 1x1 kernels.
-    if g.channels_last:
-        s_b, s_h, s_w, s_c = padded.strides
-        window = (g.batch, g.out_h, g.out_w, g.kh, g.kw, g.channels)
-        steps = (s_b, s_h * g.sh, s_w * g.sw, s_h, s_w, s_c)
-        matrix = (g.batch * g.out_h * g.out_w, -1)
-    else:
-        s_b, s_c, s_h, s_w = padded.strides
-        window = (g.batch, g.channels, g.kh, g.kw, g.out_h, g.out_w)
-        steps = (s_b, s_c, s_h, s_w, s_h * g.sh, s_w * g.sw)
-        matrix = (g.batch, -1, g.out_h * g.out_w)
+    padded = (np.zeros if g.ph or g.pw else np.empty)(
+        (g.batch, g.height + 2 * g.ph, g.width + 2 * g.pw, g.channels),
+        dtype=dtype,
+    )
+    padded[:, g.ph : g.ph + g.height, g.pw : g.pw + g.width, :] = (
+        x.transpose(0, 2, 3, 1)
+    )
+    # One strided view over the padded input and one copy of it.
+    s_b, s_h, s_w, s_c = padded.strides
+    window = (g.batch, g.out_h, g.out_w, g.kh, g.kw, g.channels)
+    steps = (s_b, s_h * g.sh, s_w * g.sw, s_h, s_w, s_c)
     patches = np.empty(window, dtype=dtype)
     patches[...] = np.lib.stride_tricks.as_strided(
         padded, window, steps, writeable=False
     )
-    return patches.reshape(matrix)
+    return patches.reshape(g.batch * g.out_h * g.out_w, -1)
 
 
 def conv_scatter(patches: np.ndarray, geom: ConvGeometry) -> np.ndarray:
-    """Adjoint of :func:`conv_patches`: sum patch entries back into a
-    ``(B, C, H, W)`` image (a view for channels-last rows)."""
+    """Adjoint of :func:`conv_patches`: sum patch rows back into a
+    ``(B, C, H, W)`` image (a view of NHWC memory)."""
     g = geom
-    height, width = g.height + 2 * g.ph, g.width + 2 * g.pw
-    if g.channels_last:
-        padded = np.zeros(
-            (g.batch, height, width, g.channels), dtype=patches.dtype
-        )
-        patches = patches.reshape(
-            g.batch, g.out_h, g.out_w, g.kh, g.kw, g.channels
-        )
-    else:
-        padded = np.zeros(
-            (g.batch, g.channels, height, width), dtype=patches.dtype
-        )
-        patches = patches.reshape(
-            g.batch, g.channels, g.kh, g.kw, g.out_h, g.out_w
-        )
+    padded = np.zeros(
+        (g.batch, g.height + 2 * g.ph, g.width + 2 * g.pw, g.channels),
+        dtype=patches.dtype,
+    )
+    patches = patches.reshape(g.batch, g.out_h, g.out_w, g.kh, g.kw, g.channels)
     for i in range(g.kh):
         rows = slice(i, i + g.sh * g.out_h, g.sh)
         for j in range(g.kw):
             cols = slice(j, j + g.sw * g.out_w, g.sw)
-            if g.channels_last:
-                padded[:, rows, cols, :] += patches[:, :, :, i, j, :]
-            else:
-                padded[:, :, rows, cols] += patches[:, :, i, j, :, :]
-    if g.channels_last:
-        padded = padded.transpose(0, 3, 1, 2)
+            padded[:, rows, cols, :] += patches[:, :, :, i, j, :]
+    padded = padded.transpose(0, 3, 1, 2)
     return padded[:, :, g.ph : g.ph + g.height, g.pw : g.pw + g.width]
-
-
-def im2col(
-    x: np.ndarray, kernel: IntPair, stride: IntPair = 1, padding: IntPair = 0
-) -> np.ndarray:
-    """Lower ``(B, C, H, W)`` image patches to ``(B, C·kh·kw, oh·ow)``
-    columns (the NCHW-order :func:`conv_patches`)."""
-    return conv_patches(
-        x, conv_geometry(x.shape, kernel, stride, padding, rows=False)
-    )
-
-
-def col2im(
-    cols: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    kernel: IntPair,
-    stride: IntPair = 1,
-    padding: IntPair = 0,
-) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter columns back into an image."""
-    return conv_scatter(
-        cols, conv_geometry(input_shape, kernel, stride, padding, rows=False)
-    )
 
 
 def conv_gemm(
     patches: np.ndarray, w_mat: np.ndarray, geom: ConvGeometry
 ) -> np.ndarray:
-    """The convolution's one GEMM, as ``(B, F, oh·ow)`` (for patch rows,
-    a transposed view of the ``(B·oh·ow, F)`` product)."""
-    if geom.channels_last:
-        product = patches @ w_mat
-        return product.reshape(geom.batch, -1, product.shape[1]).transpose(
-            0, 2, 1
-        )
-    return np.matmul(w_mat, patches)
+    """The convolution's one GEMM, as a ``(B, F, oh·ow)`` transposed
+    view of the ``(B·oh·ow, F)`` product."""
+    product = patches @ w_mat
+    return product.reshape(geom.batch, -1, product.shape[1]).transpose(0, 2, 1)
 
 
 def gemm_epilogue(
@@ -312,7 +214,10 @@ def conv2d(
     x = as_tensor(x)
     weight = as_tensor(weight)
     filters, _, kh, kw = weight.shape
-    geom = conv_geometry(x.shape, (kh, kw), stride, padding)
+    geom = conv_geometry(
+        x.shape, (kh, kw), as_pair(stride, "stride"),
+        as_pair(padding, "padding"),
+    )
     dtype = np.result_type(x.data, weight.data)
     w_mat = conv_weight_matrix(weight.data)
     patches = conv_patches(x.data, geom, dtype)
@@ -331,27 +236,14 @@ def conv2d(
         return Tensor(out)
 
     def backward_fn(grad: np.ndarray) -> None:
-        if geom.channels_last:
-            grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, filters)
-        else:
-            grad_mat = grad.reshape(geom.batch, filters, -1)
+        grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, filters)
         if weight.requires_grad or weight._backward_fn:
-            if geom.channels_last:
-                grad_w = (patches.T @ grad_mat).reshape(kh, kw, -1, filters)
-                grad_w = grad_w.transpose(3, 2, 0, 1)
-            else:
-                grad_w = np.einsum(
-                    "bfo,bco->fc", grad_mat, patches, optimize=True
-                ).reshape(weight.shape)
-            weight._accumulate(grad_w)
+            grad_w = (patches.T @ grad_mat).reshape(kh, kw, -1, filters)
+            weight._accumulate(grad_w.transpose(3, 2, 0, 1))
         if bias is not None and (bias.requires_grad or bias._backward_fn):
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
         if x.requires_grad or x._backward_fn:
-            if geom.channels_last:
-                grad_patches = grad_mat @ w_mat.T
-            else:
-                grad_patches = np.matmul(w_mat.T, grad_mat)
-            x._accumulate(conv_scatter(grad_patches, geom))
+            x._accumulate(conv_scatter(grad_mat @ w_mat.T, geom))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor(out, True, parents, backward_fn)

@@ -43,7 +43,7 @@ none of the plan's widths or carrier bounds would hold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -93,9 +93,12 @@ class IntBackend(InferenceBackend):
         self.plan = LoweringPlan.from_dict(artifact.lowering_plan)
         self._ops = {lp.layer: lp.ops for lp in self.plan.layers}
         self._weights: Dict[str, Tuple[np.ndarray, int]] = {}
-        #: (weight key, carrier, prod_shift) -> the weight's GEMM operand
-        #: (:meth:`gemm_weight`), built on first use.
-        self._carried: Dict[Tuple[str, Optional[str], int], np.ndarray] = {}
+        #: (weight key, carrier, prod_shift, lowering) -> the weight's
+        #: GEMM operand (:meth:`gemm_weight`), built on first use.
+        self._carried: Dict[
+            Tuple[str, Optional[str], int, Callable[..., np.ndarray]],
+            np.ndarray,
+        ] = {}
         for key, (codes, fmt, scale) in artifact.weight_codes.items():
             exponent = pow2_exponent(scale)
             if exponent is None:
@@ -124,13 +127,18 @@ class IntBackend(InferenceBackend):
         return self._weights[key]
 
     def gemm_weight(
-        self, key: str, carrier: Optional[str], prod_shift: int, lower
+        self,
+        key: str,
+        carrier: Optional[str],
+        prod_shift: int,
+        lower: Callable[..., np.ndarray],
     ) -> np.ndarray:
         """A weight's MAC operand: ``lower(codes, prod_shift, carrier)``
         (:func:`~repro.backend.int_kernels.conv_weight`,
         ``linear_weight`` or ``scaled_weight``), built once per bound
-        model and reused by every batch."""
-        cache = (key, carrier, prod_shift)
+        model and reused by every batch.  The cache is keyed by
+        ``lower`` too: each lowering has its own layout."""
+        cache = (key, carrier, prod_shift, lower)
         operand = self._carried.get(cache)
         if operand is None:
             operand = lower(self._weights[key][0], prod_shift, carrier)

@@ -301,12 +301,10 @@ def int_conv2d(
     * one pass adds the bias in the carrier and writes the result as a
       C-contiguous NCHW ``out_dtype`` array.
 
-    (C = 1 first convs use NCHW columns instead:
-    :func:`repro.autograd.ops_nn.channels_last`.)  Pass the op's sealed
-    dtype (:func:`storage_dtype` of its ``accumulator_bits``) as
-    ``out_dtype``: the certificate bounds the result by that width, and
-    the carrier bound covers every partial sum, so the result converts
-    once, straight from the carrier.
+    Pass the op's sealed dtype (:func:`storage_dtype` of its
+    ``accumulator_bits``) as ``out_dtype``: the certificate bounds the
+    result by that width, and the carrier bound covers every partial
+    sum, so the result converts once, straight from the carrier.
     """
     geom = conv_geometry(x.shape, kernel, stride, padding)
     patches = conv_patches(x, geom, _carrier_dtype(carrier))
@@ -423,14 +421,10 @@ def int_batchnorm(
     codes: np.ndarray, multipliers: np.ndarray, offsets: np.ndarray
 ) -> np.ndarray:
     """Per-channel integer affine ``m_c · code + B_c`` from the plan's
-    batch-norm tables (output lands on the plan's ``2^out_exp`` grid).
-    The product widens straight into one int64 array and the offset
-    adds in place."""
+    batch-norm tables (output lands on the plan's ``2^out_exp`` grid)."""
     m = np.asarray(multipliers, np.int64)[None, :, None, None]
     off = np.asarray(offsets, np.int64)[None, :, None, None]
-    out = np.multiply(codes, m, dtype=np.int64)
-    out += off
-    return out
+    return np.asarray(codes, np.int64) * m + off
 
 
 def _floor_div(

@@ -393,6 +393,31 @@ class TestSession:
                     model.config.to_dict()
                 )
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_select_counts_batches_as_quantize_does(
+        self, workers, tiny_spec, trained_tiny, tiny_data
+    ):
+        """A scheme's search costs the same batches whether it runs
+        alone (``quantize``) or as a ``select`` branch: the baseline
+        pass ``select`` measures up front is still counted by every
+        branch, with or without forked workers."""
+        _, test = tiny_data
+        data = (test.images[:128], test.labels[:128])
+        spec = tiny_spec.with_overrides(batch_size=32, workers=workers)
+        outcome = Session(spec, model=trained_tiny, test_data=data).select()
+        for name, branch in outcome.per_scheme.items():
+            alone = Session(spec, model=trained_tiny, test_data=data).quantize(
+                name
+            )
+            assert branch.batches_evaluated == alone.batches_evaluated > 0
+            assert {
+                step: counts["batches"]
+                for step, counts in branch.phase_stats.items()
+            } == {
+                step: counts["batches"]
+                for step, counts in alone.phase_stats.items()
+            }
+
     def test_quantize_never_forks(
         self, monkeypatch, tiny_spec, trained_tiny, tiny_data
     ):

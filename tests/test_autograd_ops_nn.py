@@ -18,15 +18,12 @@ from repro.autograd import (
 from repro.autograd.ops_nn import (
     _axis_max,
     avg_pool2d,
-    channels_last,
-    col2im,
     conv_gemm,
     conv_geometry,
     conv_output_shape,
     conv_patches,
     conv_scatter,
     conv_weight_matrix,
-    im2col,
     max_pool2d,
 )
 
@@ -66,18 +63,28 @@ class TestConvOutputShape:
 
 class TestIm2col:
     def test_adjointness(self, rng):
-        """col2im is the exact adjoint of im2col: <Ax, y> == <x, A'y>."""
-        x = rng.standard_normal((2, 3, 8, 8))
-        y_shape_cols = im2col(x, 3, 2, 1).shape
-        y = rng.standard_normal(y_shape_cols)
-        lhs = (im2col(x, 3, 2, 1) * y).sum()
-        rhs = (x * col2im(y, x.shape, 3, 2, 1)).sum()
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+        """conv_scatter is the exact adjoint of conv_patches:
+        <Px, y> == <x, P'y>, also for C = 1 and a non-square kernel."""
+        for shape, kernel, stride, padding in (
+            ((2, 3, 8, 8), (3, 3), 2, 1),
+            ((2, 1, 7, 6), (3, 2), 1, 0),
+            ((2, 3, 7, 6), (3, 2), 2, 1),
+            ((2, 1, 7, 6), (3, 2), 1, 2),
+        ):
+            x = rng.standard_normal(shape)
+            geom = conv_geometry(
+                shape, kernel, (stride, stride), (padding, padding)
+            )
+            y = rng.standard_normal(conv_patches(x, geom).shape)
+            lhs = (conv_patches(x, geom) * y).sum()
+            back = conv_scatter(y, geom)
+            assert back.shape == shape
+            assert lhs == pytest.approx((x * back).sum(), rel=1e-10)
 
     def test_values_identity_kernel(self, rng):
         x = rng.standard_normal((1, 1, 4, 4))
-        cols = im2col(x, 1)
-        assert np.allclose(cols.reshape(4, 4), x[0, 0])
+        rows = conv_patches(x, conv_geometry(x.shape, (1, 1), (1, 1), (0, 0)))
+        assert np.allclose(rows.reshape(4, 4), x[0, 0])
 
 
 @st.composite
@@ -104,21 +111,7 @@ def conv_cases(draw):
 
 
 class TestConvLowering:
-    """The channels-last patch rows and the NCHW columns are two layouts
-    of one lowering; :func:`channels_last` picks one from the shape."""
-
-    def test_shape_rule(self):
-        # C = 1 first convs keep NCHW columns; every capsule conv of
-        # the zoo (C >= 8) lowers to patch rows.
-        assert not channels_last(9, 1) and not channels_last(3, 1)
-        assert not channels_last(3, 2) and not channels_last(3, 5)
-        assert channels_last(9, 2) and channels_last(3, 8)
-        for shape, rows in (((2, 1, 9, 9), False), ((2, 16, 9, 9), True)):
-            geom = conv_geometry(shape, 3, 1, 1)
-            assert geom.channels_last is rows
-            w = np.zeros((4, shape[1], 3, 3))
-            expected = (9 * shape[1], 4) if rows else (4, 9 * shape[1])
-            assert conv_weight_matrix(w).shape == expected
+    """The channels-last lowering: patch rows, one GEMM, NCHW output."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=conv_cases())
@@ -135,54 +128,19 @@ class TestConvLowering:
     @given(
         case=conv_cases(),
         dtype=st.sampled_from([np.int16, np.int32, np.int64]),
-        rows=st.booleans(),
     )
-    def test_integer_codes_are_exact(self, case, dtype, rows):
-        """Both layouts lower integer codes of any width exactly."""
+    def test_integer_codes_are_exact(self, case, dtype):
+        """Integer codes of any width lower exactly."""
         x, w, _, stride, padding = case
         x = np.rint(x * 20).astype(dtype)
         w = np.rint(w * 20).astype(np.int64)
-        geom = conv_geometry(x.shape, w.shape[2:], stride, padding, rows=rows)
-        w_mat = (
-            w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
-            if rows else w.reshape(w.shape[0], -1)
+        geom = conv_geometry(
+            x.shape, w.shape[2:], (stride, stride), (padding, padding)
         )
         patches = conv_patches(x, geom, np.dtype(np.int64))
-        out = conv_gemm(patches, w_mat, geom)
+        out = conv_gemm(patches, conv_weight_matrix(w), geom)
         ref = naive_conv2d(x.astype(np.int64), w, None, stride, padding)
         assert np.array_equal(out.reshape(ref.shape), ref.astype(np.int64))
-
-    @pytest.mark.parametrize("rows", [False, True])
-    @pytest.mark.parametrize("stride, padding", [(1, 0), (2, 1), (1, 2)])
-    def test_scatter_is_the_adjoint_of_patches(
-        self, rng, rows, stride, padding
-    ):
-        """<P x, y> == <x, P' y> for the patch rows and the columns."""
-        x = rng.standard_normal((2, 3, 7, 6))
-        geom = conv_geometry(x.shape, (3, 2), stride, padding, rows=rows)
-        patches = conv_patches(x, geom)
-        y = rng.standard_normal(patches.shape)
-        back = conv_scatter(y, geom)
-        assert back.shape == x.shape
-        assert (patches * y).sum() == pytest.approx((x * back).sum(), rel=1e-10)
-
-    @pytest.mark.parametrize("channels, kernel, stride, padding, rows", [
-        (1, 3, 1, 1, False),
-        (1, 5, 2, 0, False),
-        (6, 3, 2, 1, True),
-        (2, 9, 1, 1, True),
-    ])
-    def test_gradcheck_on_both_layouts(
-        self, rng, channels, kernel, stride, padding, rows
-    ):
-        size = kernel + 2
-        x = rng.standard_normal((2, channels, size, size))
-        w = rng.standard_normal((2, channels, kernel, kernel))
-        b = rng.standard_normal(2)
-        assert conv_geometry(x.shape, kernel).channels_last is rows
-        assert gradcheck(
-            lambda a, ww, bb: conv2d(a, ww, bb, stride, padding), [x, w, b]
-        )
 
 
 class TestConv2d:
@@ -204,12 +162,18 @@ class TestConv2d:
         assert np.allclose(out.data, naive_conv2d(x, w, None), atol=1e-4)
 
     def test_gradcheck(self, rng):
-        x = rng.standard_normal((2, 2, 6, 6))
-        w = rng.standard_normal((3, 2, 3, 3))
-        b = rng.standard_normal(3)
-        assert gradcheck(
-            lambda a, ww, bb: conv2d(a, ww, bb, stride=2, padding=1), [x, w, b]
-        )
+        # (C, kernel, stride, padding); C = 1 is the first convs' shape.
+        for channels, kernel, stride, padding in (
+            (2, 3, 2, 1), (1, 3, 1, 1), (1, 5, 2, 0), (6, 3, 2, 1), (2, 9, 1, 1),
+        ):
+            size = kernel + 3
+            x = rng.standard_normal((2, channels, size, size))
+            w = rng.standard_normal((3, channels, kernel, kernel))
+            b = rng.standard_normal(3)
+            assert gradcheck(
+                lambda a, ww, bb: conv2d(a, ww, bb, stride, padding),
+                [x, w, b],
+            )
 
 
 class TestPooling:
