@@ -1,4 +1,4 @@
-"""Prefix-cache bench — staged forward engine vs whole-forward engine.
+"""Prefix-cache bench — staged forward engine, prefix cache on vs off.
 
 PR 1's early-exit engine cut the number of *batches* Algorithm 1
 evaluates; this bench measures the next layer of savings: the number of
@@ -8,8 +8,8 @@ boundary activation whose quantization-prefix fingerprint matches, so a
 probe that differs from an already-evaluated config only from layer
 ``k`` down recomputes only stages ``k..L``.
 
-The same Algorithm-1 search runs twice — prefix cache on and off, both
-engine-backed, identical seed/scheme/batch size — for a Path-A and a
+The same Algorithm-1 search runs twice — prefix cache on and off
+(``prefix_cache_bytes=0``), identical seed/scheme/batch size — for a Path-A and a
 Path-B budget on the Fig. 11 ShallowCaps harness.  Hard assertions:
 
 * every packaged model (configs **and** accuracies) is bit-identical
@@ -39,7 +39,7 @@ from conftest import emit
 from harness import fp32_weight_mbit
 
 from repro.analysis import shallowcaps_stats
-from repro.engine import config_signature
+from repro.engine import DEFAULT_PREFIX_CACHE_BYTES, config_signature
 from repro.framework import Evaluator, QCapsNets
 from repro.quant import get_rounding_scheme
 
@@ -50,15 +50,16 @@ BATCH_SIZE = 32
 LAYERWISE_PHASES = ("step3A_layerwise", "step3B_layerwise")
 
 
-def make_evaluator(model, test, scheme, use_prefix_cache,
+def make_evaluator(model, test, scheme, prefix_cache_bytes,
                    batch_size=BATCH_SIZE):
     """One memoized evaluator per arm, shared across budget runs — the
     same sharing the Fig. 11/12 harnesses use (sweeps over budgets keep
-    one accuracy cache), applied identically to both arms."""
+    one accuracy cache), applied identically to both arms.  The cache-off
+    arm passes ``prefix_cache_bytes=0``."""
     return Evaluator(
         model, test.images, test.labels,
         get_rounding_scheme(scheme, seed=0), batch_size=batch_size,
-        use_prefix_cache=use_prefix_cache,
+        prefix_cache_bytes=prefix_cache_bytes,
     )
 
 
@@ -121,9 +122,11 @@ def compare(model, test, fp32_acc, scheme, budgets, tolerance=TOLERANCE,
         "tolerance": tolerance,
         "cases": [],
     }
-    evaluator_on = make_evaluator(model, test, scheme, True, batch_size)
-    evaluator_off = make_evaluator(model, test, scheme, False, batch_size)
-    executor = evaluator_on.engine.executor
+    evaluator_on = make_evaluator(
+        model, test, scheme, DEFAULT_PREFIX_CACHE_BYTES, batch_size
+    )
+    evaluator_off = make_evaluator(model, test, scheme, 0, batch_size)
+    executor = evaluator_on.executor
     layerwise = {"cached": 0, "plain": 0}
     for label, budget in budgets:
         skipped_before = dict(executor.skipped_by_stage)
@@ -235,7 +238,7 @@ def test_prefix_cache_speedup(shallow_digits, digits_data, benchmark):
     benchmark.pedantic(
         lambda: run_search(
             model, test, fp32_mbit / 5, fp32_acc,
-            make_evaluator(model, test, "RTN", True),
+            make_evaluator(model, test, "RTN", DEFAULT_PREFIX_CACHE_BYTES),
         ),
         rounds=2,
         iterations=1,

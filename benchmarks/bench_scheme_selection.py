@@ -35,7 +35,12 @@ sys.path.insert(0, str(Path(__file__).parent))  # conftest/harness as a script
 from conftest import emit
 from harness import fp32_weight_mbit
 
-from repro.engine import config_signature, drain_stats, fork_available
+from repro.engine import (
+    StagedExecutor,
+    config_signature,
+    drain_stats,
+    fork_available,
+)
 from repro.framework import QCapsNets, scheme_search
 
 TOLERANCE = 0.02
@@ -45,8 +50,11 @@ SCHEMES = ("TRN", "RTN", "SR")
 
 def make_factory(model, test, budget_mbit, tolerance=TOLERANCE,
                  batch_size=BATCH_SIZE):
-    """Per-scheme framework factory; fresh evaluator per branch (the
-    sweep itself decides what gets shared)."""
+    """Per-scheme framework factory; fresh evaluator per branch, all
+    branches sharing one fresh staged executor (as ``Session.select``
+    does)."""
+    executor = StagedExecutor(model)
+
     def make_framework(scheme_name: str) -> QCapsNets:
         return QCapsNets.build(
             model, test.images, test.labels,
@@ -54,6 +62,7 @@ def make_factory(model, test, budget_mbit, tolerance=TOLERANCE,
             memory_budget_mbit=budget_mbit,
             scheme=scheme_name,
             batch_size=batch_size,
+            staged_executor=executor,
         )
     return make_framework
 
@@ -87,7 +96,7 @@ def run_sequential_shared(make_framework, schemes):
 
     def spying(scheme_name):
         framework = make_framework(scheme_name)
-        executors.append(framework.evaluator.staged_executor)
+        executors.append(framework.evaluator.executor)
         return framework
 
     started = time.perf_counter()
@@ -124,13 +133,13 @@ def compare(model, test, budget_mbit, workers, schemes=SCHEMES,
 
     Returns ``(report, sequential_outcome)`` so callers can render the
     selection summaries without re-running the search."""
-    make_framework = make_factory(
-        model, test, budget_mbit, tolerance, batch_size
-    )
+    def fresh_factory():  # one fresh shared executor per arm
+        return make_factory(model, test, budget_mbit, tolerance, batch_size)
+
     sequential, sequential_s, shared_stats = run_sequential_shared(
-        make_framework, schemes
+        fresh_factory(), schemes
     )
-    parallel, parallel_s = run_parallel(make_framework, schemes, workers)
+    parallel, parallel_s = run_parallel(fresh_factory(), schemes, workers)
 
     assert outcome_fingerprint(parallel) == outcome_fingerprint(sequential), (
         "parallel SelectionOutcome diverged from the sequential run"

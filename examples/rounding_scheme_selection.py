@@ -7,7 +7,8 @@ activation bits, then scheme hardware simplicity.
 
 The branches are independent Algorithm-1 runs, so ``--workers N`` fans
 them across forked worker processes (bit-identical outcome, merged by
-scheme name).
+scheme name).  Their evaluators share one staged executor, so the
+scheme-free FP32 prefix activations are computed once for the library.
 
 Usage::
 
@@ -18,6 +19,7 @@ import argparse
 
 from repro.capsnet import ShallowCaps, presets
 from repro.data import synth_digits
+from repro.engine import StagedExecutor
 from repro.framework import QCapsNets, scheme_search
 from repro.nn import Adam, Trainer, evaluate_accuracy
 
@@ -43,6 +45,7 @@ def main() -> None:
 
     fp32_mbit = sum(model.layer_param_counts().values()) * 32 / 1e6
     budget = fp32_mbit / args.budget_divisor
+    executor = StagedExecutor(model)
 
     def make_framework(scheme_name: str) -> QCapsNets:
         print(f"running Algorithm 1 with {scheme_name} ...")
@@ -54,6 +57,7 @@ def main() -> None:
             memory_budget_mbit=budget,
             scheme=scheme_name,
             accuracy_fp32=fp32_accuracy,
+            staged_executor=executor,
         )
 
     outcome = scheme_search(

@@ -284,16 +284,13 @@ class Session:
             self._cached_weight_version = version
 
     @property
-    def executor(self) -> Optional[StagedExecutor]:
-        """The session-wide prefix-reuse executor (one per session;
-        ``None`` for models without a ``stages()`` decomposition)."""
+    def executor(self) -> StagedExecutor:
+        """The session-wide prefix-reuse executor (one per session)."""
         self._check_weight_freshness()
         if self._executor is None:
-            model = self.model
-            if callable(getattr(model, "stages", None)):
-                self._executor = StagedExecutor(
-                    model, max_bytes=self.spec.cache_bytes
-                )
+            self._executor = StagedExecutor(
+                self.model, max_bytes=self.spec.cache_bytes
+            )
         return self._executor
 
     def _calibration_scales(self) -> Dict[str, float]:
@@ -347,8 +344,7 @@ class Session:
 
     def executor_stats(self) -> Dict[str, object]:
         """Counter snapshot of the shared prefix-reuse executor."""
-        executor = self.executor
-        return executor.stats() if executor is not None else {}
+        return self.executor.stats()
 
     # ------------------------------------------------------------------
     # Workflow verbs
@@ -426,15 +422,13 @@ class Session:
         images, labels = self.test_data
         budget = self.budget_mbit()
         scales = self._calibration_scales()  # once, before any fork
-        if self.executor is not None:
-            # Warm the scheme-free FP32 prefixes on a throwaway
-            # evaluator: the branches' evaluators stay unmeasured, so
-            # each resumes (and counts) its baseline pass as quantize()
-            # would.
-            Evaluator.from_spec(
-                self.spec, self.model, images, labels, scheme=names[0],
-                staged_executor=self.executor, scales=scales,
-            ).accuracy_fp32()
+        # Warm the scheme-free FP32 prefixes on a throwaway evaluator:
+        # the branches' evaluators stay unmeasured, so each resumes (and
+        # counts) its baseline pass as quantize() would.
+        Evaluator.from_spec(
+            self.spec, self.model, images, labels, scheme=names[0],
+            staged_executor=self.executor, scales=scales,
+        ).accuracy_fp32()
 
         def make(name: str) -> QCapsNets:
             return QCapsNets.from_spec(

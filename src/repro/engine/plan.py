@@ -1,8 +1,11 @@
 """Inference plans — snapshotted, resumable evaluation state per config.
 
-An :class:`InferencePlan` is the unit of work of the batched inference
-engine: everything needed to evaluate one quantization configuration
-over the test split, advanced one batch at a time.  Two properties make
+An :class:`InferencePlan` is the unit of work of the search evaluator
+(:class:`~repro.framework.evaluate.Evaluator`): everything needed to
+evaluate one quantization configuration over the test split, advanced
+one batch at a time.  A plan lives only while its evaluation is
+incomplete; the evaluator drops it — and with it the pre-quantized
+weights — once the last batch has run.  Two properties make
 partial evaluations composable with exact (bit-identical) results:
 
 * **Snapshot isolation.**  The plan quantizes with a
@@ -23,6 +26,7 @@ partial evaluations composable with exact (bit-identical) results:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 from repro.quant.config import QuantizationConfig
@@ -38,6 +42,30 @@ def config_signature(config: QuantizationConfig) -> Tuple:
         tuple(config.qa_vector()),
         tuple(config.qdr_vector()),
     )
+
+
+def floor_threshold(floor: float, total: int) -> int:
+    """Minimum correct count whose accuracy meets ``floor``.
+
+    Returns the smallest integer ``c`` with
+    ``100.0 * c / total >= floor`` under float arithmetic — the same
+    comparison made on a full-split accuracy — or ``total + 1`` when no
+    count satisfies the floor (accuracy floors above 100% are
+    unreachable by construction).
+    """
+    if total <= 0:
+        raise ValueError(f"total must be positive, got {total}")
+    if floor <= 0.0:
+        return 0
+    guess = int(math.ceil(floor * total / 100.0))
+    guess = min(max(guess, 0), total + 1)
+    # Float rounding in ceil() can land one step off either way; settle
+    # on the exact boundary of the float comparison itself.
+    while guess > 0 and 100.0 * (guess - 1) / total >= floor:
+        guess -= 1
+    while guess <= total and 100.0 * guess / total < floor:
+        guess += 1
+    return guess
 
 
 class InferencePlan:
@@ -78,26 +106,9 @@ class InferencePlan:
         self.samples_seen = 0
         #: Index of the next batch to consume.
         self.next_batch = 0
-        #: Exact full-split accuracy, set once every batch is consumed.
-        self.final_accuracy: Optional[float] = None
-
-    @property
-    def complete(self) -> bool:
-        """True once the whole split has been consumed."""
-        return self.final_accuracy is not None
 
     def record_batch(self, correct: int, samples: int) -> None:
-        """Account one consumed batch (engine-internal)."""
+        """Account one consumed batch (evaluator-internal)."""
         self.correct += correct
         self.samples_seen += samples
         self.next_batch += 1
-
-    def release_weights(self) -> None:
-        """Drop the pre-quantized weight tensors.
-
-        Called once the plan is complete: no further batches will run,
-        so only the counters and the final accuracy stay live — without
-        this, a retained plan pins a full quantized copy of the model's
-        weights for the engine's lifetime.
-        """
-        self.context.clear_weight_cache()

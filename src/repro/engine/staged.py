@@ -273,11 +273,14 @@ class PrefixCache:
     produced under a different rounding scheme than the consumer's
     (only scheme-free FP32 prefixes can match cross-scheme),
     ``evictions``, ``rejected`` and the live ``current_bytes``.
+
+    ``max_bytes=0`` turns the cache off: it stores nothing, so every
+    stage runs on every batch.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_PREFIX_CACHE_BYTES):
-        if max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
+        if max_bytes < 0:
+            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
         self.max_bytes = max_bytes
         self._entries: "OrderedDict[Tuple, CacheEntry]" = OrderedDict()
         #: id(tensor) -> [reference count, nbytes] for carried weights.
@@ -401,10 +404,10 @@ class StagedExecutor:
         Model exposing a ``stages()`` decomposition (ShallowCaps,
         DeepCaps, LeNet5).
     max_bytes:
-        Byte cap of the boundary-activation LRU.
+        Byte cap of the boundary-activation LRU (``0``: cache off).
 
     The executor serves *all* plans of one
-    :class:`~repro.engine.streaming.StreamingEvaluator`: the cache is
+    :class:`~repro.framework.evaluate.Evaluator`: the cache is
     shared across configurations, which is where the savings come from —
     a probe differing from an already-evaluated config only in layer
     ``k`` resumes every batch from the cached boundary ``k-1`` and only

@@ -14,7 +14,6 @@ time while accuracy stays at or above the target.
 
 from __future__ import annotations
 
-from repro.engine import floor_oracle
 from repro.framework.evaluate import Evaluator
 from repro.quant.config import QuantizationConfig
 
@@ -31,11 +30,9 @@ def routing_quantization(
     The initial ``QDR`` is the layer's effective routing wordlength
     (``qdr`` if already set, else ``qa``); ``min_bits`` bounds the
     descent for models whose accuracy never crosses the floor.  Each
-    decrement is a pure floor check, served through
-    :func:`~repro.engine.floor_oracle` (early-exiting when the
-    evaluator is engine-backed).
+    decrement is a pure floor check, served by the early-exiting
+    :meth:`Evaluator.meets_floor`.
     """
-    meets = floor_oracle(evaluator)
     config = config.clone()
     bits = config[layer].effective_qdr()
     if bits is None:
@@ -47,7 +44,7 @@ def routing_quantization(
     while bits > min_bits:
         candidate = config.clone()
         candidate.set_qdr(layer, bits - 1)
-        if not meets(candidate, acc_min):
+        if not evaluator.meets_floor(candidate, acc_min):
             break
         config = candidate
         bits -= 1

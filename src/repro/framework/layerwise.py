@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.engine import floor_oracle
 from repro.framework.evaluate import Evaluator
 from repro.quant.config import QuantizationConfig
 
@@ -55,14 +54,11 @@ def layerwise_quantization(
     decrement forever).
 
     Every decrement only needs the floor *verdict*, so candidates are
-    checked through :func:`~repro.engine.floor_oracle` — early-exiting
-    when the evaluator is engine-backed, a plain accuracy comparison
-    otherwise.
+    checked with the early-exiting :meth:`Evaluator.meets_floor`.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got '{kind}'")
 
-    meets = floor_oracle(evaluator)
     config = config.clone()
     layers: List[str] = config.layer_names
     num_layers = len(layers)
@@ -77,7 +73,7 @@ def layerwise_quantization(
             for name in trailing:
                 bits = _get_bits(candidate, name, kind)
                 _set_bits(candidate, name, kind, max(bits - 1, min_bits))
-            if not meets(candidate, acc_min):
+            if not evaluator.meets_floor(candidate, acc_min):
                 break  # keep `config` — the last configuration that passed
             config = candidate
     return config

@@ -24,7 +24,6 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from repro.engine import floor_oracle
 from repro.framework.dr_quant import routing_quantization
 from repro.framework.evaluate import Evaluator
 from repro.framework.layerwise import layerwise_quantization
@@ -47,22 +46,21 @@ class _PhaseRecorder:
     Snapshots the evaluator's counters and records the delta at each
     step boundary into ``QCapsNetsResult.phase_stats`` — the raw data
     behind ``benchmarks/bench_prefix_cache.py``'s per-phase comparison
-    of the prefix-reuse engine against the whole-forward baseline.
+    of the prefix-reuse engine against the cache-off baseline.
     """
 
-    def __init__(self, evaluator, num_stages: int):
+    def __init__(self, evaluator: Evaluator):
         self.evaluator = evaluator
-        self.num_stages = num_stages
         self.stats: dict = {}
         self._mark = self._snapshot()
 
     def _snapshot(self):
-        batches = getattr(self.evaluator, "batches_evaluated", 0)
-        engine = getattr(self.evaluator, "engine", None)
-        if engine is not None and getattr(engine, "executor", None) is not None:
-            return (batches, engine.stage_executions, engine.stages_skipped)
-        # No staged executor: every evaluated batch runs every stage.
-        return (batches, batches * self.num_stages, 0)
+        executor = self.evaluator.executor
+        return (
+            self.evaluator.batches_evaluated,
+            executor.stage_executions,
+            executor.stages_skipped,
+        )
 
     def record(self, step: str) -> None:
         current = self._snapshot()
@@ -105,14 +103,6 @@ class QCapsNets:
         share its memoized accuracy cache across several framework runs
         (e.g. a sweep over memory budgets with a fixed scheme); when
         given, ``scheme``/``batch_size``/``seed`` are taken from it.
-    use_engine:
-        Route floor comparisons through the batched inference engine
-        (early-exit evaluation; default).  Ignored when ``evaluator``
-        is given — the prebuilt evaluator's setting wins.
-    use_prefix_cache:
-        Let the engine resume forward passes from cached cross-config
-        prefix activations (default; see :mod:`repro.engine.staged`).
-        Ignored when ``evaluator`` is given.
     staged_executor:
         Prebuilt :class:`~repro.engine.StagedExecutor` to share across
         framework instances over the same model (e.g. the per-scheme
@@ -197,8 +187,6 @@ class QCapsNets:
         step1_tolerance_fraction: float = STEP1_TOLERANCE_FRACTION,
         accuracy_fp32: Optional[float] = None,
         evaluator: Optional[Evaluator] = None,
-        use_engine: bool = True,
-        use_prefix_cache: bool = True,
         staged_executor=None,
     ):
         if accuracy_tolerance < 0:
@@ -228,8 +216,7 @@ class QCapsNets:
             self.scheme = scheme
             self.evaluator = Evaluator(
                 model, test_images, test_labels, scheme,
-                batch_size=batch_size, seed=seed, use_engine=use_engine,
-                use_prefix_cache=use_prefix_cache,
+                batch_size=batch_size, seed=seed,
                 staged_executor=staged_executor,
             )
         self.param_counts = model.layer_param_counts()
@@ -255,16 +242,12 @@ class QCapsNets:
     # ------------------------------------------------------------------
     def run(self) -> QCapsNetsResult:
         log: List[str] = []
-        meets = floor_oracle(self.evaluator)
         # Deltas, not lifetime totals: a shared evaluator accumulates
         # counts across framework runs (e.g. budget sweeps), and the
         # result should report this run's search cost.
-        batches_before = getattr(self.evaluator, "batches_evaluated", 0)
+        batches_before = self.evaluator.batches_evaluated
         evals_before = self.evaluator.eval_count
-        stages_fn = getattr(self.model, "stages", None)
-        phases = _PhaseRecorder(
-            self.evaluator, len(stages_fn()) if callable(stages_fn) else 1
-        )
+        phases = _PhaseRecorder(self.evaluator)
 
         acc_fp32 = (
             self._accuracy_fp32
@@ -285,7 +268,9 @@ class QCapsNets:
             acc_min=acc_step1,
             q_init=self.q_init,
             q_min=max(self.min_bits, 1),
-            meets=lambda bits: meets(self._uniform_config(bits, bits), acc_step1),
+            meets=lambda bits: self.evaluator.meets_floor(
+                self._uniform_config(bits, bits), acc_step1
+            ),
         )
         config_s1 = self._uniform_config(q_s1, q_s1)
         log.append(f"step1: uniform Qw=Qa={q_s1} (acc {acc_s1:.2f}%)")
@@ -322,13 +307,12 @@ class QCapsNets:
             self._run_path_a(result, config_mm, acc_mm, acc_target, phases)
         else:
             self._run_path_b(
-                result, config_s1, config_mm, acc_mm, acc_target, q_s1, meets,
-                phases,
+                result, config_s1, config_mm, acc_mm, acc_target, q_s1, phases,
             )
 
         result.eval_count = self.evaluator.eval_count - evals_before
         result.batches_evaluated = (
-            getattr(self.evaluator, "batches_evaluated", 0) - batches_before
+            self.evaluator.batches_evaluated - batches_before
         )
         result.phase_stats = phases.stats
         return result
@@ -379,7 +363,6 @@ class QCapsNets:
         acc_mm: float,
         acc_target: float,
         q_s1: int,
-        meets,
         phases: _PhaseRecorder,
     ) -> None:
         """Step 3B → ``model_memory`` + ``model_accuracy``."""
@@ -399,7 +382,9 @@ class QCapsNets:
             measure=None,
             acc_min=acc_target, q_init=q_s1,
             q_min=max(self.min_bits, 1),
-            meets=lambda bits: meets(uniform_qw(bits), acc_target),
+            meets=lambda bits: self.evaluator.meets_floor(
+                uniform_qw(bits), acc_target
+            ),
             need_accuracy=False,
         )
         config = config_s1.clone()

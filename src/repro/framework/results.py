@@ -98,14 +98,13 @@ class QCapsNetsResult:
     #: intermediate row of Fig. 11 and useful for ablations).
     model_uniform: Optional[QuantizedModelResult] = None
     eval_count: int = 0
-    #: Evaluation batches run by this search (0 when the evaluator does
-    #: not track batches, e.g. synthetic test oracles).
+    #: Evaluation batches run by this search.
     batches_evaluated: int = 0
     #: Per-step search cost: ``{step: {"batches", "stage_executions",
-    #: "stages_skipped"}}`` deltas recorded by the orchestrator (empty
-    #: when the evaluator does not track batches).  ``stage_executions``
-    #: counts model stages actually run; with the prefix cache disabled
-    #: it equals ``batches * num_stages``.
+    #: "stages_skipped"}}`` deltas recorded by the orchestrator.
+    #: ``stage_executions`` counts model stages actually run; with the
+    #: prefix cache off (``prefix_cache_bytes=0``) it equals
+    #: ``batches * num_stages``.
     phase_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     log: List[str] = field(default_factory=list)
 

@@ -128,7 +128,6 @@ def scheme_search(
     make_framework: Callable[[str], QCapsNets],
     schemes: Sequence[str] = ("TRN", "RTN", "SR"),
     workers: int = 1,
-    share_executor: bool = True,
 ) -> SelectionOutcome:
     """Run Algorithm 1 per scheme and select per Sec. III-B.
 
@@ -136,7 +135,13 @@ def scheme_search(
     ----------
     make_framework:
         Factory mapping a scheme name to a configured :class:`QCapsNets`
-        instance.
+        instance.  Frameworks whose evaluators were built with one
+        shared ``staged_executor`` (as :meth:`repro.api.Session.select`
+        does) share its prefix cache: scheme-free (FP32) prefix
+        activations — notably the whole ``accFP32`` baseline pass — are
+        then computed once and resumed by every later branch, while
+        quantized prefixes stay isolated per scheme (and per SR stream)
+        by their fingerprints.  Bit-identical either way.
     schemes:
         Library of rounding schemes, default the paper's {TRN, RTN, SR}.
         Duplicate names are rejected: each duplicate would rerun the
@@ -149,15 +154,7 @@ def scheme_search(
         results are merged by scheme name, so the outcome — whatever
         the worker scheduling — is bit-identical to the sequential run.
         ``1`` (default) runs the branches sequentially in-process.
-    share_executor:
-        In the sequential path, let the per-scheme frameworks share one
-        staged prefix-reuse executor when their evaluators wrap the
-        same model instance: scheme-free (FP32) prefix activations —
-        notably the whole ``accFP32`` baseline pass — are then computed
-        once and resumed by every later branch, while quantized
-        prefixes stay isolated per scheme (and per SR stream) by their
-        fingerprints.  Bit-identical either way.  Forked branches
-        (``workers > 1``) inherit whatever is in the parent's cache at
+        Forked branches inherit whatever is in the parent's cache at
         fork time but cannot share entries made afterwards.
     """
     if workers < 1:
@@ -179,18 +176,5 @@ def scheme_search(
             workers=workers,
         )
     else:
-        shared_executor = None
-        results = {}
-        for name in names:
-            framework = make_framework(name)
-            # Best-effort sharing: synthetic evaluators (test oracles)
-            # without an engine simply keep their own state.
-            evaluator = framework.evaluator
-            if share_executor and hasattr(evaluator, "share_executor"):
-                executor = getattr(evaluator, "staged_executor", None)
-                if shared_executor is None:
-                    shared_executor = executor
-                elif executor is not None:
-                    evaluator.share_executor(shared_executor)
-            results[name] = framework.run()
+        results = {name: make_framework(name).run() for name in names}
     return select_best(results)

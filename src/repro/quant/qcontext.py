@@ -195,15 +195,6 @@ class FixedPointQuant(QuantContext):
         scale = self.scales.get(routing_scale_key(layer, array), 1.0)
         return Tensor(self._apply(tensor.data, bits, scale, layer))
 
-    def clear_weight_cache(self) -> None:
-        """Drop the pre-quantized weight tensors (keeps the RNG stream).
-
-        For callers that are done running batches and only want to
-        release memory; :meth:`reset` additionally reseeds stochastic
-        rounding, which would perturb a stream being resumed.
-        """
-        self._weight_cache.clear()
-
     def weight_cache_snapshot(
         self, layers: Iterable[str]
     ) -> Dict[Tuple[str, str, int], Tensor]:

@@ -1,25 +1,38 @@
-"""Tests for the batched inference engine (src/repro/engine/).
+"""Tests for the search evaluator and its engine (src/repro/engine/).
 
-The engine's contract is *exactness*: ``meets_floor`` must return
+The evaluator's contract is *exactness*: ``meets_floor`` must return
 precisely ``accuracy(config) >= floor`` while evaluating fewer batches,
 and resumed partial evaluations must be bit-identical to monolithic
 ones — including under stochastic rounding.  These tests pin that
-contract on synthetic counts and on a real seeded ShallowCaps.
+contract on synthetic counts and on a real seeded ShallowCaps, against
+a reference that evaluates the whole split with
+:func:`repro.nn.trainer.evaluate_accuracy`.
 """
 
 import pytest
 
+import repro.framework.evaluate as evaluate_module
 from repro.engine import (
     InferencePlan,
-    StreamingEvaluator,
     config_signature,
-    floor_oracle,
     floor_threshold,
 )
 from repro.framework import Evaluator, QCapsNets
-from repro.quant import QuantizationConfig, calibrate_scales, get_rounding_scheme
+from repro.nn.module import Module
+from repro.nn.trainer import evaluate_accuracy
+from repro.quant import QuantizationConfig, get_rounding_scheme
 
 LAYERS = ["L1", "L2", "L3"]
+
+
+def reference_accuracy(evaluator, config):
+    """Full-split accuracy of ``config`` without plans, early exit or
+    prefix reuse: one whole-model forward per batch."""
+    return evaluate_accuracy(
+        evaluator.model, evaluator.images, evaluator.labels,
+        batch_size=evaluator.batch_size,
+        q=evaluator.quant_context(config),
+    )
 
 
 class TestFloorThreshold:
@@ -46,27 +59,6 @@ class TestFloorThreshold:
             floor_threshold(50.0, 0)
 
 
-class TestFloorOracle:
-    def test_prefers_meets_floor(self):
-        class WithVerdict:
-            def meets_floor(self, config, floor):
-                return True
-
-            def accuracy(self, config):  # pragma: no cover
-                raise AssertionError("must not be called")
-
-        assert floor_oracle(WithVerdict())(None, 50.0) is True
-
-    def test_falls_back_to_accuracy(self):
-        class Plain:
-            def accuracy(self, config):
-                return 75.0
-
-        meets = floor_oracle(Plain())
-        assert meets(None, 70.0) is True
-        assert meets(None, 80.0) is False
-
-
 class TestInferencePlan:
     def test_snapshots_config(self):
         config = QuantizationConfig.uniform(LAYERS, qw=8, qa=8)
@@ -84,14 +76,10 @@ class TestInferencePlan:
         assert plan.context.scheme is not scheme
 
 
-def _engine(model, test, scheme="RTN", batch_size=32, **kwargs):
-    # Same calibrated pre-scaling the Evaluator would compute, so raw
-    # engine results are comparable with Evaluator results.
-    scales = calibrate_scales(model, test.images, batch_size=batch_size)
-    return StreamingEvaluator(
+def _engine(model, test, scheme="RTN", batch_size=32):
+    return Evaluator(
         model, test.images, test.labels,
         get_rounding_scheme(scheme, seed=0), batch_size=batch_size,
-        scales=scales, **kwargs
     )
 
 
@@ -100,29 +88,24 @@ def _uniform(bits):
 
 
 class TestStreamingEvaluator:
+    """Early-exit verdicts and resumable accuracies of the evaluator."""
+
     def test_accuracy_matches_naive_evaluator(self, trained_tiny, tiny_data):
         _, test = tiny_data
-        naive = Evaluator(
-            trained_tiny, test.images, test.labels,
-            get_rounding_scheme("RTN"), batch_size=32, use_engine=False,
-        )
         engine = _engine(trained_tiny, test)
         for bits in (2, 4, 8):
-            assert engine.accuracy(_uniform(bits)) == naive.accuracy(_uniform(bits))
+            config = _uniform(bits)
+            assert engine.accuracy(config) == reference_accuracy(engine, config)
 
     def test_verdicts_match_full_evaluation(self, trained_tiny, tiny_data):
-        """Engine verdicts agree with full-evaluation verdicts on a
+        """Early-exit verdicts agree with full-evaluation verdicts on a
         seeded ShallowCaps, across configs and floors."""
         _, test = tiny_data
-        naive = Evaluator(
-            trained_tiny, test.images, test.labels,
-            get_rounding_scheme("RTN"), batch_size=32, use_engine=False,
-        )
         engine = _engine(trained_tiny, test)
-        floors = [10.0, 40.0, naive.accuracy_fp32() - 2.0, 99.0]
+        floors = [10.0, 40.0, engine.accuracy_fp32() - 2.0, 99.0]
         for bits in (1, 2, 3, 5, 8):
             config = _uniform(bits)
-            exact = naive.accuracy(config)
+            exact = reference_accuracy(engine, config)
             for floor in floors:
                 assert engine.meets_floor(config, floor) == (exact >= floor), (
                     bits, floor,
@@ -133,23 +116,19 @@ class TestStreamingEvaluator:
         engine = _engine(trained_tiny, test)
         # A clearly-met low floor is decided after the first batch.
         assert engine.meets_floor(_uniform(8), 5.0)
-        assert engine.batches_evaluated < engine.num_batches
-        assert engine.early_exits == 1
+        assert engine.batches_evaluated == 1 < engine.num_batches
+        assert engine.eval_count == 0  # a verdict, not a full evaluation
 
     def test_partial_then_exact_resumes(self, trained_tiny, tiny_data):
         _, test = tiny_data
         engine = _engine(trained_tiny, test)
-        naive = Evaluator(
-            trained_tiny, test.images, test.labels,
-            get_rounding_scheme("RTN"), batch_size=32, use_engine=False,
-        )
         config = _uniform(6)
         engine.meets_floor(config, 5.0)  # early exit, partial progress
         partial = engine.batches_evaluated
         assert partial < engine.num_batches
         value = engine.accuracy(config)  # resume, not restart
         assert engine.batches_evaluated == engine.num_batches
-        assert value == naive.accuracy(config)
+        assert value == reference_accuracy(engine, config)
         assert partial > 0
 
     def test_sr_exact_under_interleaving(self, trained_tiny, tiny_data):
@@ -161,32 +140,92 @@ class TestStreamingEvaluator:
         engine.meets_floor(a, 5.0)  # partial progress on a
         engine.accuracy(b)          # full run on b in between
         resumed = engine.accuracy(a)
-        naive = Evaluator(
-            trained_tiny, test.images, test.labels,
-            get_rounding_scheme("SR", seed=0), batch_size=32, use_engine=False,
-        )
-        assert resumed == naive.accuracy(a)
+        assert resumed == reference_accuracy(engine, a)
 
-    def test_plan_eviction_keeps_results_exact(self, trained_tiny, tiny_data):
+    def test_plan_eviction_keeps_results_exact(
+        self, trained_tiny, tiny_data, monkeypatch
+    ):
+        monkeypatch.setattr(evaluate_module, "MAX_PLANS", 2)
         _, test = tiny_data
-        engine = _engine(trained_tiny, test, max_plans=2)
-        reference = {bits: engine.accuracy(_uniform(bits)) for bits in (2, 4, 6)}
-        # 3 configs through a 2-plan cache: the first was evicted;
-        # re-evaluating replays from batch 0 with identical results.
-        assert len(engine._plans) == 2
-        for bits, value in reference.items():
-            assert engine.accuracy(_uniform(bits)) == value
+        engine = _engine(trained_tiny, test)
+        configs = {bits: _uniform(bits) for bits in (2, 4, 6)}
+        partial = {}
+        for bits, config in configs.items():
+            before = engine.batches_evaluated
+            engine.meets_floor(config, 1.0)  # early exit, left partial
+            partial[bits] = engine.batches_evaluated - before
+            assert 0 < partial[bits] < engine.num_batches
+        # 3 partial plans through a 2-plan LRU: the first was evicted...
+        assert list(engine._plans) == [
+            config_signature(configs[4]), config_signature(configs[6])
+        ]
+        # ...and replays from batch 0 with identical results, while the
+        # retained plans resume (most recent first, so none is evicted).
+        for config in (configs[6], configs[4], configs[2]):
+            assert engine.accuracy(config) == reference_accuracy(engine, config)
+        assert engine.batches_evaluated == partial[2] + 3 * engine.num_batches
+
+    def test_finished_config_leaves_no_plan(self, trained_tiny, tiny_data):
+        """A config whose last batch ran keeps only its memoized
+        accuracy: its plan (and the pre-quantized weights) is gone."""
+        _, test = tiny_data
+        engine = _engine(trained_tiny, test)
+        partial, full, near = _uniform(6), _uniform(4), _uniform(8)
+        engine.meets_floor(partial, 5.0)
+        assert len(engine._plans) == 1
+        engine.accuracy(full)
+        exact = reference_accuracy(engine, near)
+        # A floor at the exact accuracy is only decided by the last batch.
+        assert engine.meets_floor(near, exact)
+        assert list(engine._plans) == [config_signature(partial)]
+        assert engine.eval_count == 2
+        batches = engine.batches_evaluated
+        assert engine.accuracy(near) == exact  # served from the memo
+        assert engine.batches_evaluated == batches
+        engine.accuracy_fp32()
+        assert list(engine._plans) == [config_signature(partial)]
+        assert engine.eval_count == 2  # the FP32 pass is not a search eval
 
     def test_validation(self, trained_tiny, tiny_data):
         _, test = tiny_data
         with pytest.raises(ValueError):
             _engine(trained_tiny, test, batch_size=0)
         with pytest.raises(ValueError):
-            _engine(trained_tiny, test, max_plans=0)
-        with pytest.raises(ValueError):
-            StreamingEvaluator(
+            Evaluator(
                 trained_tiny, test.images[:0], test.labels[:0],
                 get_rounding_scheme("RTN"),
+            )
+
+
+class _StagelessModel(Module):
+    """A quantizable model that does not decompose into stages."""
+
+    quant_layers = ["L1"]
+    routing_layers = []
+
+    def forward(self, x, q=None):  # pragma: no cover - never reached
+        return x
+
+
+class TestStagelessModelRejected:
+    """Every search evaluation runs through a StagedExecutor, so a model
+    without ``stages()`` fails at construction (it used to fall back to
+    whole-model forwards silently)."""
+
+    def test_evaluator(self, tiny_data):
+        _, test = tiny_data
+        with pytest.raises(TypeError, match="stages"):
+            Evaluator(
+                _StagelessModel(), test.images, test.labels,
+                get_rounding_scheme("RTN"),
+            )
+
+    def test_qcapsnets_build(self, tiny_data):
+        _, test = tiny_data
+        with pytest.raises(TypeError, match="stages"):
+            QCapsNets.build(
+                _StagelessModel(), test.images, test.labels,
+                accuracy_tolerance=0.01, memory_budget_mbit=1.0,
             )
 
 
@@ -203,11 +242,10 @@ class TestEvaluatorEngineIntegration:
         assert evaluator.meets_floor(config, exact - 1.0)
         assert not evaluator.meets_floor(config, exact + 1.0)
         assert evaluator.batches_evaluated == batches  # no new batches
-        assert evaluator.probe_count == 2
 
     def test_accuracy_fp32_memoized(self, trained_tiny, tiny_data):
-        """Engine-backed FP32 pass: one full run of a null (all-FP32)
-        config, memoized afterwards, matching the naive evaluation."""
+        """The FP32 pass: one full run of a null (all-FP32) config,
+        memoized afterwards, matching a plain full-model evaluation."""
         _, test = tiny_data
         evaluator = Evaluator(
             trained_tiny, test.images, test.labels,
@@ -219,39 +257,49 @@ class TestEvaluatorEngineIntegration:
         second = evaluator.accuracy_fp32()
         assert first == second
         assert evaluator.batches_evaluated == batches  # memoized
-        naive = Evaluator(
-            trained_tiny, test.images, test.labels,
-            get_rounding_scheme("RTN"), batch_size=32, use_engine=False,
+        assert first == evaluate_accuracy(
+            trained_tiny, test.images, test.labels, batch_size=32
         )
-        assert first == naive.accuracy_fp32()
 
-    def test_accuracy_fp32_naive_memoized(
-        self, trained_tiny, tiny_data, monkeypatch
-    ):
-        import repro.framework.evaluate as evaluate_module
 
-        _, test = tiny_data
-        evaluator = Evaluator(
-            trained_tiny, test.images, test.labels,
-            get_rounding_scheme("RTN"), batch_size=32, use_engine=False,
+class _FullSplitEvaluator:
+    """Test-local reference oracle: every query evaluates the whole
+    split with :func:`evaluate_accuracy` (no early exit, no plans, no
+    prefix reuse) and counts its batches."""
+
+    def __init__(self, evaluator):
+        self.inner = evaluator
+        self.scheme = evaluator.scheme
+        self.executor = evaluator.executor
+        self.eval_count = 0
+        self.batches_evaluated = 0
+        self._cache = {}
+
+    def _full_pass(self, q=None):
+        self.batches_evaluated += self.inner.num_batches
+        return evaluate_accuracy(
+            self.inner.model, self.inner.images, self.inner.labels,
+            batch_size=self.inner.batch_size, q=q,
         )
-        calls = []
-        original = evaluate_module.evaluate_accuracy
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+    def accuracy_fp32(self):
+        return self._full_pass()
 
-        monkeypatch.setattr(evaluate_module, "evaluate_accuracy", counting)
-        first = evaluator.accuracy_fp32()
-        second = evaluator.accuracy_fp32()
-        assert first == second
-        assert len(calls) == 1
+    def accuracy(self, config):
+        key = config_signature(config)
+        if key not in self._cache:
+            self.eval_count += 1
+            self._cache[key] = self._full_pass(self.inner.quant_context(config))
+        return self._cache[key]
+
+    def meets_floor(self, config, floor):
+        return self.accuracy(config) >= floor
 
 
 class TestSearchEquivalence:
-    """Acceptance: an engine-backed Algorithm-1 run returns identical
-    results to the naive path while evaluating strictly fewer batches."""
+    """Acceptance: an early-exit Algorithm-1 run returns identical
+    results to full-split evaluation while evaluating strictly fewer
+    batches."""
 
     @pytest.mark.parametrize(
         "budget_mbit, scheme", [(0.12, "RTN"), (0.02, "RTN"), (0.12, "SR")]
@@ -261,15 +309,21 @@ class TestSearchEquivalence:
     ):
         _, test = tiny_data
 
-        def run(use_engine):
+        def run(full_split):
+            evaluator = Evaluator(
+                trained_tiny, test.images, test.labels,
+                get_rounding_scheme(scheme, seed=0), batch_size=32,
+            )
+            if full_split:
+                evaluator = _FullSplitEvaluator(evaluator)
             return QCapsNets.build(
                 trained_tiny, test.images, test.labels,
                 accuracy_tolerance=0.03, memory_budget_mbit=budget_mbit,
-                scheme=scheme, batch_size=32, use_engine=use_engine,
+                evaluator=evaluator,
             ).run()
 
-        fast = run(True)
-        naive = run(False)
+        fast = run(False)
+        naive = run(True)
         assert fast.path == naive.path
         assert set(fast.models()) == set(naive.models())
         for name, model in naive.models().items():

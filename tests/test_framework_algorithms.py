@@ -32,6 +32,9 @@ class FakeEvaluator:
         self.eval_count += 1
         return self.fn(config)
 
+    def meets_floor(self, config: QuantizationConfig, floor: float) -> bool:
+        return self.accuracy(config) >= floor
+
 
 class TestBinarySearch:
     def test_finds_minimum_satisfying_bits(self):

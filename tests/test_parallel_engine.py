@@ -180,12 +180,14 @@ class TestRunBranches:
 # The Sec. III-B sweep: parallel == sequential, bit for bit
 # ----------------------------------------------------------------------
 class TestParallelSchemeSweep:
-    def _make_factory(self, model, test):
+    def _make_factory(self, model, test, executor=None):
+        """Per-scheme factory; with ``executor`` every branch shares it
+        (as ``Session.select`` does), else each builds its own."""
         def make(scheme_name):
             return QCapsNets.build(
                 model, test.images, test.labels,
                 accuracy_tolerance=0.03, memory_budget_mbit=0.12,
-                scheme=scheme_name, batch_size=32,
+                scheme=scheme_name, batch_size=32, staged_executor=executor,
             )
         return make
 
@@ -193,7 +195,9 @@ class TestParallelSchemeSweep:
         """The satellite contract: workers ∈ {1, 2, 3} reproduce the
         sequential SelectionOutcome exactly for all four schemes."""
         _, test = tiny_data
-        make = self._make_factory(trained_tiny, test)
+        make = self._make_factory(
+            trained_tiny, test, StagedExecutor(trained_tiny)
+        )
         reference = _outcome_key(
             scheme_search(make, schemes=SCHEMES)
         )
@@ -216,26 +220,26 @@ class TestParallelSchemeSweep:
         resumed by every later branch (scheme-free prefixes), recorded
         as cross-scheme hits."""
         _, test = tiny_data
-        make = self._make_factory(trained_tiny, test)
+        shared = StagedExecutor(trained_tiny)
+        make = self._make_factory(trained_tiny, test, shared)
         executors = []
 
         def spying_make(scheme_name):
             framework = make(scheme_name)
-            executors.append(framework.evaluator.staged_executor)
+            executors.append(framework.evaluator.executor)
             return framework
 
         outcome = scheme_search(
             spying_make, schemes=("TRN", "RTN", "SR")
         )
         assert set(outcome.per_scheme) == {"TRN", "RTN", "SR"}
-        shared = executors[0]
+        # Every branch ran on the one executor...
+        assert all(executor is shared for executor in executors)
         assert shared.cache.cross_scheme_hits > 0
-        # Sharing actually happened: later evaluators adopted the first
-        # branch's executor...
-        # (the factory's own executors were replaced on adoption)
         # ...and the shared outcome equals the unshared one.
         unshared = scheme_search(
-            make, schemes=("TRN", "RTN", "SR"), share_executor=False
+            self._make_factory(trained_tiny, test),
+            schemes=("TRN", "RTN", "SR"),
         )
         assert _outcome_key(outcome) == _outcome_key(unshared)
 
@@ -256,7 +260,7 @@ class TestSharedExecutorIsolation:
             for seed in (0, 7)
         }
         first = _evaluator(trained_tiny, test, "SR", seed=0)
-        shared = first.staged_executor
+        shared = first.executor
         second = _evaluator(
             trained_tiny, test, "SR", seed=7, staged_executor=shared
         )
@@ -275,7 +279,7 @@ class TestSharedExecutorIsolation:
         det = _evaluator(trained_tiny, test, "RTN")
         det.accuracy(config)  # populate quantized RTN prefixes
         sr = _evaluator(
-            trained_tiny, test, "SR", staged_executor=det.staged_executor
+            trained_tiny, test, "SR", staged_executor=det.executor
         )
         assert sr.accuracy(config) == reference
 
@@ -289,14 +293,14 @@ class TestSharedExecutorIsolation:
         config = _uniform(6)
         first = _evaluator(trained_tiny, test, "RTN", seed=0)
         value = first.accuracy(config)
-        executor = first.staged_executor
+        executor = first.executor
         hits_before = executor.cache.hits
         second = _evaluator(
             trained_tiny, test, "RTN", seed=7, staged_executor=executor
         )
         assert second.accuracy(config) == value
         assert executor.cache.hits > hits_before
-        assert executor.resumes >= second.engine.num_batches
+        assert executor.resumes >= second.num_batches
 
     def test_split_token_keeps_splits_apart(self, trained_tiny, tiny_data):
         """Equal batch indices of different splits must never collide
@@ -304,7 +308,7 @@ class TestSharedExecutorIsolation:
         _, test = tiny_data
         config = _uniform(6)
         full = _evaluator(trained_tiny, test, "RTN")
-        executor = full.staged_executor
+        executor = full.executor
         half_images = test.images[: 4 * 32]
         half_labels = test.labels[: 4 * 32]
         half = Evaluator(
@@ -340,17 +344,18 @@ class TestSharedExecutorIsolation:
             _evaluator(trained_tiny, test, "RTN", staged_executor=executor)
 
     def test_share_executor_best_effort(self, trained_tiny, tiny_data):
+        """Sharing is decided at construction: an executor over the same
+        model is used as given, one over another model is refused."""
         from repro.capsnet import ShallowCaps, presets
 
         _, test = tiny_data
-        evaluator = _evaluator(trained_tiny, test, "RTN")
         foreign = StagedExecutor(ShallowCaps(presets.shallowcaps_tiny()))
-        assert not evaluator.share_executor(foreign)
-        own = _evaluator(trained_tiny, test, "TRN").staged_executor
-        assert evaluator.share_executor(own)
-        assert evaluator.staged_executor is own
-        no_engine = _evaluator(trained_tiny, test, "RTN", use_engine=False)
-        assert not no_engine.share_executor(own)
+        with pytest.raises(ValueError, match="different model"):
+            _evaluator(trained_tiny, test, "RTN", staged_executor=foreign)
+        own = _evaluator(trained_tiny, test, "TRN").executor
+        evaluator = _evaluator(trained_tiny, test, "RTN", staged_executor=own)
+        assert evaluator.executor is own
+        assert _evaluator(trained_tiny, test, "RTN").executor is not own
 
 
 # ----------------------------------------------------------------------

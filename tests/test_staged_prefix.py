@@ -1,8 +1,9 @@
 """Tests for the staged forward engine and prefix-reuse cache.
 
 The contract is *exactness*: with the prefix cache on, every accuracy
-and floor verdict must be bit-identical to both the cache-off engine
-and the naive full-split evaluator — for all four rounding schemes,
+and floor verdict must be bit-identical to both the cache-off evaluator
+(``prefix_cache_bytes=0``) and a whole-model full-split reference
+evaluation — for all four rounding schemes,
 including stochastic rounding resumed across cached prefixes — while
 strictly fewer stage callables execute.  The cache itself must bound
 its bytes (LRU eviction) and invalidate prefixes when bits, scheme,
@@ -16,6 +17,7 @@ from repro.autograd.tensor import Tensor, no_grad
 from repro.baselines.lenet import LeNet5
 from repro.capsnet import DeepCaps, ShallowCaps, presets
 from repro.engine import (
+    DEFAULT_PREFIX_CACHE_BYTES,
     PrefixCache,
     StagedExecutor,
     config_signature,
@@ -24,6 +26,7 @@ from repro.engine import (
 from repro.engine.staged import CacheEntry
 from repro.framework import Evaluator, QCapsNets
 from repro.nn.module import ForwardStage
+from repro.nn.trainer import evaluate_accuracy
 from repro.quant import QuantizationConfig, get_rounding_scheme
 from repro.quant.qcontext import NULL_CONTEXT, FixedPointQuant
 
@@ -41,6 +44,14 @@ def _evaluator(model, test, scheme, **kwargs):
     return Evaluator(
         model, test.images, test.labels,
         get_rounding_scheme(scheme, seed=0), batch_size=32, **kwargs,
+    )
+
+
+def _reference(evaluator, config):
+    """Whole-model full-split accuracy of ``config`` (no executor)."""
+    return evaluate_accuracy(
+        evaluator.model, evaluator.images, evaluator.labels,
+        batch_size=evaluator.batch_size, q=evaluator.quant_context(config),
     )
 
 
@@ -111,29 +122,27 @@ class TestBitIdenticalAcrossSchemes:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_cache_on_off_naive_identical(self, trained_tiny, tiny_data, scheme):
         _, test = tiny_data
-        on = _evaluator(trained_tiny, test, scheme, use_prefix_cache=True)
-        off = _evaluator(trained_tiny, test, scheme, use_prefix_cache=False)
-        naive = _evaluator(trained_tiny, test, scheme, use_engine=False)
+        on = _evaluator(trained_tiny, test, scheme)
+        off = _evaluator(trained_tiny, test, scheme, prefix_cache_bytes=0)
         for config in _probe_configs():
             assert (
                 on.accuracy(config)
                 == off.accuracy(config)
-                == naive.accuracy(config)
+                == _reference(on, config)
             ), scheme
-        executor = on.engine.executor
+        executor = on.executor
         # The step of configs shares prefixes, so reuse must happen...
         assert executor.stages_skipped > 0
         # ...and the cached run must do strictly less stage work.
-        assert executor.stage_executions < off.engine.stage_executions
+        assert executor.stage_executions < off.executor.stage_executions
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_floor_verdicts_identical(self, trained_tiny, tiny_data, scheme):
         _, test = tiny_data
-        on = _evaluator(trained_tiny, test, scheme, use_prefix_cache=True)
-        naive = _evaluator(trained_tiny, test, scheme, use_engine=False)
+        on = _evaluator(trained_tiny, test, scheme)
         floors = [5.0, 40.0, 75.0, 99.0]
         for config in _probe_configs():
-            exact = naive.accuracy(config)
+            exact = _reference(on, config)
             for floor in floors:
                 assert on.meets_floor(config, floor) == (exact >= floor)
 
@@ -146,16 +155,15 @@ class TestStochasticRoundingResume:
         other configs interleaved in between — must equal a monolithic
         uncached run bit for bit."""
         _, test = tiny_data
-        on = _evaluator(trained_tiny, test, "SR", use_prefix_cache=True)
-        naive = _evaluator(trained_tiny, test, "SR", use_engine=False)
+        on = _evaluator(trained_tiny, test, "SR")
         base, tail = _uniform(8), _uniform(8)
         tail.set_qa("L3", 4)
         on.accuracy(base)                  # populate prefix boundaries
         assert on.meets_floor(tail, 5.0)   # partial run, resumes prefixes
         on.accuracy(_uniform(3))           # interleave an unrelated config
         resumed = on.accuracy(tail)        # finish the partial plan
-        assert on.engine.executor.stages_skipped > 0
-        assert resumed == naive.accuracy(tail)
+        assert on.executor.stages_skipped > 0
+        assert resumed == _reference(on, tail)
 
     def test_sr_prefix_weights_survive_cache_misses(
         self, trained_tiny, tiny_data
@@ -166,13 +174,11 @@ class TestStochasticRoundingResume:
         prevent re-drawing at a wrong stream position)."""
         _, test = tiny_data
         on = _evaluator(
-            trained_tiny, test, "SR",
-            use_prefix_cache=True, prefix_cache_bytes=64 * 1024,
+            trained_tiny, test, "SR", prefix_cache_bytes=64 * 1024,
         )
-        naive = _evaluator(trained_tiny, test, "SR", use_engine=False)
         for config in _probe_configs():
-            assert on.accuracy(config) == naive.accuracy(config)
-        assert on.engine.executor.cache.evictions > 0
+            assert on.accuracy(config) == _reference(on, config)
+        assert on.executor.cache.evictions > 0
 
 
 # ----------------------------------------------------------------------
@@ -297,10 +303,10 @@ class TestPrefixCacheLRU:
         """The executor's deepest-first probing records one hit or one
         miss per batch run, not one per probed depth."""
         _, test = tiny_data
-        on = _evaluator(trained_tiny, test, "RTN", use_prefix_cache=True)
+        on = _evaluator(trained_tiny, test, "RTN")
         on.accuracy(_uniform(8))          # all misses: nothing cached yet
-        cache = on.engine.executor.cache
-        num_batches = on.engine.num_batches
+        cache = on.executor.cache
+        num_batches = on.num_batches
         assert cache.misses == num_batches
         assert cache.hits == 0
         tail = _uniform(8)
@@ -311,7 +317,27 @@ class TestPrefixCacheLRU:
 
     def test_invalid_cap(self):
         with pytest.raises(ValueError):
-            PrefixCache(max_bytes=0)
+            PrefixCache(max_bytes=-1)
+
+    def test_zero_cap_stores_nothing(self):
+        cache = PrefixCache(max_bytes=0)
+        cache.put((0, 0, "a"), self._entry(1))
+        assert len(cache) == 0 and cache.current_bytes == 0
+        assert cache.get((0, 0, "a")) is None
+
+    def test_cache_off_runs_every_stage(self, trained_tiny, tiny_data):
+        """``prefix_cache_bytes=0``: every batch runs every stage, with
+        the accuracies of the default cap."""
+        _, test = tiny_data
+        on = _evaluator(trained_tiny, test, "RTN")
+        off = _evaluator(trained_tiny, test, "RTN", prefix_cache_bytes=0)
+        for config in _probe_configs():
+            assert off.accuracy(config) == on.accuracy(config)
+        assert off.executor.stage_executions == (
+            off.batches_evaluated * len(trained_tiny.stages())
+        )
+        assert off.executor.stages_skipped == 0
+        assert len(off.executor.cache) == 0
 
 
 # ----------------------------------------------------------------------
@@ -459,13 +485,13 @@ class TestStagedExecutor:
 
     def test_counters_and_stats(self, trained_tiny, tiny_data):
         _, test = tiny_data
-        on = _evaluator(trained_tiny, test, "RTN", use_prefix_cache=True)
+        on = _evaluator(trained_tiny, test, "RTN")
         on.accuracy(_uniform(8))
         tail = _uniform(8)
         tail.set_qa("L3", 4)
         on.accuracy(tail)
-        stats = on.engine.executor.stats()
-        num_batches = on.engine.num_batches
+        stats = on.executor.stats()
+        num_batches = on.num_batches
         num_stages = len(trained_tiny.stages())
         assert stats["runs"] == 2 * num_batches
         assert stats["resumes"] == num_batches  # every batch of config #2
@@ -550,16 +576,18 @@ class TestSearchEquivalenceWithPrefixCache:
     ):
         _, test = tiny_data
 
-        def run(use_prefix_cache):
+        def run(prefix_cache_bytes):
             return QCapsNets.build(
                 trained_tiny, test.images, test.labels,
                 accuracy_tolerance=0.03, memory_budget_mbit=budget_mbit,
                 scheme=scheme, batch_size=32,
-                use_prefix_cache=use_prefix_cache,
+                staged_executor=StagedExecutor(
+                    trained_tiny, max_bytes=prefix_cache_bytes
+                ),
             ).run()
 
-        cached = run(True)
-        plain = run(False)
+        cached = run(DEFAULT_PREFIX_CACHE_BYTES)
+        plain = run(0)
         assert cached.path == plain.path
         assert set(cached.models()) == set(plain.models())
         for name, model in plain.models().items():
