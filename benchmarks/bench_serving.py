@@ -1,33 +1,26 @@
-"""Serving soak — many concurrent clients vs the multi-worker daemon.
+"""Serving soak — many concurrent clients vs the serving daemon.
 
-The daemon's throughput story now has two axes: micro-batching (queued
-requests for one tenant coalesce into shared forwards) and **worker
-fan-out** (``workers=N`` forks N long-lived executor processes; the
-dispatcher routes coalesced batches across them).  This soak fires one
-fixed workload — many client threads, small per-request image chunks,
-four tenants covering every rounding scheme *including stochastic
-rounding* — at a sweep of worker counts and reports latency
-percentiles, throughput and tenant fairness for each arm.
+Fires one fixed workload at the daemon — many client threads, small
+per-request image chunks, four tenants covering every rounding scheme
+*including stochastic rounding* — and reports latency percentiles,
+throughput and tenant fairness.
 
-Hard assertions (every arm):
+Hard assertions:
 
 * every response is bit-identical to the offline ``Session.predict``
   for its image slice — for SR the offline reference is computed on
   exactly the request's slice, since an SR forward's draw stream is a
   function of the request images;
-* micro-batching still coalesces under the fan-out;
+* micro-batching coalesces requests under the concurrent load;
 * the registry's ``--max-warm`` (deliberately smaller than the tenant
   count) forces eviction churn, and every tenant still completes all
   of its requests correctly — eviction pressure may cost latency,
   never answers.
 
-Scaling is reported, not asserted, by default — a 1-core box cannot
-promise parallel wins; ``--min-speedup`` turns the best-arm speedup
-over ``workers=1`` into an assertion for CI runners with real cores.
 Run directly for CI smoke coverage::
 
     PYTHONPATH=src python benchmarks/bench_serving.py --quick \
-        --workers 1 2 --json serving_quick.json
+        --requests 48 --threads 8 --json serving_quick.json
 """
 
 import argparse
@@ -123,16 +116,18 @@ def _percentile_ms(latencies, q):
 
 
 def run_soak(
-    model, artifacts, images, expected, jobs, threads,
-    max_batch, max_wait_ms, batch_size, workers, max_warm,
+    model, images, spec, num_requests, chunk, threads,
+    max_batch, max_wait_ms, batch_size, max_warm,
 ):
-    """One daemon configuration under the concurrent client soak."""
+    """The concurrent client soak against one daemon."""
+    artifacts = make_artifacts(model, images, spec)
+    jobs = make_jobs(num_requests, chunk, sorted(artifacts), len(images))
+    expected = offline_references(model, artifacts, images, batch_size, jobs)
     registry = ModelRegistry(max_warm=max_warm, batch_size=batch_size)
     for name, artifact in artifacts.items():
         registry.register(name, artifact=artifact, model=model)
     daemon = ServingDaemon(
-        registry, port=0, max_batch=max_batch, max_wait_ms=max_wait_ms,
-        workers=workers,
+        registry, port=0, max_batch=max_batch, max_wait_ms=max_wait_ms
     )
     with daemon:
         client = Client(daemon.url, timeout=600.0)
@@ -154,35 +149,30 @@ def run_soak(
                 except Exception as error:  # pragma: no cover
                     errors.append((job_index, error))
 
-        pool = [
+        clients = [
             threading.Thread(target=worker, args=(i,)) for i in range(threads)
         ]
-        for thread in pool:
+        for thread in clients:
             thread.start()
         barrier.wait()
         started = time.perf_counter()
-        for thread in pool:
+        for thread in clients:
             thread.join()
         elapsed = time.perf_counter() - started
         stats = daemon.batcher.stats()
         registry_stats = daemon.registry.stats()
-        pool_stats = daemon.pool.stats() if daemon.pool is not None else None
-        effective_workers = daemon.workers
     if errors:
-        raise AssertionError(
-            f"workers={workers}: {len(errors)} requests failed: {errors[0]}"
-        )
+        raise AssertionError(f"{len(errors)} requests failed: {errors[0]}")
     for (tenant, lo, hi), result in zip(jobs, results):
         assert np.array_equal(result, expected[(tenant, lo, hi)]), (
-            f"workers={workers}: served predictions diverge from offline "
-            f"Session.predict for {tenant}[{lo}:{hi}]"
+            f"served predictions diverge from offline Session.predict "
+            f"for {tenant}[{lo}:{hi}]"
         )
     if max_wait_ms > 0 and threads > 1:
         assert stats["coalesced_requests"] > 0, (
-            f"workers={workers}: micro-batching never coalesced under "
-            f"{threads} concurrent clients"
+            f"micro-batching never coalesced under {threads} concurrent "
+            f"clients"
         )
-    assert stats["worker_crashes"] == 0
     per_tenant = {}
     for name in artifacts:
         tenant_lat = [
@@ -196,9 +186,14 @@ def run_soak(
         }
     samples = sum(hi - lo for _, lo, hi in jobs)
     return {
-        "workers": workers,
-        "effective_workers": effective_workers,
+        "tenants": sorted(artifacts),
+        "threads": threads,
+        "chunk": chunk,
         "requests": len(jobs),
+        "max_warm": max_warm,
+        "max_batch": max_batch,
+        "max_wait_ms": max_wait_ms,
+        "identical": True,  # asserted against the offline refs above
         "samples": samples,
         "seconds": round(elapsed, 4),
         "images_per_s": round(samples / elapsed, 2),
@@ -211,74 +206,29 @@ def run_soak(
         "per_tenant": per_tenant,
         "batcher": stats,
         "registry": registry_stats,
-        "pool": pool_stats,
-    }
-
-
-def soak_sweep(model, images, spec, num_requests, chunk, threads,
-               max_batch, max_wait_ms, batch_size, workers_list, max_warm):
-    artifacts = make_artifacts(model, images, spec)
-    jobs = make_jobs(num_requests, chunk, sorted(artifacts), len(images))
-    expected = offline_references(model, artifacts, images, batch_size, jobs)
-    arms = [
-        run_soak(
-            model, artifacts, images, expected, jobs, threads,
-            max_batch, max_wait_ms, batch_size, workers, max_warm,
-        )
-        for workers in workers_list
-    ]
-    baseline = next(
-        (arm for arm in arms if arm["workers"] == 1), arms[0]
-    )
-    for arm in arms:
-        arm["speedup_vs_1"] = round(
-            arm["images_per_s"] / baseline["images_per_s"], 3
-        )
-    return {
-        "tenants": sorted(artifacts),
-        "threads": threads,
-        "chunk": chunk,
-        "requests": num_requests,
-        "max_warm": max_warm,
-        "max_batch": max_batch,
-        "max_wait_ms": max_wait_ms,
-        "identical": True,  # every arm asserted against offline refs
-        "arms": arms,
     }
 
 
 def format_report(report):
-    lines = [
+    slowest = max(
+        report["per_tenant"].items(), key=lambda item: item[1]["p99_ms"]
+    )
+    return "\n".join([
         f"soak: {report['requests']} requests x {report['chunk']} images, "
         f"{report['threads']} client threads, tenants "
         f"{report['tenants']} (max_warm={report['max_warm']})",
-        f"{'workers':>8} {'s':>8} {'img/s':>9} {'req/s':>8} "
-        f"{'p50 ms':>8} {'p99 ms':>8} {'forwards':>9} {'coalesced':>10} "
-        f"{'vs w=1':>7}",
-    ]
-    for arm in report["arms"]:
-        lines.append(
-            f"{arm['effective_workers']:>8} {arm['seconds']:>8.3f} "
-            f"{arm['images_per_s']:>9.1f} {arm['requests_per_s']:>8.1f} "
-            f"{arm['latency_ms']['p50']:>8.2f} "
-            f"{arm['latency_ms']['p99']:>8.2f} "
-            f"{arm['batcher']['batches']:>9} "
-            f"{arm['batcher']['coalesced_requests']:>10} "
-            f"{arm['speedup_vs_1']:>6.2f}x"
-        )
-    slowest = max(
-        (
-            (tenant, row["p99_ms"])
-            for arm in report["arms"][-1:]
-            for tenant, row in arm["per_tenant"].items()
-        ),
-        key=lambda item: item[1],
-    )
-    lines.append(
-        f"fairness (last arm): slowest tenant p99 {slowest[0]}="
-        f"{slowest[1]:.2f}ms; every tenant bit-identical to offline"
-    )
-    return "\n".join(lines)
+        f"{'s':>8} {'img/s':>9} {'req/s':>8} {'p50 ms':>8} {'p99 ms':>8} "
+        f"{'forwards':>9} {'coalesced':>10}",
+        f"{report['seconds']:>8.3f} {report['images_per_s']:>9.1f} "
+        f"{report['requests_per_s']:>8.1f} "
+        f"{report['latency_ms']['p50']:>8.2f} "
+        f"{report['latency_ms']['p99']:>8.2f} "
+        f"{report['batcher']['batches']:>9} "
+        f"{report['batcher']['coalesced_requests']:>10}",
+        f"fairness: slowest tenant p99 {slowest[0]}="
+        f"{slowest[1]['p99_ms']:.2f}ms; every tenant bit-identical to "
+        f"offline",
+    ])
 
 
 # ----------------------------------------------------------------------
@@ -289,10 +239,14 @@ def test_serving_soak(shallow_digits, digits_data):
     _, test = digits_data
     spec = QuantSpec(model="shallow-small", dataset="digits", seed=0,
                      batch_size=64)
-    report = soak_sweep(
-        model, test.images[:192], spec, num_requests=16, chunk=6,
-        threads=4, max_batch=64, max_wait_ms=10.0, batch_size=64,
-        workers_list=[1, 2], max_warm=3,
+    # Jobs go round-robin over the 4 tenants and client thread i takes
+    # every threads-th job, so 8 threads put two concurrent clients on
+    # each tenant: with only 4, each tenant had one closed-loop client
+    # and nothing could ever coalesce.
+    report = run_soak(
+        model, test.images[:192], spec, num_requests=32, chunk=6,
+        threads=8, max_batch=64, max_wait_ms=10.0, batch_size=64,
+        max_warm=3,
     )
     emit("serving_soak", format_report(report))
 
@@ -341,20 +295,12 @@ def main(argv=None):
                              "batching pays off for small requests)")
     parser.add_argument("--threads", type=int, default=8,
                         help="concurrent client threads (default: 8)")
-    parser.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4],
-                        help="daemon worker counts to sweep "
-                             "(default: 1 2 4)")
     parser.add_argument("--max-warm", type=int, default=3,
                         help="warm-tenant cap — below the 4 tenants, so "
                              "the soak runs under eviction pressure "
                              "(default: 3)")
     parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--max-wait-ms", type=float, default=4.0)
-    parser.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="assert the best multi-worker arm is at least this much "
-             "faster than workers=1 (opt-in: needs real cores)",
-    )
     args = parser.parse_args(argv)
 
     model, test, spec = _train_model(args.quick)
@@ -362,24 +308,18 @@ def main(argv=None):
         args.requests if args.requests is not None
         else (32 if args.quick else 96)
     )
-    report = soak_sweep(
+    report = run_soak(
         model, test.images, spec, num_requests=num_requests,
         chunk=args.chunk, threads=args.threads,
         max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-        batch_size=64, workers_list=args.workers, max_warm=args.max_warm,
+        batch_size=64, max_warm=args.max_warm,
     )
     report["quick"] = args.quick
     print(format_report(report))
     if args.json is not None:
         args.json.write_text(json.dumps(report, indent=2))
         print(f"wrote {args.json}")
-    if args.min_speedup is not None:
-        best = max(arm["speedup_vs_1"] for arm in report["arms"])
-        assert best >= args.min_speedup, (
-            f"expected >= {args.min_speedup:.2f}x soak speedup over "
-            f"workers=1, measured {best:.2f}x"
-        )
-    print("OK: all arms bit-identical to offline Session.predict")
+    print("OK: every response bit-identical to offline Session.predict")
     return 0
 
 

@@ -389,7 +389,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """Logistic sigmoid (used by the reconstruction decoder)."""
+    """Logistic sigmoid ``1 / (1 + exp(-x))``."""
     x = as_tensor(x)
     out = 1.0 / (1.0 + np.exp(-x.data))
     if not (grad_enabled() and x.requires_grad):

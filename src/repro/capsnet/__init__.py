@@ -20,7 +20,6 @@ from repro.capsnet.caps_fc import CapsFC
 from repro.capsnet.conv_caps import ConvCaps2d, ConvCaps3d
 from repro.capsnet.shallow import ShallowCaps, ShallowCapsConfig
 from repro.capsnet.deep import CapsCell, DeepCaps, DeepCapsConfig
-from repro.capsnet.decoder import ReconstructionDecoder, mask_capsules
 from repro.capsnet import presets
 
 __all__ = [
@@ -35,7 +34,5 @@ __all__ = [
     "DeepCaps",
     "DeepCapsConfig",
     "CapsCell",
-    "ReconstructionDecoder",
-    "mask_capsules",
     "presets",
 ]

@@ -419,15 +419,14 @@ def cmd_serve(args) -> int:
             port=args.port,
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
-            workers=args.workers,
         )
     except OSError as error:  # e.g. port already in use
         raise SystemExit(
             f"error: cannot bind {args.host}:{args.port}: {error}"
         ) from error
     print(f"serving {len(registry)} model(s) on {daemon.url} "
-          f"(workers {daemon.workers}, max-warm {args.max_warm}, "
-          f"max-batch {args.max_batch}, max-wait {args.max_wait_ms}ms); "
+          f"(max-warm {args.max_warm}, max-batch {args.max_batch}, "
+          f"max-wait {args.max_wait_ms}ms); "
           f"Ctrl-C to stop")
     daemon.serve_forever()
     return 0
@@ -672,11 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: 64)")
     p_serve.add_argument("--max-wait-ms", type=float, default=2.0,
                          help="micro-batch gathering window (default: 2)")
-    p_serve.add_argument("--workers", type=int, default=1,
-                         help="long-lived executor processes to fan "
-                              "batches across (1 = in-process; >1 "
-                              "requires fork and degrades to 1 without "
-                              "it; results are bit-identical either way)")
     p_serve.add_argument("--max-warm", type=int, default=4,
                          help="tenants kept warm at once; colder ones "
                               "re-bind on demand (default: 4)")

@@ -35,7 +35,6 @@ from repro.engine.parallel import (
     run_branches,
 )
 from repro.engine.plan import InferencePlan, config_signature, floor_threshold
-from repro.engine.pool import ExecutorPool, WorkerCrash, WorkerError
 from repro.engine.staged import (
     DEFAULT_PREFIX_CACHE_BYTES,
     PrefixCache,
@@ -46,13 +45,10 @@ from repro.engine.staged import (
 
 __all__ = [
     "DEFAULT_PREFIX_CACHE_BYTES",
-    "ExecutorPool",
     "ForkPool",
     "InferencePlan",
     "PrefixCache",
     "StagedExecutor",
-    "WorkerCrash",
-    "WorkerError",
     "config_signature",
     "drain_stats",
     "floor_threshold",

@@ -571,6 +571,8 @@ class StagedExecutor:
         activation: Tensor,
         context: FixedPointQuant,
     ) -> None:
+        if self.cache.max_bytes == 0:
+            return  # cache off: skip building an entry put() would refuse
         # A scheme-free (fully-FP32) prefix consumed no draws and
         # quantized no weights: store no RNG state so a consumer from a
         # *different* SR stream resuming here keeps its own position.

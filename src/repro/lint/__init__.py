@@ -3,7 +3,7 @@
 Four analyzers, one CLI (``qcapsnets lint``), one CI gate:
 
 * :mod:`repro.lint.determinism` — QL010/QL011/QL012 determinism lint;
-* :mod:`repro.lint.concurrency` — QL020/QL021/QL022 serve concurrency
+* :mod:`repro.lint.concurrency` — QL020/QL022 serve concurrency
   audit;
 * :mod:`repro.lint.intflow` — QL044 integer-flow checker of the int
   backend;

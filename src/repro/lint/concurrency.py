@@ -1,9 +1,9 @@
-"""Serve concurrency audit (rules QL020/QL021/QL022).
+"""Serve concurrency audit (rules QL020/QL022).
 
 The serving daemon shares state across threads: HTTP handler threads
 (the ``ThreadingHTTPServer`` pool) submit requests and read ``/healthz``
-counters while the micro-batcher's worker thread executes models and
-updates telemetry.  Every class that owns a lock declares, implicitly,
+counters while the micro-batcher's dispatcher thread executes models
+and updates telemetry.  Every class that owns a lock declares, implicitly,
 which attributes that lock protects; this analyzer makes the contract
 checkable:
 
@@ -22,32 +22,22 @@ checkable:
 
 Lock ownership is collected **across the whole lint run**
 (:func:`lock_owner_attrs`), so holding *another* object's lock counts:
-``with worker.lock:`` is recognized whenever ``lock`` is a lock
-attribute of some lock-owning class anywhere in the analyzed tree (the
-multiprocess pool's ``_Worker`` slots, the registry, ...).  A method
-that acquires ``<name>.<lock>`` takes responsibility for ``<name>``:
-every *rebind* of that receiver's attributes in the same method must
-also be under the lock (or carry a ``guarded-by`` naming a known lock,
-own or cross-class).
-
-Rule QL021 audits the fork boundary: a class that spawns
-``multiprocessing.Process(target=self.<method>)`` hands that method an
-inherited copy of every lock and shared attribute.  If the child entry
-acquires a known lock or mutates ``self`` state, the class must opt in
-to the fork protocol — reference ``fork_guard`` (quiesce before
-forking), ``child_init``, or ``fork_child_reset`` (re-arm inherited
-state in the child) somewhere in its body — or the spawn is flagged: a
-lock captured mid-acquisition by ``fork`` deadlocks the child.
+``with queue.lock:`` is recognized whenever ``lock`` is a lock
+attribute of some lock-owning class anywhere in the analyzed tree.  A
+method that acquires ``<name>.<lock>`` takes responsibility for
+``<name>``: every *rebind* of that receiver's attributes in the same
+method must also be under the lock (or carry a ``guarded-by`` naming a
+known lock, own or cross-class).
 
 Rule QL022 audits lock *ordering* across the whole run: every nested
 ``with a: with b:`` contributes an acquisition-order edge ``a -> b``
 (:func:`lock_order_edges`), edges are unioned over all analyzed files,
-and any cycle in the resulting graph — ``submit`` taking the pool lock
-then a worker's, ``steal`` taking them inverted — is a deadlock
+and any cycle in the resulting graph — ``submit`` taking the scheduler
+lock then a queue's, ``steal`` taking them inverted — is a deadlock
 hazard the moment both paths run concurrently
 (:func:`check_lock_order`).  Nodes are named ``Class.attr``: the
 enclosing class for ``with self.<lock>:``, the owning class from the
-run-wide registry for ``with worker.<lock>:`` when exactly one class
+run-wide registry for ``with queue.<lock>:`` when exactly one class
 owns that attribute name, and ``?.attr`` when ownership is ambiguous.
 
 Known limitation (documented, deliberate): mutating a container bound
@@ -70,12 +60,6 @@ from repro.lint.findings import (
 )
 
 _LOCK_FACTORIES = {"Lock", "RLock", "Condition"}
-
-#: Identifiers whose presence in a class body registers it with the
-#: fork protocol (see module docstring and :mod:`repro.engine.pool`).
-_FORK_PROTOCOL_NAMES = frozenset(
-    {"child_init", "fork_guard", "fork_child_reset"}
-)
 
 
 def _is_lock_construction(node: ast.AST, threading_names: Set[str]) -> bool:
@@ -141,7 +125,7 @@ def lock_owner_attrs(source: str) -> Dict[str, Set[str]]:
 
     The lint runner unions these over *all* analyzed files before
     checking any of them, so cross-class lock acquisition
-    (``with worker.lock:``) resolves across module boundaries.
+    (``with queue.lock:``) resolves across module boundaries.
     Unparseable sources contribute nothing (the parse error itself is
     reported by :func:`check_source`).
     """
@@ -170,7 +154,7 @@ class _Access:
         self.method = method
         self.held = held
         #: None for ``self.<attr>``; the variable name for accesses
-        #: through another lock-owning object (``worker.<attr>``).
+        #: through another lock-owning object (``queue.<attr>``).
         self.receiver = receiver
 
 
@@ -179,7 +163,7 @@ class _MethodWalker:
 
     ``held`` entries are the bare attribute name for the class's own
     locks (``with self._lock:``) and ``"<receiver>.<attr>"`` for
-    cross-class locks (``with worker.lock:``).  Receivers whose lock
+    cross-class locks (``with queue.lock:``).  Receivers whose lock
     the method acquires anywhere are recorded in ``assoc`` — only those
     receivers' rebinds are audited (a method that never takes
     ``entry``'s lock makes no claim about ``entry``).
@@ -381,143 +365,6 @@ def _check_class(
                 f"its attributes must hold it (or carry "
                 f"# qlint: guarded-by(<lock>))",
             ))
-    return findings
-
-
-# ----------------------------------------------------------------------
-# QL021: fork-child entry points vs inherited locks/state
-# ----------------------------------------------------------------------
-def _mentions_fork_protocol(classdef: ast.ClassDef) -> bool:
-    for node in ast.walk(classdef):
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr in _FORK_PROTOCOL_NAMES
-        ):
-            return True
-        if isinstance(node, ast.Name) and node.id in _FORK_PROTOCOL_NAMES:
-            return True
-        if isinstance(node, ast.arg) and node.arg in _FORK_PROTOCOL_NAMES:
-            return True
-        if (
-            isinstance(node, ast.keyword)
-            and node.arg in _FORK_PROTOCOL_NAMES
-        ):
-            return True
-        if (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and node.value in _FORK_PROTOCOL_NAMES
-        ):
-            return True
-    return False
-
-
-def _fork_spawns(classdef: ast.ClassDef) -> List[Tuple[ast.Call, str]]:
-    """``(call, entry method name)`` for ``Process(target=self.m)``."""
-    spawns: List[Tuple[ast.Call, str]] = []
-    for method in _class_methods(classdef):
-        self_name = _self_name(method)
-        if self_name is None:
-            continue
-        for node in ast.walk(method):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Attribute):
-                callee = func.attr
-            elif isinstance(func, ast.Name):
-                callee = func.id
-            else:
-                continue
-            if callee != "Process":
-                continue
-            for keyword in node.keywords:
-                if (
-                    keyword.arg == "target"
-                    and isinstance(keyword.value, ast.Attribute)
-                    and isinstance(keyword.value.value, ast.Name)
-                    and keyword.value.value.id == self_name
-                ):
-                    spawns.append((node, keyword.value.attr))
-    return spawns
-
-
-def _child_entry_hazards(
-    entry: ast.FunctionDef, known_locks: Set[str]
-) -> List[str]:
-    """Lock acquisitions / shared-state mutations in a fork child entry."""
-    self_name = _self_name(entry)
-    if self_name is None:
-        return []
-    hazards: List[str] = []
-    for node in ast.walk(entry):
-        if isinstance(node, ast.With):
-            for item in node.items:
-                expr = item.context_expr
-                if (
-                    isinstance(expr, ast.Attribute)
-                    and isinstance(expr.value, ast.Name)
-                    and expr.value.id == self_name
-                    and expr.attr in known_locks
-                ):
-                    hazards.append(
-                        f"acquires inherited lock 'self.{expr.attr}'"
-                    )
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "acquire"
-                and isinstance(func.value, ast.Attribute)
-                and isinstance(func.value.value, ast.Name)
-                and func.value.value.id == self_name
-                and func.value.attr in known_locks
-            ):
-                hazards.append(
-                    f"acquires inherited lock 'self.{func.value.attr}'"
-                )
-        elif (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, (ast.Store, ast.Del))
-            and isinstance(node.value, ast.Name)
-            and node.value.id == self_name
-        ):
-            hazards.append(f"mutates shared attribute 'self.{node.attr}'")
-    return hazards
-
-
-def _check_fork_children(
-    classdef: ast.ClassDef,
-    threading_names: Set[str],
-    path: str,
-    cross_locks: Set[str],
-) -> List[Finding]:
-    spawns = _fork_spawns(classdef)
-    if not spawns:
-        return []
-    if _mentions_fork_protocol(classdef):
-        return []
-    known_locks = _class_lock_attrs(classdef, threading_names) | cross_locks
-    methods = {m.name: m for m in _class_methods(classdef)}
-    findings: List[Finding] = []
-    for call, entry_name in spawns:
-        entry = methods.get(entry_name)
-        if entry is None:
-            continue  # target defined elsewhere: out of scope
-        hazards = _child_entry_hazards(entry, known_locks)
-        if not hazards:
-            continue
-        extra = (
-            f" (+{len(hazards) - 1} more hazard(s))"
-            if len(hazards) > 1 else ""
-        )
-        findings.append(Finding(
-            "QL021", path, call.lineno,
-            f"fork child entry {classdef.name}.{entry_name} "
-            f"{hazards[0]}{extra} but the class registers no fork "
-            f"protocol: bracket forks with fork_guard and re-arm "
-            f"inherited state via child_init/fork_child_reset",
-        ))
     return findings
 
 
@@ -749,7 +596,7 @@ def check_lock_order(
 def check_source(
     source: str, path: str, cross_locks: Optional[Set[str]] = None
 ) -> List[Finding]:
-    """QL020/QL021 findings for one file's source text.
+    """QL020 findings for one file's source text.
 
     ``cross_locks`` is the run-wide union of lock attribute names from
     every lock-owning class (:func:`lock_owner_attrs`); this file's own
@@ -772,9 +619,6 @@ def check_source(
         if isinstance(node, ast.ClassDef):
             findings.extend(
                 _check_class(node, threading_names, guards, path, all_cross)
-            )
-            findings.extend(
-                _check_fork_children(node, threading_names, path, all_cross)
             )
     return filter_suppressed(findings, parse_suppressions(source))
 

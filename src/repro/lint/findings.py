@@ -25,9 +25,6 @@ RULES: Dict[str, str] = {
              "RoundingScheme.apply / executor-managed resume state",
     "QL020": "shared attribute of a lock-owning class accessed outside "
              "its lock (annotate # qlint: guarded-by(<lock>))",
-    "QL021": "fork-child entry method acquires inherited locks or "
-             "mutates shared state without a fork_guard/child_init/"
-             "fork_child_reset protocol registration",
     "QL022": "lock-order cycle: nested lock acquisitions whose order "
              "inverts elsewhere in the run (deadlock hazard)",
     "QL030": "runtime sanitizer: fixed-point overflow/saturation events",

@@ -68,7 +68,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def mse_loss(prediction: Tensor, target: np.ndarray) -> Tensor:
-    """Mean-squared error (reconstruction loss for the capsule decoder)."""
+    """Mean-squared error between a prediction and a fixed target."""
     prediction = as_tensor(prediction)
     diff = prediction - Tensor(np.asarray(target, dtype=np.float32))
     return (diff * diff).mean()

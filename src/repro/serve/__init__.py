@@ -8,21 +8,18 @@ bound session per artifact behind an HTTP/JSON surface.  Four pieces:
   ones re-bind transparently on their next request;
 * :class:`~repro.serve.batcher.MicroBatcher` — coalesces queued
   predict requests for one tenant into a single forward (up to
-  ``max_batch`` samples / ``max_wait_ms`` of gathering), splits the
-  predictions back per request, and dispatches batches either on one
-  in-process executor thread or across the workers of an
-  :class:`~repro.engine.pool.ExecutorPool`;
+  ``max_batch`` samples / ``max_wait_ms`` of gathering), runs it on
+  one in-process dispatcher thread and splits the predictions back per
+  request;
 * :class:`~repro.serve.server.ServingDaemon` — the stdlib HTTP server
   (``/v1/predict``, ``/v1/models``, ``/healthz``) with strict payload
-  validation (4xx, never a crash); ``workers=N`` forks N long-lived
-  executor processes and fans batches across them;
+  validation (4xx, never a crash);
 * :class:`~repro.serve.client.Client` — the matching client.
 
 Micro-batched predictions are bit-identical to an offline
 ``Session.predict`` for the deterministic rounding schemes; stochastic
-rounding tenants are served one request per forward — pinned to a
-fixed worker under ``workers > 1`` — to preserve their draw streams
-(see :mod:`repro.serve.batcher`).
+rounding tenants are served one request per forward to preserve their
+draw streams (see :mod:`repro.serve.batcher`).
 """
 
 from repro.serve.batcher import MicroBatcher, PredictTicket

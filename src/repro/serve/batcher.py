@@ -1,12 +1,12 @@
 """Micro-batching dispatcher for the serving daemon.
 
-HTTP handler threads enqueue predict requests; N dispatcher threads
-drain them, coalescing queued requests for the *same* tenant into a
+HTTP handler threads enqueue predict requests; one dispatcher thread
+drains them, coalescing queued requests for the *same* tenant into a
 single model forward of up to ``max_batch`` samples, then splitting the
 prediction vector back per request.  Requests queue **per tenant**, so
-interleaved multi-tenant traffic still coalesces — dispatchers serve
-tenants in arrival order of their oldest waiting request (FIFO across
-tenants) and batch within each tenant.
+interleaved multi-tenant traffic still coalesces — the dispatcher
+serves tenants in arrival order of their oldest waiting request (FIFO
+across tenants) and batches within each tenant.
 
 Waiting policy: only a *lonely* request blocks (up to ``max_wait_ms``)
 for a first companion; once a batch holds two requests it drains
@@ -14,38 +14,21 @@ whatever else is already queued and runs.  Under load the queues fill
 while the previous batch computes, so coalescing costs no added
 latency; an isolated request pays at most one ``max_wait_ms``.
 
-Execution tiers
----------------
+The dispatcher is the only thread that runs models — the NumPy
+forwards are not thread-safe, and one executor thread serializes them.
+It is also the only thread that removes a tenant's queue, so a queue a
+handler thread appends to is never dropped with tickets in it.
 
-Without a pool (``workers=1`` or no ``fork``), one dispatcher thread
-owns all model execution in-process — the NumPy forwards are not
-thread-safe, and a single executor thread serializes them exactly as
-before.  With an :class:`~repro.engine.pool.ExecutorPool`, dispatcher
-thread ``i`` feeds pool worker ``i``: each coalesced batch runs in a
-long-lived forked process holding its own warm models, so distinct
-tenants (and distinct batches of one deterministic tenant) compute
-**concurrently across cores** while the parent only routes.
+Exactness: deterministic tenants (TRN/RTN/RTNE) coalesce freely —
+every sample's forward is independent of its batchmates.  Stochastic
+rounding tenants are marked ``coalescable=False`` by the registry:
+their requests run one per forward, in arrival order, bit-identical to
+an offline ``Session.predict``.
 
-Routing preserves exactness:
-
-* deterministic tenants (TRN/RTN/RTNE) fan freely — every sample's
-  forward is independent of its batchmates and of the process it runs
-  in, so any worker produces the offline bits;
-* stochastic-rounding tenants are marked ``coalescable=False`` by the
-  registry — their requests run one per forward, bit-identical to an
-  offline ``Session.predict`` — and each SR tenant is additionally
-  **pinned** to one worker (stable hash of its name), so its requests
-  execute in a fixed process in arrival order and its draw streams
-  never depend on dispatch timing;
-* a crashed worker surfaces as an exception on exactly the tickets of
-  the batch it was running, and the dispatcher forks a replacement
-  before taking its next batch.
-
-Lock discipline: tenant metadata (coalescable, pin) is resolved from
-the registry *outside* the batcher condition — at submit time, cached
-per tenant — so the batcher lock and the registry lock are never held
-together.  Cross-tenant FIFO uses arrival-order heaps (one for
-free-fanning tenants, one per worker for pinned tenants) with lazy
+Lock discipline: whether a tenant coalesces is resolved from the
+registry *outside* the batcher condition — at submit time, cached per
+tenant — so the batcher lock and the registry lock are never held
+together.  Cross-tenant FIFO uses one arrival-order heap with lazy
 invalidation, so picking the next tenant is O(log tenants), not a scan.
 """
 
@@ -54,7 +37,6 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-import zlib
 from collections import deque
 from concurrent.futures import Future
 from itertools import count
@@ -62,7 +44,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.pool import ExecutorPool, WorkerCrash
 from repro.serve.registry import ModelRegistry
 
 
@@ -82,24 +63,8 @@ class PredictTicket:
         self.seq = -1
 
 
-class _TenantMeta:
-    """Routing facts about one tenant, resolved once outside the lock."""
-
-    __slots__ = ("coalescable", "pin")
-
-    def __init__(self, coalescable: bool, pin: Optional[int]):
-        self.coalescable = coalescable
-        #: Worker index this tenant is pinned to (None = fan freely).
-        self.pin = pin
-
-
-def tenant_pin(name: str, workers: int) -> int:
-    """Stable worker pin for a non-coalescable tenant."""
-    return zlib.crc32(name.encode("utf-8")) % max(1, workers)
-
-
 class MicroBatcher:
-    """Coalesce queued predict requests and dispatch them to workers.
+    """Coalesce queued predict requests and run them on one thread.
 
     Parameters
     ----------
@@ -112,12 +77,6 @@ class MicroBatcher:
     max_wait_ms:
         How long a lonely request waits for a first companion.  0
         disables waiting: requests coalesce only when already queued.
-    pool:
-        Optional :class:`~repro.engine.pool.ExecutorPool`; with one,
-        dispatcher thread ``i`` executes its batches in pool worker
-        ``i`` instead of in-process, and the thread count follows the
-        pool size.  Without one the batcher runs the single-thread
-        in-process path unchanged.
     """
 
     def __init__(
@@ -125,7 +84,6 @@ class MicroBatcher:
         registry: ModelRegistry,
         max_batch: int = 64,
         max_wait_ms: float = 2.0,
-        pool: Optional[ExecutorPool] = None,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -136,28 +94,22 @@ class MicroBatcher:
         self.registry = registry
         self.max_batch = max_batch
         self.max_wait = max_wait_ms / 1000.0
-        self.pool = pool
-        self.workers = len(pool) if pool is not None else 1
         self._cond = threading.Condition()
         #: Per-tenant FIFO queues of waiting tickets.
         self._queues: Dict[str, Deque[PredictTicket]] = {}
-        #: Arrival-order heaps of (head seq, tenant): one heap for
-        #: freely-fanning tenants, one per worker for pinned tenants.
-        #: Entries invalidate lazily — each is checked against the live
-        #: queue head when peeked, so stale entries cost O(log n) pops
-        #: instead of an O(tenants) scan per batch.
-        self._free_heads: List[Tuple[int, str]] = []
-        self._pinned_heads: List[List[Tuple[int, str]]] = [
-            [] for _ in range(self.workers)
-        ]
-        #: Tenant routing metadata, resolved from the registry OUTSIDE
-        #: self._cond (submit time) and only read under it.  Keyed
-        #: writes are idempotent (metadata is immutable per tenant).
-        self._meta: Dict[str, _TenantMeta] = {}
+        #: Arrival-order heap of (head seq, tenant).  Entries invalidate
+        #: lazily — each is checked against the live queue head when
+        #: peeked, so stale entries cost O(log n) pops instead of an
+        #: O(tenants) scan per batch.
+        self._heads: List[Tuple[int, str]] = []
+        #: Whether each tenant coalesces, resolved from the registry
+        #: OUTSIDE self._cond (submit time) and only read under it.
+        #: Keyed writes are idempotent (the flag is fixed per tenant).
+        self._coalescable: Dict[str, bool] = {}
         self._seq = count()
-        self._threads: List[threading.Thread] = []
+        self._thread: Optional[threading.Thread] = None
         self._closed = False
-        # Counters: written by dispatcher threads, read by /healthz
+        # Counters: written by the dispatcher thread, read by /healthz
         # handler threads — every access holds self._cond.
         self.requests = 0
         self.batches = 0
@@ -165,8 +117,6 @@ class MicroBatcher:
         self.coalesced_requests = 0
         self.batched_samples = 0
         self.largest_batch = 0
-        #: Pool workers that died mid-batch (each also respawned).
-        self.worker_crashes = 0
 
     # ------------------------------------------------------------------
     # Producer side
@@ -175,39 +125,28 @@ class MicroBatcher:
         with self._cond:
             if self._closed:
                 raise RuntimeError("batcher is closed")
-            if not self._threads:
-                self._threads = [
-                    threading.Thread(
-                        target=self._loop,
-                        args=(index,),
-                        name=f"qcapsnets-batcher-{index}",
-                        daemon=True,
-                    )
-                    for index in range(self.workers)
-                ]
-                for thread in self._threads:
-                    thread.start()
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._loop,
+                    name="qcapsnets-batcher",
+                    daemon=True,
+                )
+                self._thread.start()
         return self
 
-    def _tenant_meta(self, name: str) -> _TenantMeta:
-        """Routing metadata for ``name`` — registry lookup done here,
-        outside ``_cond``, so the two locks are never held together."""
-        meta = self._meta.get(name)
-        if meta is not None:
-            return meta
+    def _resolve_coalescable(self, name: str) -> None:
+        """Cache whether ``name`` coalesces — the registry lookup runs
+        here, outside ``_cond``, so the two locks are never held
+        together."""
+        if name in self._coalescable:
+            return
         try:
-            coalescable = self.registry.entry(name).coalescable
+            self._coalescable[name] = self.registry.entry(name).coalescable
         except Exception:
-            # Unknown tenant: route it anyway (pinned, uncoalesced) and
-            # let the dispatcher surface the real error per ticket.
-            # Not cached — the tenant may be registered later.
-            return _TenantMeta(False, tenant_pin(name, self.workers))
-        meta = _TenantMeta(
-            coalescable,
-            None if coalescable else tenant_pin(name, self.workers),
-        )
-        self._meta[name] = meta
-        return meta
+            # Unknown tenant: serve it uncoalesced and let the dispatcher
+            # surface the real error per ticket.  Not cached — the
+            # tenant may be registered later.
+            pass
 
     def submit(self, name: str, images: np.ndarray) -> PredictTicket:
         """Enqueue one predict request.
@@ -218,7 +157,7 @@ class MicroBatcher:
         samples shared its forward.
         """
         self.start()
-        meta = self._tenant_meta(name)
+        self._resolve_coalescable(name)
         ticket = PredictTicket(name, images)
         with self._cond:
             if self._closed:
@@ -229,61 +168,39 @@ class MicroBatcher:
                 queue = deque()
                 self._queues[name] = queue
             if not queue:
-                self._push_head(name, ticket.seq, meta)
+                heapq.heappush(self._heads, (ticket.seq, name))
             queue.append(ticket)
             self.requests += 1
             self._cond.notify_all()
         return ticket
 
     def close(self, timeout: float = 10.0) -> None:
-        """Stop the dispatchers after the queued tickets drain."""
+        """Stop the dispatcher after the queued tickets drain."""
         with self._cond:
             self._closed = True
-            threads = list(self._threads)
+            thread = self._thread
             self._cond.notify_all()
-        deadline = time.monotonic() + timeout
-        for thread in threads:
-            thread.join(timeout=max(0.1, deadline - time.monotonic()))
+        if thread is not None:
+            thread.join(timeout=max(0.1, timeout))
 
     # ------------------------------------------------------------------
     # Dispatcher side
     # ------------------------------------------------------------------
-    def _push_head(self, name: str, seq: int, meta: _TenantMeta) -> None:  # qlint: guarded-by(_cond)
-        """Index a tenant whose queue head changed (caller holds _cond)."""
-        if meta.pin is None:
-            heapq.heappush(self._free_heads, (seq, name))
-        else:
-            heapq.heappush(self._pinned_heads[meta.pin], (seq, name))
-
-    def _peek_valid(
-        self, heap: List[Tuple[int, str]]
-    ) -> Optional[Tuple[int, str]]:  # qlint: guarded-by(_cond)
-        """Top live entry of ``heap``, lazily dropping stale ones."""
-        while heap:
-            seq, name = heap[0]
+    def _pop_head(self) -> Optional[str]:  # qlint: guarded-by(_cond)
+        """Tenant of the oldest queued request, or None; stale heap
+        entries are dropped on the way."""
+        while self._heads:
+            seq, name = heapq.heappop(self._heads)
             queue = self._queues.get(name)
             if queue and queue[0].seq == seq:
-                return heap[0]
-            heapq.heappop(heap)
+                return name
         return None
 
-    def _pop_head(self, worker_index: int) -> Optional[str]:  # qlint: guarded-by(_cond)
-        """Oldest tenant eligible for this worker, or None."""
-        free = self._peek_valid(self._free_heads)
-        pinned = self._peek_valid(self._pinned_heads[worker_index])
-        if free is None and pinned is None:
-            return None
-        if pinned is None or (free is not None and free[0] < pinned[0]):
-            heapq.heappop(self._free_heads)
-            return free[1]
-        heapq.heappop(self._pinned_heads[worker_index])
-        return pinned[1]
-
-    def _take_batch(self, worker_index: int) -> Optional[List[PredictTicket]]:
+    def _take_batch(self) -> Optional[List[PredictTicket]]:
         """Block for the next coalesced group (None = closed and dry)."""
         with self._cond:
             while True:
-                name = self._pop_head(worker_index)
+                name = self._pop_head()
                 if name is not None:
                     break
                 if self._closed:
@@ -292,10 +209,7 @@ class MicroBatcher:
             queue = self._queues[name]
             group = [queue.popleft()]
             total = len(group[0].images)
-            # Metadata only — resolved at submit time; no registry call
-            # happens under the batcher lock.
-            meta = self._meta.get(name)
-            coalescable = meta.coalescable if meta is not None else False
+            coalescable = self._coalescable.get(name, False)
             deadline = time.monotonic() + self.max_wait
             while coalescable and total < self.max_batch:
                 if queue:
@@ -313,65 +227,34 @@ class MicroBatcher:
                     break
                 self._cond.wait(timeout=remaining)
             if queue:
-                self._push_head(
-                    name,
-                    queue[0].seq,
-                    meta if meta is not None else _TenantMeta(
-                        False, tenant_pin(name, self.workers)
-                    ),
-                )
+                heapq.heappush(self._heads, (queue[0].seq, name))
             else:
-                self._queues.pop(name, None)
+                # Only this thread removes queues, so the one in the
+                # map is still ``queue``: no handler's ticket is lost.
+                del self._queues[name]
             return group
 
-    def _loop(self, worker_index: int) -> None:
+    def _loop(self) -> None:
         while True:
-            group = self._take_batch(worker_index)
+            group = self._take_batch()
             if group is None:
                 break
-            self._process(group, worker_index)
+            self._process(group)
 
-    def _process(self, group: List[PredictTicket], worker_index: int) -> None:
+    def _process(self, group: List[PredictTicket]) -> None:
         name = group[0].name
         total = sum(len(ticket.images) for ticket in group)
-        crash: Optional[WorkerCrash] = None
         try:
             images = (
                 group[0].images
                 if len(group) == 1
                 else np.concatenate([ticket.images for ticket in group])
             )
-            if self.pool is not None:
-                # Parent-side telemetry + LRU touch (raises for unknown
-                # tenants); the forward runs in the pool worker, whose
-                # forked registry owns the warm binding.
-                self.registry.touch(name, requests=len(group))
-                predictions = self.pool.call(worker_index, name, images)
-            else:
-                serving = self.registry.get(name, requests=len(group))
-                predictions = serving.predict(images)
-        except WorkerCrash as error:
-            crash = error
-            for ticket in group:
-                ticket.future.set_exception(
-                    RuntimeError(
-                        f"pool worker serving model {name!r} died "
-                        f"mid-batch: {error}"
-                    )
-                )
+            serving = self.registry.get(name, requests=len(group))
+            predictions = serving.predict(images)
         except Exception as error:  # surfaced per-request as a 5xx
             for ticket in group:
                 ticket.future.set_exception(error)
-            return
-        if crash is not None:
-            with self._cond:
-                self.worker_crashes += 1
-            try:
-                self.pool.respawn(worker_index)
-            except Exception:
-                # Respawn failure leaves the slot dead; subsequent
-                # batches surface WorkerCrash per ticket and retry.
-                pass
             return
         with self._cond:
             self.batches += 1
@@ -396,6 +279,4 @@ class MicroBatcher:
                 "largest_batch": self.largest_batch,
                 "max_batch": self.max_batch,
                 "max_wait_ms": self.max_wait * 1000.0,
-                "workers": self.workers,
-                "worker_crashes": self.worker_crashes,
             }

@@ -262,45 +262,6 @@ class ModelRegistry:
                 self._evict_cold(keep=name)
             return entry.serving
 
-    def touch(self, name: str, requests: int = 1) -> None:
-        """Record ``requests`` routed to ``name`` without binding it.
-
-        The pooled dispatch path runs forwards in worker processes —
-        each worker's *forked* registry owns the warm binding — so the
-        parent keeps tenant telemetry and LRU recency current with this
-        instead of :meth:`get`.  Raises for unknown tenants, which is
-        what surfaces a bad model name before a batch is shipped to a
-        worker.
-        """
-        with self._lock:
-            entry = self._entries.get(name)
-            if entry is None:
-                raise RegistryError(
-                    f"unknown model {name!r}; registered: "
-                    f"{list(self._entries)}"
-                )
-            self._entries.move_to_end(name)
-            entry.requests += requests
-
-    def fork_guard(self) -> threading.Lock:
-        """The registry lock, for bracketing a ``fork``.
-
-        Holding it across the fork guarantees the child's inherited
-        registry copy is never mid-mutation; the child then re-arms its
-        inherited (held) lock with :meth:`fork_child_reset`.
-        """
-        return self._lock
-
-    def fork_child_reset(self) -> None:
-        """Re-arm the registry in a freshly forked worker process.
-
-        The parent forked while *holding* the lock (see
-        :meth:`fork_guard`), so the child's inherited copy is locked
-        with no owner; replace it.  Each worker then binds and serves
-        its own warm models independently of the parent's.
-        """
-        self._lock = threading.Lock()  # qlint: guarded-by(_lock)
-
     def _bind(self, entry: RegisteredModel) -> ServingModel:
         if entry._model is None:
             entry._model = Session(entry.spec).model

@@ -15,18 +15,9 @@ Request handling is deliberately two-stage: handler threads (the
 JSON, unknown tenants, empty batches, non-float32 payloads and shape
 mismatches all turn into 4xx responses without ever touching a model —
 then enqueue onto the :class:`~repro.serve.batcher.MicroBatcher`,
-whose dispatchers own all model execution.  Validation failures
-therefore cannot poison the queue, and a crashed forward surfaces as a
-500 on exactly the requests that shared its batch.
-
-``workers > 1`` adds the multi-process execution tier: the daemon
-forks an :class:`~repro.engine.pool.ExecutorPool` of long-lived
-executor processes **before** any service thread starts (forking a
-threaded parent could capture another thread's held locks), and the
-batcher becomes a dispatcher fanning coalesced batches across them —
-see :mod:`repro.serve.batcher` for the routing/exactness rules.  When
-``fork`` is unavailable the daemon silently degrades to the
-single-thread in-process path, which is bit-identical by construction.
+whose single dispatcher thread owns all model execution.  Validation
+failures therefore cannot poison the queue, and a crashed forward
+surfaces as a 500 on exactly the requests that shared its batch.
 """
 
 from __future__ import annotations
@@ -40,8 +31,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.parallel import fork_available
-from repro.engine.pool import ExecutorPool
 from repro.serve.batcher import MicroBatcher
 from repro.serve.registry import ModelRegistry, RegistryError
 
@@ -172,18 +161,14 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
         if self.path in ("/healthz", "/health"):
             daemon = self.daemon
-            payload: Dict[str, object] = {
+            self._reply(200, {
                 "status": "ok",
                 "uptime_s": round(time.monotonic() - daemon.started, 3),
                 "models": daemon.registry.names(),
                 "registry": daemon.registry.stats(),
                 "batcher": daemon.batcher.stats(),
                 "sanitizers": daemon.registry.sanitizer_reports(),
-                "workers": daemon.workers,
-            }
-            if daemon.pool is not None:
-                payload["pool"] = daemon.pool.stats()
-            self._reply(200, payload)
+            })
         elif self.path == "/v1/models":
             self._reply(200, {"models": self.daemon.registry.describe()})
         else:
@@ -249,18 +234,14 @@ class ServingDaemon:
     """One warm multi-tenant serving process.
 
     Composes the serving pieces — :class:`ModelRegistry` (warm sessions
-    + LRU eviction), an optional :class:`~repro.engine.pool.
-    ExecutorPool` (``workers`` long-lived executor processes),
-    :class:`MicroBatcher` (request coalescing + dispatch) and a
-    threading HTTP server — and owns their lifecycle.  ``port=0`` binds
-    an ephemeral port (tests); :meth:`start` runs the daemon on a
-    background thread, :meth:`serve_forever` in the foreground (the
-    CLI).
+    + LRU eviction), :class:`MicroBatcher` (request coalescing on one
+    in-process dispatcher thread) and a threading HTTP server — and
+    owns their lifecycle.  ``port=0`` binds an ephemeral port (tests);
+    :meth:`start` runs the daemon on a background thread,
+    :meth:`serve_forever` in the foreground (the CLI).
 
-    ``workers > 1`` requires the ``fork`` start method; without it (or
-    at ``workers=1``) the daemon runs the in-process single-dispatcher
-    path, whose outputs are identical — ``workers`` is a pure
-    throughput knob.
+    ``workers`` is accepted for callers that still pass it; only 1 is
+    valid, since every forward runs on the one dispatcher thread.
     """
 
     def __init__(
@@ -272,30 +253,14 @@ class ServingDaemon:
         max_wait_ms: float = 2.0,
         workers: int = 1,
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.registry = registry
-        #: Worker processes actually forked (1 = in-process path).
-        self.workers = workers if fork_available() else 1
-        self.pool: Optional[ExecutorPool] = None
-        if self.workers > 1:
-            # Forked before the batcher/HTTP threads exist: a child
-            # must never inherit a lock some service thread holds.
-            def pool_predict(tenant: str, images: np.ndarray) -> np.ndarray:
-                return registry.get(tenant).predict(images)
-
-            self.pool = ExecutorPool(
-                pool_predict,
-                self.workers,
-                child_init=registry.fork_child_reset,
-                child_stats=lambda: {"warm": registry.warm_names()},
-                fork_guard=registry.fork_guard,
+        if workers != 1:
+            raise ValueError(
+                f"workers must be 1 (the daemon runs every forward on "
+                f"one in-process dispatcher thread), got {workers}"
             )
+        self.registry = registry
         self.batcher = MicroBatcher(
-            registry,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            pool=self.pool,
+            registry, max_batch=max_batch, max_wait_ms=max_wait_ms
         )
         self._http = _HTTPServer((host, port), _Handler)
         self._http.serving_daemon = self  # type: ignore[attr-defined]
@@ -344,8 +309,6 @@ class ServingDaemon:
         self._http.shutdown()
         self._http.server_close()
         self.batcher.close()
-        if self.pool is not None:
-            self.pool.close()
         with self._lock:
             thread = self._thread
             self._thread = None

@@ -11,9 +11,7 @@ from repro.capsnet import (
     ConvCaps3d,
     DeepCaps,
     PrimaryCaps,
-    ReconstructionDecoder,
     ShallowCaps,
-    mask_capsules,
     presets,
 )
 from repro.capsnet.routing import dynamic_routing
@@ -208,43 +206,6 @@ class TestDeepCaps:
         loss.backward()
         grads = [p.grad for _, p in model.named_parameters()]
         assert all(g is not None for g in grads)
-
-
-class TestDecoder:
-    def test_mask_with_labels(self, rng):
-        caps = rng.standard_normal((2, 3, 4)).astype(np.float32)
-        masked = mask_capsules(Tensor(caps), np.array([1, 2]))
-        assert masked.shape == (2, 12)
-        reshaped = masked.data.reshape(2, 3, 4)
-        assert np.allclose(reshaped[0, 0], 0) and np.allclose(reshaped[0, 2], 0)
-        assert np.allclose(reshaped[0, 1], caps[0, 1])
-
-    def test_mask_without_labels_uses_longest(self):
-        caps = np.zeros((1, 3, 4), dtype=np.float32)
-        caps[0, 2, :] = 1.0
-        masked = mask_capsules(Tensor(caps)).data.reshape(1, 3, 4)
-        assert np.allclose(masked[0, 2], 1.0)
-
-    def test_decoder_output_range(self, rng):
-        decoder = ReconstructionDecoder(3, 4, output_pixels=49,
-                                        hidden1=16, hidden2=16,
-                                        rng=np.random.default_rng(0))
-        masked = Tensor(rng.standard_normal((2, 12)).astype(np.float32))
-        out = decoder(masked)
-        assert out.shape == (2, 49)
-        assert (out.data >= 0).all() and (out.data <= 1).all()
-
-    def test_reconstruction_loss_backprop(self, rng):
-        decoder = ReconstructionDecoder(3, 4, output_pixels=16,
-                                        hidden1=8, hidden2=8,
-                                        rng=np.random.default_rng(0))
-        caps = Tensor(
-            rng.standard_normal((2, 3, 4)).astype(np.float32), requires_grad=True
-        )
-        images = rng.random((2, 1, 4, 4)).astype(np.float32)
-        loss = decoder.reconstruction_loss(caps, images, np.array([0, 1]))
-        loss.backward()
-        assert caps.grad is not None
 
 
 class TestPresets:

@@ -109,6 +109,14 @@ class TestParser:
         assert args.max_warm == 4
         assert args.batch_size is None
 
+    def test_serve_workers_flag_is_gone(self):
+        """The daemon runs one in-process dispatcher: ``--workers`` is
+        an argparse error, as for ``quantize``."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["serve", "--artifact", "a.npz", "--workers", "2"]
+            )
+
     def test_serve_requires_an_artifact(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve"])

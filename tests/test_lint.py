@@ -50,7 +50,6 @@ class TestFixtureMatrix:
         ("bad_sr_escape.py", "QL012"),
         ("bad_unguarded.py", "QL020"),
         ("bad_cross_lock.py", "QL020"),
-        ("bad_fork_child.py", "QL021"),
         ("bad_lock_order.py", "QL022"),
         ("bad_float_in_int_kernels.py", "QL044"),
         ("bad_float_in_int_backend.py", "QL044"),
@@ -67,7 +66,6 @@ class TestFixtureMatrix:
 
     @pytest.mark.parametrize("name", [
         "good_guarded.py",
-        "good_fork_child.py",
         "good_lock_order.py",
     ])
     def test_good_fixture_is_clean(self, name):
@@ -602,67 +600,6 @@ class TestCrossClassLocks:
 
 
 # ----------------------------------------------------------------------
-# Fork-boundary audit (QL021)
-# ----------------------------------------------------------------------
-class TestForkChildRule:
-    RUNNER = (
-        "import multiprocessing\n"
-        "import threading\n"
-        "class Runner:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-        "        self.done = 0\n"
-        "    def start(self):\n"
-        "        multiprocessing.Process(target=self._run).start()\n"
-    )
-
-    def test_child_lock_acquisition_without_protocol_is_flagged(self):
-        source = self.RUNNER + (
-            "    def _run(self):\n"
-            "        with self._lock:\n"
-            "            self.done = 1\n"
-        )
-        findings = concurrency.check_source(source, "f.py")
-        assert [f.rule for f in findings] == ["QL021"]
-        assert "Runner._run" in findings[0].message
-        assert "fork_guard" in findings[0].message
-
-    def test_protocol_registration_exempts(self):
-        source = self.RUNNER + (
-            "    def fork_child_reset(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "    def _run(self):\n"
-            "        self.fork_child_reset()\n"
-            "        with self._lock:\n"
-            "            self.done = 1\n"
-        )
-        assert concurrency.check_source(source, "f.py") == []
-
-    def test_module_level_target_is_out_of_scope(self):
-        source = (
-            "import multiprocessing\n"
-            "def _run():\n"
-            "    pass\n"
-            "class Runner:\n"
-            "    def start(self):\n"
-            "        multiprocessing.Process(target=_run).start()\n"
-        )
-        assert concurrency.check_source(source, "f.py") == []
-
-    def test_hazard_free_child_entry_passes(self):
-        source = (
-            "import multiprocessing\n"
-            "class Runner:\n"
-            "    def start(self):\n"
-            "        multiprocessing.Process(target=self._run).start()\n"
-            "    def _run(self):\n"
-            "        total = sum(range(10))\n"
-            "        print(total)\n"
-        )
-        assert concurrency.check_source(source, "f.py") == []
-
-
-# ----------------------------------------------------------------------
 # QL022: lock-order cycles
 # ----------------------------------------------------------------------
 class TestLockOrderCycles:
@@ -807,7 +744,7 @@ class TestFindings:
 
     def test_rule_table_covers_every_emitted_rule(self):
         for rule in ("QL010", "QL011", "QL012",
-                     "QL020", "QL021", "QL022", "QL030", "QL031",
+                     "QL020", "QL022", "QL030", "QL031",
                      "QL040", "QL041", "QL042", "QL043"):
             assert rule in RULES
 

@@ -4,8 +4,7 @@ do not reach."""
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
-from repro.capsnet import ReconstructionDecoder, ShallowCaps, presets
+from repro.capsnet import ShallowCaps, presets
 from repro.data import Dataset, synth_cifar, synth_fashion
 from repro.framework import QCapsNets
 from repro.framework.evaluate import config_signature
@@ -69,34 +68,6 @@ class TestConfigSignature:
     def test_clone_has_same_signature(self):
         a = QuantizationConfig.uniform(["L1", "L2"], qw=4, qa=3, qdr=2)
         assert config_signature(a) == config_signature(a.clone())
-
-
-class TestDecoderTraining:
-    def test_joint_margin_reconstruction_step(self, rng):
-        """One optimization step of margin + reconstruction loss must
-        update both the CapsNet and the decoder."""
-        from repro.nn.losses import margin_loss
-
-        model = ShallowCaps(presets.shallowcaps_tiny())
-        decoder = ReconstructionDecoder(
-            10, 8, output_pixels=14 * 14, hidden1=32, hidden2=32,
-            rng=np.random.default_rng(0),
-        )
-        optimizer = Adam(model.parameters() + decoder.parameters(), lr=0.01)
-        images = rng.random((8, 1, 14, 14)).astype(np.float32)
-        labels = np.arange(8) % 10
-
-        caps = model(Tensor(images))
-        loss = margin_loss(caps, labels) + decoder.reconstruction_loss(
-            caps, images, labels
-        )
-        before_caps = model.conv1.weight.data.copy()
-        before_dec = decoder.net[0].weight.data.copy()
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step()
-        assert not np.allclose(model.conv1.weight.data, before_caps)
-        assert not np.allclose(decoder.net[0].weight.data, before_dec)
 
 
 class TestHardwareEdgeCases:

@@ -15,16 +15,16 @@ The serving acceptance criteria:
 """
 
 import json
-import os
+import sys
 import threading
 import time
 import urllib.request
+from concurrent.futures import wait
 
 import numpy as np
 import pytest
 
 from repro.api import ModelArtifact, QuantSpec, Session
-from repro.engine import ExecutorPool, fork_available
 from repro.quant import (
     QuantizationConfig,
     QuantizedCapsNet,
@@ -282,6 +282,80 @@ class TestMicroBatcher:
             MicroBatcher(two_tenant_registry, max_batch=0)
         with pytest.raises(ValueError, match="max_wait_ms"):
             MicroBatcher(two_tenant_registry, max_wait_ms=-1)
+
+    def test_concurrent_submitters_lose_no_ticket(self):
+        """Regression for lost tickets: 8 paced threads submit to one
+        coalescable and one non-coalescable tenant.  Every future
+        resolves, each with its own request's labels, and the
+        non-coalescable tenant's requests each run alone.  (With a
+        second dispatcher thread, one dispatcher could drop a tenant's
+        queue after a handler had refilled it; paced arrivals keep
+        queues running dry, which lost tickets in every round.)"""
+
+        class Entry:
+            def __init__(self, coalescable):
+                self.coalescable = coalescable
+
+        class Serving:
+            def predict(self, images):
+                return images[:, 0, 0, 0].astype(np.int64)
+
+        class StubRegistry:
+            entries = {"det": Entry(True), "sr": Entry(False)}
+
+            def entry(self, name):
+                return self.entries[name]
+
+            def get(self, name, requests=1):
+                return Serving()
+
+        def submit_round(batcher, index, out):
+            for request in range(200):
+                tag = index * 1000 + request
+                images = np.full((1 + request % 3, 1, 1, 1), tag, np.float32)
+                tenant = "sr" if request % 10 == 0 else "det"
+                out.append((tag, batcher.submit(tenant, images)))
+                time.sleep(0.0002)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                self._lost_ticket_round(StubRegistry(), submit_round)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _lost_ticket_round(registry, submit_round):
+        batcher = MicroBatcher(registry, max_batch=16, max_wait_ms=1.0)
+        submitted = [[] for _ in range(8)]
+        threads = [
+            threading.Thread(target=submit_round, args=(batcher, index, rows))
+            for index, rows in enumerate(submitted)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            tickets = [item for rows in submitted for item in rows]
+            assert len(tickets) == 1600
+            futures = [ticket.future for _, ticket in tickets]
+            _, pending = wait(futures, timeout=10)
+            assert not pending, f"{len(pending)} tickets never resolved"
+            for tag, ticket in tickets:
+                labels = ticket.future.result()
+                assert len(labels) == len(ticket.images)
+                assert (labels == tag).all(), (tag, labels)
+                if ticket.name == "sr":
+                    assert ticket.batched_with == len(ticket.images)
+        finally:
+            batcher.close()
+        stats = batcher.stats()
+        assert stats["requests"] == 1600
+        assert stats["coalesced_requests"] > 0
+        assert stats["largest_batch"] <= 16
 
 
 class TestValidation:
@@ -563,7 +637,7 @@ class TestClientErrors:
 
 
 # ----------------------------------------------------------------------
-# Multi-worker daemon (persistent executor pool fan-out)
+# Four-scheme daemon (SR included) under concurrency
 # ----------------------------------------------------------------------
 MULTI_TENANTS = (
     ("rtn", "RTN", 4),
@@ -589,8 +663,7 @@ def four_tenant_registry(trained_tiny, tiny_data):
 @pytest.fixture(scope="module")
 def multi_daemon(four_tenant_registry):
     daemon = ServingDaemon(
-        four_tenant_registry, port=0, max_batch=48, max_wait_ms=5.0,
-        workers=2,
+        four_tenant_registry, port=0, max_batch=48, max_wait_ms=5.0
     )
     with daemon:
         yield daemon
@@ -632,15 +705,7 @@ def _multi_reference(multi_offline, name, lo, hi):
     return multi_offline[name][lo:hi]
 
 
-class TestMultiWorkerDaemon:
-    def test_health_reports_pool(self, multi_daemon, multi_client):
-        health = multi_client.health()
-        assert health["workers"] == multi_daemon.workers
-        if multi_daemon.pool is not None:
-            rows = health["pool"]["rows"]
-            assert len(rows) == 2
-            assert all(row["alive"] for row in rows)
-
+class TestFourSchemeDaemon:
     def test_concurrent_four_tenants_bit_identical(
         self, multi_client, multi_offline
     ):
@@ -675,58 +740,14 @@ class TestMultiWorkerDaemon:
                 served, _multi_reference(multi_offline, name, lo, hi)
             ), (name, lo, hi)
 
-    def test_sr_requests_never_coalesce_under_pool(
-        self, multi_client, multi_offline
-    ):
-        response = multi_client.predict(
-            "sr", multi_offline["images"][:6], full_response=True
-        )
-        assert response["batched_with"] == 6  # its own samples only
-        served = np.asarray(response["predictions"], dtype=np.int64)
-        assert np.array_equal(
-            served, _multi_reference(multi_offline, "sr", 0, 6)
-        )
-
-    def test_workers_one_equals_pooled(
-        self, four_tenant_registry, multi_client, multi_offline
-    ):
-        """The pinned-degradation regression: workers=1 (no pool) must
-        produce exactly the pooled daemon's outputs."""
-        images = multi_offline["images"]
-        single = ServingDaemon(
-            four_tenant_registry, port=0, max_batch=48, max_wait_ms=5.0,
-            workers=1,
-        )
-        assert single.pool is None
-        with single:
-            client = Client(single.url, timeout=300.0)
-            for name, _, _ in MULTI_TENANTS:
-                pooled = multi_client.predict(name, images[8:16])
-                unpooled = client.predict(name, images[8:16])
-                assert np.array_equal(pooled, unpooled), name
-
-    def test_degrades_when_fork_unavailable(
-        self, four_tenant_registry, multi_offline, monkeypatch
-    ):
-        monkeypatch.setattr(
-            "repro.serve.server.fork_available", lambda: False
-        )
-        daemon = ServingDaemon(
-            four_tenant_registry, port=0, max_batch=48, max_wait_ms=5.0,
-            workers=4,
-        )
-        assert daemon.workers == 1
-        assert daemon.pool is None
-        with daemon:
-            client = Client(daemon.url, timeout=300.0)
-            served = client.predict("rtn", multi_offline["images"][:16])
-        assert np.array_equal(
-            served, _multi_reference(multi_offline, "rtn", 0, 16)
-        )
-
     def test_validates_workers(self, four_tenant_registry):
-        with pytest.raises(ValueError, match="workers"):
-            ServingDaemon(four_tenant_registry, port=0, workers=0)
+        """Only the one-dispatcher daemon exists: workers=1 is accepted
+        for callers that pass it, anything else is refused."""
+        for workers in (0, 2):
+            with pytest.raises(ValueError, match="workers"):
+                ServingDaemon(four_tenant_registry, port=0, workers=workers)
+        with ServingDaemon(four_tenant_registry, port=0, workers=1) as daemon:
+            assert Client(daemon.url).health()["status"] == "ok"
 
 
 # ----------------------------------------------------------------------
@@ -760,50 +781,6 @@ class TestBatcherShutdown:
         with pytest.raises(RuntimeError, match="closed"):
             batcher.start()
 
-    @pytest.mark.skipif(
-        not fork_available(), reason="requires the fork start method"
-    )
-    def test_worker_crash_fails_only_that_batch(
-        self, trained_tiny, tiny_data, offline
-    ):
-        """A worker death surfaces on exactly the tickets of its batch;
-        the dispatcher respawns the slot and keeps serving."""
-        registry = ModelRegistry(max_warm=4, batch_size=32)
-        registry.register(
-            "rtn", artifact=_artifact(trained_tiny, tiny_data, "RTN"),
-            model=trained_tiny,
-        )
-
-        def predict_fn(tenant, images):
-            if float(images[0, 0, 0, 0]) == -1234.0:
-                os._exit(5)
-            return registry.get(tenant).predict(images)
-
-        pool = ExecutorPool(
-            predict_fn, workers=1,
-            child_init=registry.fork_child_reset,
-            fork_guard=registry.fork_guard,
-        )
-        batcher = MicroBatcher(
-            registry, max_batch=48, max_wait_ms=0.0, pool=pool
-        )
-        try:
-            poison = np.zeros((1, 1, 14, 14), np.float32)
-            poison[0, 0, 0, 0] = -1234.0
-            ticket = batcher.submit("rtn", poison)
-            with pytest.raises(RuntimeError, match="died mid-batch"):
-                ticket.future.result(timeout=60)
-            good = batcher.submit("rtn", offline["images"][:4])
-            assert np.array_equal(
-                good.future.result(timeout=120), offline["rtn"][:4]
-            )
-            stats = batcher.stats()
-            assert stats["worker_crashes"] == 1
-            assert pool.stats()["rows"][0]["restarts"] == 1
-        finally:
-            batcher.close()
-            pool.close()
-
 
 # ----------------------------------------------------------------------
 # Cross-tenant FIFO (arrival-order heaps)
@@ -824,7 +801,7 @@ class TestBatcherFairness:
                 submitted.append(batcher.submit(name, images))
         order = []
         for _ in submitted:
-            group = batcher._take_batch(0)
+            group = batcher._take_batch()
             assert len(group) == 1
             order.append(group[0].seq)
         assert order == [ticket.seq for ticket in submitted]
@@ -840,44 +817,7 @@ class TestBatcherFairness:
         first = batcher.submit("rtn", images[:2])
         second = batcher.submit("trn", images[2:4])
         third = batcher.submit("rtn", images[4:6])
-        group = batcher._take_batch(0)
+        group = batcher._take_batch()
         assert [ticket.seq for ticket in group] == [first.seq, third.seq]
-        group = batcher._take_batch(0)
+        group = batcher._take_batch()
         assert [ticket.seq for ticket in group] == [second.seq]
-
-
-class TestRegistryForkHelpers:
-    def test_touch_counts_and_validates(self, trained_tiny, tiny_data):
-        registry = ModelRegistry(max_warm=4, batch_size=32)
-        registry.register(
-            "rtn", artifact=_artifact(trained_tiny, tiny_data, "RTN"),
-            model=trained_tiny,
-        )
-        registry.touch("rtn", requests=3)
-        assert registry.entry("rtn").requests == 3
-        with pytest.raises(RegistryError, match="unknown"):
-            registry.touch("nope")
-
-    def test_touch_refreshes_lru_recency(self, trained_tiny, tiny_data):
-        registry = ModelRegistry(max_warm=1, batch_size=32)
-        for name in ("a", "b"):
-            registry.register(
-                name,
-                artifact=_artifact(trained_tiny, tiny_data, "RTN"),
-                model=trained_tiny,
-            )
-        registry.get("a")  # a is warm
-        registry.touch("a")  # parent-side routing keeps it recent
-        registry.get("b")  # binding b evicts the LRU tenant...
-        assert registry.entry("b").warm
-        assert not registry.entry("a").warm  # ...which is still a (cold)
-
-    def test_fork_child_reset_rearms_lock(self):
-        registry = ModelRegistry()
-        guard = registry.fork_guard()
-        guard.acquire()  # simulate forking while held
-        registry.fork_child_reset()
-        assert registry.fork_guard() is not guard
-        with registry.fork_guard():  # the re-armed lock is usable
-            pass
-        guard.release()

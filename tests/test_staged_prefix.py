@@ -339,6 +339,29 @@ class TestPrefixCacheLRU:
         assert off.executor.stages_skipped == 0
         assert len(off.executor.cache) == 0
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_cache_off_builds_no_entries(
+        self, trained_tiny, tiny_data, scheme, monkeypatch
+    ):
+        """At ``prefix_cache_bytes=0`` no entry is built for the cache
+        to refuse: the prefix weight snapshot is never taken, and the
+        accuracies are those of the default cap."""
+        _, test = tiny_data
+        on = _evaluator(trained_tiny, test, scheme)
+        expected = [on.accuracy(config) for config in _probe_configs()]
+
+        def refuse(self, layers):
+            raise AssertionError("weight snapshot taken with the cache off")
+
+        monkeypatch.setattr(FixedPointQuant, "weight_cache_snapshot", refuse)
+        off = _evaluator(trained_tiny, test, scheme, prefix_cache_bytes=0)
+        assert [off.accuracy(config) for config in _probe_configs()] == (
+            expected
+        )
+        assert off.executor.stage_executions == (
+            off.batches_evaluated * len(trained_tiny.stages())
+        )
+
 
 # ----------------------------------------------------------------------
 # Fingerprint semantics
