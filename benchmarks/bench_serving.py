@@ -129,8 +129,7 @@ def run_soak(
     daemon = ServingDaemon(
         registry, port=0, max_batch=max_batch, max_wait_ms=max_wait_ms
     )
-    with daemon:
-        client = Client(daemon.url, timeout=600.0)
+    with daemon, Client(daemon.url, timeout=600.0) as client:
         for name in artifacts:  # warm every tenant before timing
             client.predict(name, images[:1])
         results = [None] * len(jobs)

@@ -7,38 +7,56 @@
 * ``GET /v1/models`` — one row per registered tenant (format version,
   scheme, storage bits, execution backend, warm/cold state, request
   counts);
-* ``POST /v1/predict`` — body ``{"model": name, "images": [...]}``;
-  responds ``{"model", "predictions", "count", "batched_with"}``.
+* ``POST /v1/predict`` — body ``{"model": name, "images": [...]}``
+  (nested JSON lists, the curl-able form) or ``{"model": name,
+  "images_b64": ..., "shape": [...]}`` (base64 of the batch's raw
+  little-endian float32 bytes, the form :class:`~repro.serve.Client`
+  sends); responds ``{"model", "predictions", "count",
+  "batched_with"}``.
+
+Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY`` set, so a
+client that reuses one pays no connection setup and no Nagle stall per
+request; a connection idle for ``IDLE_TIMEOUT_S`` is closed, and
+:meth:`ServingDaemon.shutdown` ends every open one.
 
 Request handling is deliberately two-stage: handler threads (the
-:class:`ThreadingHTTPServer` pool) parse and *validate* — malformed
-JSON, unknown tenants, empty batches, non-float32 payloads and shape
-mismatches all turn into 4xx responses without ever touching a model —
-then enqueue onto the :class:`~repro.serve.batcher.MicroBatcher`,
-whose single dispatcher thread owns all model execution.  Validation
-failures therefore cannot poison the queue, and a crashed forward
-surfaces as a 500 on exactly the requests that shared its batch.
+:class:`ThreadingHTTPServer` pool, one per open connection) parse and
+*validate* — malformed JSON, unknown tenants, empty batches,
+non-float32 payloads and shape mismatches all turn into 4xx responses
+without ever touching a model — then enqueue onto the
+:class:`~repro.serve.batcher.MicroBatcher`, whose single dispatcher
+thread owns all model execution.  Validation failures therefore cannot
+poison the queue, and a crashed forward surfaces as a 500 on exactly
+the requests that shared its batch.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
+import math
+import socket
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple, Type
 
 import numpy as np
 
 from repro.serve.batcher import MicroBatcher
 from repro.serve.registry import ModelRegistry, RegistryError
 
-#: Ceiling on one request's JSON body (a 128-sample CIFAR batch of
-#: float32 text literals is ~4 MiB; this leaves generous headroom).
+#: Ceiling on one request's body.  A 128-sample CIFAR batch is ~2 MiB
+#: as base64 float32 and ~4 MiB as JSON text literals; this leaves
+#: generous headroom for either.
 MAX_BODY_BYTES = 256 * 1024 * 1024
 #: How long a handler waits for its micro-batched prediction.
 PREDICT_TIMEOUT_S = 300.0
+#: How long a keep-alive connection may sit idle (or stall mid-request)
+#: before its handler thread closes it.
+IDLE_TIMEOUT_S = 60.0
 
 
 class RequestError(ValueError):
@@ -49,6 +67,54 @@ class RequestError(ValueError):
         self.status = status
 
 
+def _decode_list(images: object) -> np.ndarray:
+    """The ``images`` form: nested JSON lists of numbers."""
+    try:
+        array = np.asarray(images)
+    except (ValueError, TypeError) as error:
+        raise RequestError(
+            400, f"malformed images payload: {error}"
+        ) from error
+    if array.dtype.kind not in "fiu":
+        raise RequestError(
+            400,
+            f"images must be numeric (float32), got dtype {array.dtype}",
+        )
+    # Magnitudes beyond float32 become inf, which the finiteness check
+    # refuses.
+    with np.errstate(over="ignore"):
+        return np.ascontiguousarray(array, dtype=np.float32)
+
+
+def _decode_b64(encoded: object, shape: object) -> np.ndarray:
+    """The ``images_b64`` form: base64 of raw little-endian float32
+    bytes, laid out in C order as ``shape``."""
+    if (
+        not isinstance(shape, list)
+        or len(shape) not in (3, 4)
+        or not all(type(dim) is int and dim >= 0 for dim in shape)
+    ):
+        raise RequestError(
+            400, "'shape' must be a list of 3 or 4 non-negative ints"
+        )
+    if not isinstance(encoded, str):
+        raise RequestError(400, "'images_b64' must be a base64 string")
+    try:
+        raw = base64.b64decode(encoded, validate=True)
+    except (binascii.Error, ValueError) as error:
+        raise RequestError(
+            400, f"invalid base64 in 'images_b64': {error}"
+        ) from error
+    # Python ints: a hostile shape cannot overflow or allocate.
+    if len(raw) != 4 * math.prod(shape):
+        raise RequestError(
+            400,
+            f"'images_b64' holds {len(raw)} bytes, but a float32 batch "
+            f"of the given shape needs {4 * math.prod(shape)}",
+        )
+    return np.frombuffer(raw, "<f4").reshape(shape).astype(np.float32)
+
+
 def validate_images(
     payload: Dict[str, object],
     expected_shape: Optional[Tuple[int, ...]],
@@ -56,33 +122,35 @@ def validate_images(
 ) -> np.ndarray:
     """Parse/validate a predict payload into a float32 batch.
 
-    Rejects (as 400s): a missing/empty batch, payloads that are not
-    float32-representable numbers, non-finite pixels, an explicit
-    non-float32 ``dtype`` claim, per-sample shapes differing from
-    ``expected_shape``, and — when ``input_range`` is given (int
+    The batch comes as exactly one of ``images`` (nested lists) or
+    ``images_b64`` with ``shape`` (raw little-endian float32 bytes).
+    Rejects (as 400s): a missing/empty batch, both forms at once,
+    payloads that are not float32-representable numbers, bad base64 or
+    a byte count that does not match ``shape``, non-finite pixels, an
+    explicit non-float32 ``dtype`` claim, per-sample shapes differing
+    from ``expected_shape``, and — when ``input_range`` is given (int
     tenants: the plan's certified input domain) — pixels outside it.
     Rejecting here keeps one bad request from failing the coalesced
     batch it would have joined.
     """
-    if "images" not in payload:
+    binary = "images_b64" in payload
+    if binary and "images" in payload:
+        raise RequestError(
+            400, "send exactly one of 'images' and 'images_b64'"
+        )
+    if not binary and "images" not in payload:
         raise RequestError(400, "missing 'images' field")
     dtype = payload.get("dtype", "float32")
     if dtype != "float32":
         raise RequestError(
             400, f"unsupported dtype {dtype!r}; images must be float32"
         )
-    try:
-        images = np.asarray(payload["images"])
-    except (ValueError, TypeError) as error:
-        raise RequestError(400, f"malformed images payload: {error}")
-    if images.dtype.kind not in "fiu":
-        raise RequestError(
-            400,
-            f"images must be numeric (float32), got dtype {images.dtype}",
-        )
+    if binary:
+        images = _decode_b64(payload["images_b64"], payload.get("shape"))
+    else:
+        images = _decode_list(payload["images"])
     if images.size == 0 or images.ndim == 0:
         raise RequestError(400, "empty image batch")
-    images = np.ascontiguousarray(images, dtype=np.float32)
     if not np.isfinite(images).all():
         raise RequestError(400, "images contain non-finite pixels")
     if input_range is not None:
@@ -117,6 +185,13 @@ def validate_images(
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    #: ``http.server`` sends headers and body in two writes; on a reused
+    #: connection Nagle would hold the body back until the client's
+    #: delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
+    #: Socket timeout of every read and write; an idle keep-alive
+    #: connection times out in its request-line read and is closed.
+    timeout = IDLE_TIMEOUT_S
     #: Quieted by default; the daemon logs a startup banner instead.
     verbose = False
 
@@ -134,6 +209,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -141,13 +218,19 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(status, {"error": message})
 
     def _read_json(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
+        try:
+            length = int(self.headers.get("Content-Length", 0) or 0)
+        except ValueError:
+            length = -1
+        if length <= 0 or length > MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot carry
+            # another request.
+            self.close_connection = True
+            if length > 0:
+                raise RequestError(
+                    413, f"request body exceeds {MAX_BODY_BYTES} bytes"
+                )
             raise RequestError(400, "missing request body")
-        if length > MAX_BODY_BYTES:
-            raise RequestError(
-                413, f"request body exceeds {MAX_BODY_BYTES} bytes"
-            )
         raw = self.rfile.read(length)
         try:
             payload = json.loads(raw)
@@ -229,6 +312,46 @@ class _HTTPServer(ThreadingHTTPServer):
     request_queue_size = 128
     daemon_threads = True
 
+    def __init__(
+        self,
+        address: Tuple[str, int],
+        handler: Type[BaseHTTPRequestHandler],
+    ) -> None:
+        super().__init__(address, handler)
+        #: Guards the open connections, which the accept loop adds and
+        #: handler threads remove.
+        self._lock = threading.Lock()
+        self._open: Set[socket.socket] = set()
+
+    def process_request(self, request, client_address) -> None:
+        # Registered on the accept loop, before the handler thread
+        # starts, so server_close() (which runs after the loop stopped)
+        # sees every connection.
+        with self._lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listener and end every keep-alive connection.
+
+        Reads are shut down, so an idle handler sees end-of-stream at
+        once instead of at ``IDLE_TIMEOUT_S``, while one mid-request
+        still writes its response; then the handler threads are joined.
+        """
+        with self._lock:
+            open_connections = list(self._open)
+        for connection in open_connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:  # already closed by its handler
+                pass
+        super().server_close()
+
 
 class ServingDaemon:
     """One warm multi-tenant serving process.
@@ -264,10 +387,13 @@ class ServingDaemon:
         )
         self._http = _HTTPServer((host, port), _Handler)
         self._http.serving_daemon = self  # type: ignore[attr-defined]
-        #: Guards the lifecycle state (_thread) against concurrent
-        #: start()/shutdown() callers.
+        #: Guards the lifecycle state (_thread, _serving) against
+        #: concurrent start()/shutdown() callers.
         self._lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
+        #: Whether start() or serve_forever() entered the accept loop,
+        #: which is what stopping it waits for.
+        self._serving = False
         self.started = time.monotonic()
 
     @property
@@ -286,6 +412,7 @@ class ServingDaemon:
         """Serve on a background thread (returns immediately)."""
         self.batcher.start()
         with self._lock:
+            self._serving = True
             if self._thread is None:
                 self._thread = threading.Thread(
                     target=self._http.serve_forever,
@@ -298,6 +425,8 @@ class ServingDaemon:
     def serve_forever(self) -> None:
         """Serve on the calling thread until interrupted."""
         self.batcher.start()
+        with self._lock:
+            self._serving = True
         try:
             self._http.serve_forever()
         except KeyboardInterrupt:
@@ -306,12 +435,15 @@ class ServingDaemon:
             self.shutdown()
 
     def shutdown(self) -> None:
-        self._http.shutdown()
+        with self._lock:
+            serving, self._serving = self._serving, False
+            thread, self._thread = self._thread, None
+        if serving:
+            # Waits for the accept loop to exit; on a daemon that never
+            # entered it, this would wait forever.
+            self._http.shutdown()
         self._http.server_close()
         self.batcher.close()
-        with self._lock:
-            thread = self._thread
-            self._thread = None
         if thread is not None:
             thread.join(timeout=10.0)
 

@@ -323,8 +323,8 @@ class TestServingSurface:
         with daemon:
             from repro.serve import Client
 
-            client = Client(daemon.url, timeout=120.0)
-            client.predict("m", test.images[:8])
+            with Client(daemon.url, timeout=120.0) as client:
+                client.predict("m", test.images[:8])
             with urllib.request.urlopen(f"{daemon.url}/healthz") as response:
                 health = json.loads(response.read())
         assert "sanitizers" in health

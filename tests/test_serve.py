@@ -14,6 +14,8 @@ The serving acceptance criteria:
   re-bound on their next request.
 """
 
+import base64
+import http.client
 import json
 import sys
 import threading
@@ -23,6 +25,8 @@ from concurrent.futures import wait
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import ModelArtifact, QuantSpec, Session
 from repro.quant import (
@@ -41,6 +45,62 @@ from repro.serve import (
     ServingDaemon,
     validate_images,
 )
+
+
+_pixels = st.one_of(
+    st.floats(width=32), st.floats(), st.integers(), st.booleans(),
+    st.none(), st.text(max_size=2),
+)
+_dims = st.one_of(
+    st.integers(-2, 3), st.booleans(), st.floats(0, 3), st.just(2**62),
+)
+
+
+@st.composite
+def _b64_batches(draw):
+    """An ``images_b64``/``shape`` pair whose byte count matches."""
+    shape = draw(st.lists(st.integers(1, 2), min_size=3, max_size=4))
+    count = int(np.prod(shape))
+    pixels = draw(st.lists(
+        st.floats(width=32), min_size=count, max_size=count,
+    ))
+    raw = np.asarray(pixels, dtype="<f4").tobytes()
+    return {"images_b64": base64.b64encode(raw).decode(), "shape": shape}
+
+
+def _predict_bodies():
+    """Predict bodies: either form, both, neither, or broken."""
+    loose = st.fixed_dictionaries({}, optional={
+        "images": st.recursive(
+            _pixels, lambda inner: st.lists(inner, max_size=3),
+            max_leaves=24,
+        ),
+        "images_b64": st.one_of(
+            st.binary(max_size=48).map(
+                lambda raw: base64.b64encode(raw).decode()
+            ),
+            st.text(max_size=12),
+            st.integers(),
+        ),
+        "shape": st.one_of(
+            st.lists(_dims, max_size=5), st.none(), st.text(max_size=4),
+        ),
+        "dtype": st.sampled_from(["float32", "float64", None]),
+    })
+    return st.one_of(loose, _b64_batches())
+
+
+def _count_connects(monkeypatch):
+    """Record every TCP connect an ``http.client`` connection makes."""
+    connects = []
+    connect = http.client.HTTPConnection.connect
+
+    def counting(self):
+        connects.append(self.host)
+        connect(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+    return connects
 
 
 def _artifact(trained_tiny, tiny_data, scheme_name="RTN", qw=4, qa=5):
@@ -87,7 +147,8 @@ def daemon(two_tenant_registry):
 
 @pytest.fixture(scope="module")
 def client(daemon):
-    return Client(daemon.url, timeout=120.0)
+    with Client(daemon.url, timeout=120.0) as client:
+        yield client
 
 
 @pytest.fixture(scope="module")
@@ -437,6 +498,88 @@ class TestValidation:
         assert batch.dtype == np.float32
 
 
+    # -- the images_b64 form ------------------------------------------
+    @staticmethod
+    def _b64(images):
+        images = np.ascontiguousarray(images, dtype="<f4")
+        return {
+            "images_b64": base64.b64encode(images).decode("ascii"),
+            "shape": list(images.shape),
+        }
+
+    def test_b64_decodes_to_a_writeable_float32_batch(self):
+        images = np.random.default_rng(0).random((3,) + self.EXPECTED)
+        batch = validate_images(self._b64(images), self.EXPECTED)
+        assert batch.dtype == np.float32
+        assert batch.flags.c_contiguous and batch.flags.writeable
+        assert np.array_equal(batch, images.astype(np.float32))
+        sample = validate_images(self._b64(images[0]), self.EXPECTED)
+        assert np.array_equal(sample, images[:1].astype(np.float32))
+
+    @pytest.mark.parametrize("body, match", [
+        ({"images_b64": "AAAA!!!!", "shape": [1, 1, 1, 2]}, "base64"),
+        ({"images_b64": "AAAAAA==", "shape": [1, 1, 1, 2]}, "bytes"),
+        ({"images_b64": "", "shape": [2**62, 2**62, 2, 2]}, "bytes"),
+        ({"images_b64": 7, "shape": [1, 1, 14, 14]}, "base64 string"),
+        ({"images_b64": "", "shape": [1, 1, 14.0, 14]}, "shape"),
+        ({"images_b64": "", "shape": [1, True, 14, 14]}, "shape"),
+        ({"images_b64": "", "shape": [-1, -1, 14, 14]}, "shape"),
+        ({"images_b64": "", "shape": [196]}, "shape"),
+        ({"images_b64": "", "shape": [1, 1, 1, 14, 14]}, "shape"),
+        ({"images_b64": "", "shape": "1,1,14,14"}, "shape"),
+        ({"images_b64": ""}, "shape"),
+        ({"images_b64": "", "shape": [1, 1, 1, 1], "images": [[[[0.0]]]]},
+         "exactly one"),
+        ({"images_b64": "", "shape": [1, 1, 1, 1], "dtype": "float64"},
+         "float32"),
+    ])
+    def test_hostile_b64_bodies(self, body, match):
+        self._check(body, match)
+
+    def test_empty_b64_batch(self):
+        self._check(self._b64(np.zeros((0,) + self.EXPECTED)), "empty")
+
+    def test_b64_shape_checks_are_shared(self):
+        self._check(self._b64(np.zeros((2, 1, 7, 7))), "does not match")
+        self._check(self._b64(np.zeros((1, 2, 7, 7))[0]), "4-D")
+
+    @pytest.mark.parametrize("pixel, input_range", [
+        (np.nan, None), (np.inf, None), (-np.inf, None), (1.5, (0.0, 1.0)),
+    ])
+    def test_both_forms_refuse_pixels_alike(self, pixel, input_range):
+        images = np.full((2,) + self.EXPECTED, 0.25)
+        images[1, 0, 3, 4] = pixel
+        messages = []
+        for payload in ({"images": images.tolist()}, self._b64(images)):
+            with pytest.raises(RequestError) as excinfo:
+                validate_images(payload, self.EXPECTED, input_range)
+            assert excinfo.value.status == 400
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        payload=_predict_bodies(),
+        expected=st.sampled_from([None, (1, 2, 2), (2, 1, 2)]),
+        input_range=st.sampled_from([None, (0.0, 1.0)]),
+    )
+    def test_fuzzed_bodies_are_a_batch_or_a_400(
+        self, payload, expected, input_range
+    ):
+        """Whatever the body, the validator returns a C-contiguous 4-D
+        float32 batch or refuses it with a 400 — never another error
+        (so a hostile body never becomes a 5xx)."""
+        try:
+            batch = validate_images(payload, expected, input_range)
+        except RequestError as error:
+            assert error.status == 400
+            return
+        assert isinstance(batch, np.ndarray)
+        assert batch.dtype == np.float32 and batch.ndim == 4
+        assert batch.flags.c_contiguous
+        assert np.isfinite(batch).all()
+
+
 class TestDaemonEndToEnd:
     def test_healthz_and_models(self, client):
         health = client.health()
@@ -520,6 +663,7 @@ class TestDaemonEndToEnd:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     def test_malformed_json_is_400(self, daemon):
@@ -529,12 +673,44 @@ class TestDaemonEndToEnd:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     def test_unroutable_paths_are_404(self, daemon):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{daemon.url}/nope", timeout=30)
+        excinfo.value.close()
         assert excinfo.value.code == 404
+
+    def test_sequential_predicts_share_one_connection(
+        self, daemon, offline, monkeypatch
+    ):
+        connects = _count_connects(monkeypatch)
+        with Client(daemon.url, timeout=120.0) as client:
+            for lo in range(0, 32, 8):
+                served = client.predict("rtn", offline["images"][lo:lo + 8])
+                assert np.array_equal(served, offline["rtn"][lo:lo + 8])
+            assert client.health()["status"] == "ok"
+        assert len(connects) == 1
+
+    def test_idle_connection_is_closed_and_the_client_reconnects(
+        self, daemon, offline, monkeypatch
+    ):
+        """The daemon closes a keep-alive connection idle for longer
+        than its handler timeout; the client's next call on it fails
+        before any status line and is sent once more on a new one."""
+        from repro.serve import server
+
+        monkeypatch.setattr(server._Handler, "timeout", 0.2)
+        connects = _count_connects(monkeypatch)
+        images = offline["images"][:8]
+        with Client(daemon.url, timeout=120.0) as client:
+            assert np.array_equal(client.predict("rtn", images),
+                                  offline["rtn"][:8])
+            time.sleep(1.0)
+            assert np.array_equal(client.predict("rtn", images),
+                                  offline["rtn"][:8])
+        assert len(connects) == 2
 
     def test_daemon_survives_validation_storm(self, client, offline):
         """A burst of bad requests must not poison later good ones."""
@@ -587,7 +763,6 @@ class TestInputDomain:
         self, domain_daemon, tiny_data
     ):
         daemon, registry = domain_daemon
-        client = Client(daemon.url, timeout=120.0)
         good = tiny_data[1].images[:8]
         expected = registry.get("i").predict(good)
         bad = good[:2].copy()
@@ -604,35 +779,94 @@ class TestInputDomain:
             threading.Thread(target=send, args=("good", good)),
             threading.Thread(target=send, args=("bad", bad)),
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
+        with Client(daemon.url, timeout=120.0) as client:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
         assert not any(thread.is_alive() for thread in threads)
         assert np.array_equal(results["good"], expected)
         assert isinstance(results["bad"], ServeError)
         assert results["bad"].status == 400
         assert "certified input range" in str(results["bad"])
 
+    def test_json_list_body_matches_the_client(
+        self, domain_daemon, tiny_data
+    ):
+        """The documented nested-list form and the client's base64 form
+        give the same labels, on a float and an int tenant."""
+        daemon, registry = domain_daemon
+        images = tiny_data[1].images[:8]
+        body = {"images": images.tolist(), "dtype": "float32"}
+        with Client(daemon.url, timeout=120.0) as client:
+            for name in ("f", "i"):
+                request = urllib.request.Request(
+                    f"{daemon.url}/v1/predict",
+                    data=json.dumps(dict(body, model=name)).encode(),
+                    headers={"Content-Type": "application/json"},
+                )
+                with urllib.request.urlopen(request, timeout=120) as reply:
+                    listed = json.loads(reply.read())["predictions"]
+                served = client.predict(name, images)
+                assert np.array_equal(listed, served), name
+                assert np.array_equal(
+                    served, registry.get(name).predict(images)
+                ), name
+
     def test_float_tenants_refuse_only_non_finite(
         self, domain_daemon, tiny_data
     ):
         daemon, _ = domain_daemon
-        client = Client(daemon.url, timeout=120.0)
         images = tiny_data[1].images[:2].copy()
         images[0, 0, 0, 0] = 1.5
-        assert len(client.predict("f", images)) == 2
-        images[1, 0, 0, 0] = np.nan
-        with pytest.raises(ServeError, match="non-finite") as excinfo:
-            client.predict("f", images)
+        with Client(daemon.url, timeout=120.0) as client:
+            assert len(client.predict("f", images)) == 2
+            images[1, 0, 0, 0] = np.nan
+            with pytest.raises(ServeError, match="non-finite") as excinfo:
+                client.predict("f", images)
         assert excinfo.value.status == 400
 
 
 class TestClientErrors:
     def test_unreachable_daemon(self):
-        client = Client("http://127.0.0.1:9", timeout=2.0)
-        with pytest.raises(ServeError, match="cannot reach") as excinfo:
-            client.health()
+        with Client("http://127.0.0.1:9", timeout=2.0) as client:
+            with pytest.raises(ServeError, match="cannot reach") as excinfo:
+                client.health()
+        assert excinfo.value.status is None
+
+    @pytest.mark.parametrize(
+        "url", ["https://127.0.0.1:8080", "127.0.0.1:8080", "http://"]
+    )
+    def test_only_http_urls(self, url):
+        with pytest.raises(ValueError, match="http://"):
+            Client(url)
+
+
+def _stop_within(daemon, seconds):
+    """Run ``daemon.shutdown()`` on a helper thread that must finish in
+    ``seconds``, so a hang fails the test instead of the run."""
+    thread = threading.Thread(target=daemon.shutdown, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), "shutdown() hung"
+
+
+class TestDaemonLifecycle:
+    def test_shutdown_of_a_daemon_never_started(self):
+        _stop_within(ServingDaemon(ModelRegistry(), port=0), 5.0)
+
+    def test_shutdown_ends_idle_keepalive_connections(self):
+        """An open idle connection must not hold shutdown() for the
+        handler's idle timeout; the client then reports the daemon as
+        unreachable."""
+        daemon = ServingDaemon(ModelRegistry(), port=0).start()
+        with Client(daemon.url, timeout=5.0) as client:
+            assert client.health()["status"] == "ok"
+            started = time.monotonic()
+            _stop_within(daemon, 10.0)
+            assert time.monotonic() - started < 5.0
+            with pytest.raises(ServeError, match="cannot reach") as excinfo:
+                client.health()
         assert excinfo.value.status is None
 
 
@@ -671,7 +905,8 @@ def multi_daemon(four_tenant_registry):
 
 @pytest.fixture(scope="module")
 def multi_client(multi_daemon):
-    return Client(multi_daemon.url, timeout=300.0)
+    with Client(multi_daemon.url, timeout=300.0) as client:
+        yield client
 
 
 @pytest.fixture(scope="module")
@@ -747,7 +982,8 @@ class TestFourSchemeDaemon:
             with pytest.raises(ValueError, match="workers"):
                 ServingDaemon(four_tenant_registry, port=0, workers=workers)
         with ServingDaemon(four_tenant_registry, port=0, workers=1) as daemon:
-            assert Client(daemon.url).health()["status"] == "ok"
+            with Client(daemon.url) as client:
+                assert client.health()["status"] == "ok"
 
 
 # ----------------------------------------------------------------------
