@@ -424,7 +424,8 @@ def int_batchnorm(
     batch-norm tables (output lands on the plan's ``2^out_exp`` grid)."""
     m = np.asarray(multipliers, np.int64)[None, :, None, None]
     off = np.asarray(offsets, np.int64)[None, :, None, None]
-    return np.asarray(codes, np.int64) * m + off
+    out = np.multiply(codes, m, dtype=np.int64)  # no int64 copy of codes
+    return np.add(out, off, out=out)
 
 
 def _floor_div(

@@ -177,12 +177,14 @@ class _FieldRecorder:
     It does no array work: every op returns its input and ``layout``
     never calls its ``fn``.  Hooks map to the fields they read —
     ``weight`` → ``qw``, ``act`` → ``qa``, ``routing`` → ``qdr`` and
-    ``qa`` (``effective_qdr()`` falls back to ``qa``).
+    ``qa`` (``effective_qdr()`` falls back to ``qa``).  ``params`` lists
+    each ``weight`` call's ``(layer, name, param)``.
     """
 
     def __init__(self, layer: str) -> None:
         self.layer = layer
         self.fields: Set[str] = set()
+        self.params: List[Tuple[str, str, Any]] = []
 
     def _read(self, layer: str, *fields: str) -> None:
         if layer != self.layer:
@@ -193,6 +195,7 @@ class _FieldRecorder:
 
     def weight(self, layer, name, param):
         self._read(layer, "qw")
+        self.params.append((layer, name, param))
         return param
 
     def act(self, layer, x):

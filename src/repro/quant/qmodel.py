@@ -15,6 +15,7 @@ inference directly (it reconstructs the fake-quantized weights exactly
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import Dict, Optional
 
 import numpy as np
@@ -196,34 +197,21 @@ class QuantizedCapsNet:
     # Freezing
     # ------------------------------------------------------------------
     def _iter_hooked_params(self):
-        """Replay a recording pass to find every hooked (layer, name, param)."""
-        from repro.quant.qcontext import RecordingContext
+        """Every hooked ``(layer, name, param)``, read off the model's
+        ``steps()`` walk by the no-array ``_FieldRecorder`` (no forward)."""
+        from repro.capsnet.walk import _FieldRecorder
 
-        class _Capture(RecordingContext):
-            def __init__(self):
-                super().__init__(batch_size=1)
-                self.params = []
-
-            def weight(self, layer, name, tensor):
-                self.params.append((layer, name, tensor))
-                return super().weight(layer, name, tensor)
-
-        capture = _Capture()
-        probe_shape = self._probe_shape()
-        probe = Tensor(np.zeros(probe_shape, dtype=np.float32))
-        was_training = self.model.training
-        self.model.eval()
-        with no_grad():
-            self.model(probe, q=capture)
-        if was_training:
-            self.model.train()
-        return capture.params
-
-    def _probe_shape(self):
-        cfg = getattr(self.model, "config", None)
-        if cfg is not None and hasattr(cfg, "input_size"):
-            return (1, cfg.input_channels, cfg.input_size, cfg.input_size)
-        return (1, 1, 28, 28)  # LeNet-style default
+        steps = getattr(self.model, "steps", None)
+        if not callable(steps):
+            raise TypeError(
+                f"{type(self.model).__name__} has no steps() walk"
+            )
+        params = []
+        for layer, _, fn in steps():
+            recorder = _FieldRecorder(layer)
+            fn(recorder, None)
+            params.extend(recorder.params)
+        return params
 
     def _freeze_weights(self) -> None:
         if isinstance(self.scheme, StochasticRounding):
@@ -237,11 +225,15 @@ class QuantizedCapsNet:
             codes = quantize_to_int(param.data / scale, fmt, self.scheme)
             self.weight_codes[f"{layer}:{name}"] = (codes, fmt, scale)
 
+    @cached_property
     def _frozen_tensors(self) -> Dict[str, Tensor]:
+        """Dequantized float32 weights, built once (``weight_codes`` is set
+        only at construction): read-only, shared by every :meth:`context`."""
         frozen = {}
         for key, (codes, fmt, scale) in self.weight_codes.items():
-            values = dequantize_from_int(codes, fmt) * scale
-            frozen[key] = Tensor(values.astype(np.float32))
+            values = (dequantize_from_int(codes, fmt) * scale).astype(np.float32)
+            values.flags.writeable = False
+            frozen[key] = Tensor(values)
         return frozen
 
     # ------------------------------------------------------------------
@@ -253,7 +245,7 @@ class QuantizedCapsNet:
             self.config, self.scheme, seed=self.seed, scales=self.act_scales
         )
         runtime.reset()
-        return _FrozenWeightContext(self._frozen_tensors(), runtime)
+        return _FrozenWeightContext(self._frozen_tensors, runtime)
 
     def forward(self, images: np.ndarray) -> Tensor:
         with no_grad():

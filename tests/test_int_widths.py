@@ -16,6 +16,9 @@ widening every routed array to int64:
   would overflow;
 * capsule votes convert straight into their sealed dtype and equal the
   int64 route;
+* the batch-norm affine multiplies int16, int32 and int64 codes,
+  extremes included, straight into int64 and equals the widened
+  ``codes.astype(int64) * m + off``;
 * under the fixed-point sanitizer every executed hook op reports one
   rounding call of its layer, with the hook's element count, and the
   labels do not change.
@@ -239,6 +242,39 @@ class TestVoteWidths:
                     contract(view, operand, carrier),
                     contract(copy, operand, carrier),
                 )
+
+
+class TestBatchnormWidths:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dtype=st.sampled_from(DTYPES),
+        channels=st.integers(1, 5),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_affine_equals_the_widened_expression(self, dtype, channels, seed):
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(seed)
+        edges = np.array(
+            [info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max]
+        )
+        codes = np.concatenate([
+            np.resize(edges, (2, channels, 1, 7)),
+            rng.integers(info.min, info.max, size=(2, channels, 1, 7),
+                         endpoint=True),
+        ], axis=2).astype(dtype)
+        before = codes.copy()
+        multipliers = rng.integers(-2 ** 20, 2 ** 20, size=channels)
+        multipliers[0] = 1
+        offsets = rng.integers(-2 ** 40, 2 ** 40, size=channels)
+
+        got = k.int_batchnorm(codes, multipliers, offsets)
+        want = (
+            codes.astype(np.int64) * multipliers[None, :, None, None]
+            + offsets[None, :, None, None]
+        )
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(codes, before)  # input untouched
 
 
 # ----------------------------------------------------------------------

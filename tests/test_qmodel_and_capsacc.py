@@ -4,15 +4,24 @@ import numpy as np
 import pytest
 
 from repro.analysis import deepcaps_stats, shallowcaps_stats
-from repro.capsnet import ShallowCaps, presets
+from repro.autograd.tensor import Tensor, no_grad
+from repro.baselines import LeNet5
+from repro.capsnet import DeepCaps, ShallowCaps, presets
+from repro.capsnet.walk import FloatContext
 from repro.framework import Evaluator
 from repro.hw import CapsAccConfig, CapsAccModel
+from repro.nn.module import Module
+from repro.nn.trainer import default_predictions
 from repro.quant import (
+    FixedPointQuant,
     QuantizationConfig,
     QuantizedCapsNet,
+    RecordingContext,
     calibrate_scales,
     get_rounding_scheme,
 )
+from repro.quant.qmodel import _FrozenWeightContext
+from repro.quant.quantize import dequantize_from_int
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +101,146 @@ class TestQuantizedCapsNet:
         for key in first.weight_codes:
             assert np.array_equal(
                 first.weight_codes[key][0], second.weight_codes[key][0]
+            )
+
+
+def reference_labels(quantized, images):
+    """Float labels of ``quantized`` from weights dequantized afresh and
+    a runtime on a fresh rounding scheme."""
+    frozen = {
+        key: Tensor((dequantize_from_int(codes, fmt) * scale).astype(np.float32))
+        for key, (codes, fmt, scale) in quantized.weight_codes.items()
+    }
+    runtime = FixedPointQuant(
+        quantized.config,
+        get_rounding_scheme(quantized.scheme.name, seed=quantized.seed),
+        seed=quantized.seed, scales=quantized.act_scales,
+    )
+    runtime.reset()
+    with no_grad():
+        logits = quantized.model(
+            Tensor(images), q=_FrozenWeightContext(frozen, runtime)
+        )
+    return default_predictions(logits)
+
+
+class TestFrozenWeights:
+    """The dequantized float32 weights are built once per bound model
+    and shared, read-only, by every runtime context."""
+
+    def test_contexts_share_read_only_weights(self, quantized_artifact):
+        artifact, _, _, _ = quantized_artifact
+        first, second = artifact.context(), artifact.context()
+        assert first._runtime is not second._runtime  # fresh SR stream
+        for key in artifact.weight_codes:
+            layer, name = key.split(":", 1)
+            weight = first.weight(layer, name, None)
+            assert weight is second.weight(layer, name, None)
+            assert not weight.data.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                weight.data[...] = 0.0
+
+    @pytest.mark.parametrize("scheme", ["RTN", "SR"])
+    def test_labels_equal_fresh_dequantization(
+        self, scheme, trained_tiny, tiny_data, tmp_path
+    ):
+        _, test = tiny_data
+        images = test.images[:48]
+        config = QuantizationConfig.uniform(
+            trained_tiny.quant_layers, qw=5, qa=5, qdr=4
+        )
+        quantized = QuantizedCapsNet(
+            trained_tiny, config, get_rounding_scheme(scheme, seed=5),
+            act_scales=calibrate_scales(trained_tiny, images), seed=5,
+        )
+        path = tmp_path / f"{scheme}.npz"
+        quantized.save(path)
+        bound = {
+            "constructed": quantized,
+            "from_codes": QuantizedCapsNet.from_codes(
+                ShallowCaps(presets.shallowcaps_tiny(seed=99)),
+                quantized.config, get_rounding_scheme(scheme, seed=5),
+                quantized.weight_codes, act_scales=quantized.act_scales,
+                seed=5,
+            ),
+            "loaded": QuantizedCapsNet.load(
+                path, ShallowCaps(presets.shallowcaps_tiny(seed=99))
+            ),
+        }
+        for how, frozen in bound.items():
+            labels = frozen.predict(images)
+            np.testing.assert_array_equal(
+                labels, reference_labels(frozen, images), err_msg=how
+            )
+            np.testing.assert_array_equal(
+                frozen.predict(images), labels, err_msg=how
+            )
+
+
+def probe_forward_params(model):
+    """``(layer, name, id(param))`` of every weight hook one zero-image
+    forward calls: the reference for the walk-derived list."""
+
+    class Capture(RecordingContext):
+        def __init__(self):
+            super().__init__(batch_size=1)
+            self.params = []
+
+        def weight(self, layer, name, tensor):
+            self.params.append((layer, name, id(tensor)))
+            return super().weight(layer, name, tensor)
+
+    capture = Capture()
+    with no_grad():
+        model(Tensor(np.zeros((1, *model.input_shape), np.float32)), q=capture)
+    return capture.params
+
+
+class _StagelessModel(Module):
+    quant_layers = ["L1"]
+
+    def forward(self, x, q=None):  # pragma: no cover - never reached
+        return x
+
+
+class TestHookedParams:
+    """Freezing lists the hooked weights from the model walk, with no
+    forward pass."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: ShallowCaps(presets.shallowcaps_tiny()),
+        lambda: DeepCaps(presets.deepcaps_small()),
+        lambda: LeNet5(seed=0),
+    ], ids=["shallow", "deep", "lenet"])
+    def test_walk_lists_the_probe_forward_params(self, build):
+        model = build()
+        model.eval()
+        quantized = QuantizedCapsNet.from_codes(
+            model, QuantizationConfig(list(model.quant_layers)),
+            get_rounding_scheme("RTN"), {},
+        )
+        walked = [
+            (layer, name, id(param))
+            for layer, name, param in quantized._iter_hooked_params()
+        ]
+        assert walked == probe_forward_params(model)
+
+    def test_freezing_runs_no_array_work(self, trained_tiny, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("freezing ran a forward op")
+
+        monkeypatch.setattr(FloatContext, "conv", refuse)
+        config = QuantizationConfig.uniform(trained_tiny.quant_layers, qw=6)
+        quantized = QuantizedCapsNet(
+            trained_tiny, config, get_rounding_scheme("RTN")
+        )
+        assert len(quantized.weight_codes) == len(trained_tiny.parameters())
+
+    def test_stageless_model_is_refused(self):
+        model = _StagelessModel()
+        with pytest.raises(TypeError, match="steps"):
+            QuantizedCapsNet(
+                model, QuantizationConfig(["L1"]), get_rounding_scheme("RTN")
             )
 
 
