@@ -34,6 +34,11 @@ float carrier with a ``B``-wide exact integer range cannot round — see
 their datapath bound (:func:`squash_bound`) is below ``2^52``, the
 exact range of its floor divisions and square root — see
 :func:`choose_squash_carrier`.  Plans without the field run on int64.
+Squash ops also record a ``scale_carrier`` for their full-size scale
+stage ``v = trunc(c·ratio/norm)``: ``float32`` when that stage's
+numerator and divisor stay below ``2^24`` — see
+:func:`choose_squash_scale_carrier`.  Plans without it run the stage on
+the op's ``carrier``.
 
 Serialization follows the qprove certificate idiom: ``to_dict`` /
 ``from_dict`` round-trip losslessly through JSON so plans persist inside
@@ -42,6 +47,7 @@ Serialization follows the qprove certificate idiom: ``to_dict`` /
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -112,6 +118,25 @@ def choose_squash_carrier(bound: int) -> Optional[str]:
     """``"float64"`` when the squash datapath bound is below
     :data:`SQUASH_CARRIER_LIMIT`, else ``None`` (int64)."""
     return "float64" if bound < SQUASH_CARRIER_LIMIT else None
+
+
+def choose_squash_scale_carrier(
+    caps_dim: int, integer_bits: int, fractional_bits: int
+) -> Optional[str]:
+    """``"float32"`` when the full-size scale stage of a ⟨QI.QF⟩ squash
+    operand is exact on float32, else ``None`` (the op's carrier).
+
+    The stage is ``v = trunc(c · ratio / norm)``
+    (:func:`repro.backend.int_kernels.squash_codes`).  With ``W = QI +
+    QF`` it needs ``|c| · ratio <= 2^(W-1) · (2^QF - 1) < 2^24``
+    (``|int_min| = 2^(W-1)``, ``ratio < 2^QF``) and ``norm =
+    isqrt(N2) <= isqrt(caps_dim · 2^(2(W-1))) < 2^24``.
+    """
+    wordlength = integer_bits + fractional_bits
+    numerator = (1 << (wordlength - 1)) * ((1 << fractional_bits) - 1)
+    norm = math.isqrt(caps_dim << (2 * (wordlength - 1)))
+    limit = dict(CARRIER_LIMITS)["float32"]
+    return "float32" if numerator < limit and norm < limit else None
 
 
 @dataclass(frozen=True)
@@ -235,6 +260,9 @@ class OpPlan:
     #: (``None``: int64) — see :func:`choose_carrier` and
     #: :func:`choose_squash_carrier`.
     carrier: Optional[str] = None
+    #: Float dtype proven exact for a squash op's full-size scale stage
+    #: (``None``: ``carrier``) — see :func:`choose_squash_scale_carrier`.
+    scale_carrier: Optional[str] = None
 
     def to_dict(self) -> Dict[str, Any]:
         doc: Dict[str, Any] = {
@@ -244,6 +272,8 @@ class OpPlan:
         }
         if self.carrier is not None:
             doc["carrier"] = self.carrier
+        if self.scale_carrier is not None:
+            doc["scale_carrier"] = self.scale_carrier
         if self.note:
             doc["note"] = self.note
         if self.in_exp is not None:
@@ -281,6 +311,10 @@ class OpPlan:
             approx=None if approx is None else ApproxPlan.from_dict(approx),
             carrier=(
                 None if data.get("carrier") is None else str(data["carrier"])
+            ),
+            scale_carrier=(
+                None if data.get("scale_carrier") is None
+                else str(data["scale_carrier"])
             ),
         )
 

@@ -41,7 +41,9 @@ execute in pure integer arithmetic:
   interval).  Contractions turn it into an order-independent bound on
   every partial sum and record the float carrier it makes exact.
   Squash ops record ``float64`` when the operand format's datapath
-  bound ``caps_dim · int_max² · 2^QF`` is below ``2^52``.
+  bound ``caps_dim · int_max² · 2^QF`` is below ``2^52``, and
+  ``float32`` as the ``scale_carrier`` of their full-size scale stage
+  when ``2^(W-1) · (2^QF - 1)`` and the largest norm are below ``2^24``.
 
 Accumulator-width convention: like the certificate's
 ``min_safe_bits``, per-op widths bound the *completed* accumulation
@@ -85,6 +87,7 @@ from repro.analysis.lowering import (
     RescalePlan,
     choose_carrier,
     choose_squash_carrier,
+    choose_squash_scale_carrier,
     squash_bound,
 )
 from repro.analysis.qprove import (
@@ -553,6 +556,9 @@ class _LoweringContext(_AbstractContext):
             note="Newton-Raphson integer squash on a pre-scaled operand",
             in_exp=x.exp, out_exp=op_exp, accumulator_bits=bits,
             carrier=choose_squash_carrier(datapath),
+            scale_carrier=choose_squash_scale_carrier(
+                unit.caps_dim, fmt_op.integer_bits, fmt_op.fractional_bits
+            ),
             rescale=RescalePlan(
                 site="squash-operand",
                 bits=frac,
@@ -984,7 +990,10 @@ def _replay_squash(
     )
     if codes is None:
         return None, 0.0
-    out = k.int_squash(codes, r, a, gen=rng, carrier=op.carrier)
+    out = k.int_squash(
+        codes, r, a, gen=rng, carrier=op.carrier,
+        scale_carrier=op.scale_carrier,
+    )
     got = out.astype(np.float64) * 2.0 ** a.operand_exp
     v = codes.astype(np.float64) * 2.0 ** r.in_exp
     norm = np.sqrt((v * v).sum(axis=-1, keepdims=True))

@@ -11,11 +11,14 @@ entirely on codes.  Between input quantization and the final label
 argmax, floats exist only inside the audited carrier helpers of
 :mod:`repro.backend.int_kernels`: contractions and squash ops whose
 plan op records a ``carrier`` run on float32/float64 (BLAS GEMMs, and
-squash's divisions and square root), exact by the bound the plan
-recorded, and come back as integer codes.  Hooks, softmax and the
-MACs (conv, linear, votes; bias and grid shift included) compute at
-their certified storage widths.  Every sealed op result is
-integer, which the dtype tracer checks.
+squash's divisions and square root, whose full-size scale stage has a
+``scale_carrier`` of its own), exact by the bound the plan recorded,
+and come back as integer codes.  Hooks, softmax, the MACs (conv,
+linear, votes; bias and grid shift included) and the routing
+contractions compute at their certified storage widths, squash results
+are stored at ``QF + 1`` bits, and adds compute at the width their
+operands prove.  Every sealed op result is integer, which the dtype
+tracer checks.
 
 The backend holds no model code of its own: :class:`_PlanWalk` is one
 more interpreter of the model walks (``model.steps()``, see
@@ -169,7 +172,8 @@ class IntBackend(InferenceBackend):
 
         ``trace``, when given, collects one record per executed plan op
         (layer, op, output dtype/shape, LUT table identity, the carrier
-        of each contraction and squash, ``fused`` on routing products
+        of each contraction and squash, the ``scale_carrier`` of each
+        squash whose plan op records one, ``fused`` on routing products
         computed inside their sum) — the allocation/dtype tracer the
         test suite uses to prove every op result stays integer.
         """
@@ -261,10 +265,13 @@ class _PlanWalk:
                     f"plan ops in layer {layer!r}"
                 )
 
-    def seal(self, op, codes: np.ndarray, **extra) -> _Codes:
-        """Narrow an op result to its certified width, trace it, and
-        place it on the op's output grid."""
-        codes = k.narrow(codes, op.accumulator_bits)
+    def seal(
+        self, op, codes: np.ndarray, bits: Optional[int] = None, **extra
+    ) -> _Codes:
+        """Narrow an op result to its certified width (``bits``, else
+        the op's ``accumulator_bits``), trace it, and place it on the
+        op's output grid."""
+        codes = k.narrow(codes, op.accumulator_bits if bits is None else bits)
         self.record(op, codes, **extra)
         return _Codes(codes, op.out_exp)
 
@@ -285,6 +292,8 @@ class _PlanWalk:
             }
             if op.op in CARRIER_OPS:
                 record["carrier"] = op.carrier or INT64_CARRIER
+            if op.scale_carrier is not None:
+                record["scale_carrier"] = op.scale_carrier
             record.update(extra)
             self._trace.append(record)
 
@@ -405,11 +414,16 @@ class _PlanWalk:
         ))
 
     def squash(self, layer: str, x: _Codes, dim: int, axis: int) -> _Codes:
+        """Squash sealed at its output width, ``QF + 1`` bits: every
+        output is below ``2^QF`` (:func:`~repro.backend.int_kernels
+        .squash_codes`), however wide the datapath's
+        ``accumulator_bits``."""
         op = self.take(layer, "squash")
-        return self.seal(op, k.int_squash(
+        out = k.int_squash(
             x.codes, op.rescale, op.approx, axis=axis, gen=self._op_draws,
-            carrier=op.carrier,
-        ))
+            carrier=op.carrier, scale_carrier=op.scale_carrier,
+        )
+        return self.seal(op, out, bits=op.approx.operand_bits + 1)
 
     def softmax(self, layer: str, x: _Codes, count: int) -> _Codes:
         op = self.take(layer, "softmax")
@@ -420,7 +434,14 @@ class _PlanWalk:
         return self.seal(op, coupling, table_id=id(table))
 
     def add(self, layer: str, a: _Codes, b: _Codes) -> _Codes:
-        """Sum of two tensors left-aligned onto the op's grid."""
+        """Sum of two tensors left-aligned onto the op's grid.
+
+        It computes at a width proven from the operands' dtypes and
+        shifts: an ``n``-bit code shifted left by ``s`` is at most
+        ``2^(n-1+s)`` in magnitude, so the sum fits ``max(n + s) + 1``
+        bits: int32 for two unshifted int16 operands, int64 past 32
+        bits.
+        """
         op = self.take(layer, "add")
         out_exp = op.out_exp
         if a.exp < out_exp or b.exp < out_exp:
@@ -428,10 +449,18 @@ class _PlanWalk:
                 f"add in layer {layer!r} is not exactly alignable onto "
                 f"grid 2^{out_exp}"
             )
-        return self.seal(op, (
-            (np.asarray(a.codes, np.int64) << (a.exp - out_exp))
-            + (np.asarray(b.codes, np.int64) << (b.exp - out_exp))
+        shifts = (a.exp - out_exp, b.exp - out_exp)
+        work = k.storage_dtype(1 + max(
+            8 * x.codes.dtype.itemsize + shift
+            for x, shift in zip((a, b), shifts)
         ))
+        # The add casts unshifted operands in its own loop: no copy.
+        terms = [
+            x.codes if shift == 0
+            else np.left_shift(x.codes, shift, dtype=work)
+            for x, shift in zip((a, b), shifts)
+        ]
+        return self.seal(op, np.add(*terms, dtype=work))
 
     def zero_logits(self, layer: str, votes: _Codes) -> _Codes:
         batch, in_caps, out_caps, _ = votes.codes.shape
@@ -454,7 +483,9 @@ class _PlanWalk:
         .routing_weighted_sum` or ``routing_agreement``) sums the votes'
         products with ``operand`` as one batched matmul on the ``sum``
         op's carrier (int64 without one); the product array is never
-        built.  The ``mul`` is still taken from the plan and traced,
+        built.  The product converts once, straight into the ``sum``
+        op's sealed dtype (the certificate bounds the sums by it).  The
+        ``mul`` is still taken from the plan and traced with that dtype,
         marked ``fused`` into the ``sum``.  The votes are cast to the
         carrier once per routing walk, as one C-contiguous
         ``(B, J, I, D)`` array that every contraction reads (strided
@@ -468,6 +499,9 @@ class _PlanWalk:
             votes.carried[carrier] = k.carrier_cast(
                 votes.codes.transpose(0, 2, 1, 3), carrier
             )
-        out = contract(votes.carried[carrier], operand.codes, carrier)
+        out = contract(
+            votes.carried[carrier], operand.codes, carrier,
+            out_dtype=k.storage_dtype(total.accumulator_bits),
+        )
         self.record(mul, out, fused="sum")
         return self.seal(total, out)

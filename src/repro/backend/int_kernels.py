@@ -14,10 +14,12 @@ amounts come from a certified :class:`repro.analysis.lowering
   which the replay oracle :func:`repro.analysis.qlower.replay_plan`
   runs against the float fixed-point path for every rounding scheme;
 * squash is written here once (:func:`squash_codes`) and runs on the
-  carrier its plan op records: float64 when the plan proves every
-  intermediate below ``2^52``, int64 with an integer-only square root
-  otherwise.  It matches the reference datapath
-  :func:`repro.hw.fixed_ref.fixed_squash` bit for bit;
+  carriers its plan op records: its per-capsule stage on float64 when
+  the plan proves every intermediate below ``2^52`` (int64 with an
+  integer-only square root otherwise), its full-size scale stage on
+  float32 when the plan proves it below ``2^24``.  It matches the
+  reference datapath :func:`repro.hw.fixed_ref.fixed_squash` bit for
+  bit;
 * softmax and batch-norm are integer table lookups and affines
   (softmax through a prebuilt exponential ROM so bound models build
   each table once, not per forward).
@@ -34,10 +36,16 @@ instead of widening to int64 between ops:
   to at bind (:func:`softmax_table`), int32 when the ROM format and the
   op's input count prove every table entry shifted by ``QF`` and every
   row sum below ``2^31``, int64 otherwise;
-* **MACs** (:func:`int_conv2d`, :func:`int_linear`, :func:`int_votes`):
-  the carrier result (shifted products plus the shifted bias) converts
-  once, straight into the op's sealed dtype, exact because the
-  certificate bounds the result by that width.
+* **MACs** (:func:`int_conv2d`, :func:`int_linear`, :func:`int_votes`)
+  and the routing contractions (:func:`routing_weighted_sum`,
+  :func:`routing_agreement`): the carrier result (shifted products
+  plus the shifted bias) converts once, straight into the op's sealed
+  dtype, exact because the certificate bounds the result by that
+  width;
+* **squash** (:func:`int_squash`): the clipped operand is stored at its
+  format's wordlength and the result is written once at ``QF + 1``
+  bits, which hold every output (``|v| < 2^QF``), however wide the
+  datapath in between.
 
 Floats exist in exactly three places, each line with an explicit
 ``QL044`` suppression, and the qlint ``intflow`` checker guards the rest
@@ -53,9 +61,9 @@ of the file — and the in-repo functions it reaches through its imports
   plan records for each carrier (every operand, product and partial
   sum is an integer the carrier represents, in any summation order),
   and they hand back integer codes;
-* the squash carrier's floor division, truncating division and square
+* the squash carriers' floor division, truncating division and square
   root (:func:`_floor_div`, :func:`_trunc_div`, :func:`_isqrt`), exact
-  by the bound :func:`squash_codes` states.
+  by the bounds :func:`squash_codes` states.
 """
 
 from __future__ import annotations
@@ -167,11 +175,14 @@ def shift_round(
 
     TRN, RTN and RTNE right shifts (and ``shift == 0``, the identity
     for every scheme) compute in the codes' own integer dtype: with
-    ``q = c >> s``, RTN adds bit ``s - 1`` of ``c`` and RTNE compares
-    the remainder ``c & (2^s - 1)`` against the half.  No intermediate
-    is wider than ``|c|``, so nothing overflows for any ``s``, also past
-    the dtype's width, where NumPy's ``c >> s`` is the sign (``-1`` or
-    ``0``) and RTNE's result is 0.  Left shifts and SR run on int64.
+    ``q = c >> s``, RTN adds bit ``s - 1`` of ``c`` (for ``s >= 2`` as
+    ``((c >> (s - 1)) + 1) >> 1``, one pass fewer: ``c >> (s - 1)`` is
+    at most half the dtype's maximum, so the ``+ 1`` fits) and RTNE
+    compares the remainder ``c & (2^s - 1)`` against the half.  No
+    intermediate is wider than ``|c|``, so nothing overflows for any
+    ``s``, also past the dtype's width, where NumPy's ``c >> s`` is the
+    sign (``-1`` or ``0``) and RTNE's result is 0.  Left shifts and SR
+    run on int64.
     SR consumes exactly one uniform array of ``codes.shape`` — either
     ``draw`` (pre-drawn, used to stay in lockstep with the float path's
     hook stream) or one draw from ``gen``.
@@ -193,6 +204,11 @@ def shift_round(
         return q + (draw < residue).astype(np.int64)
     if scheme == "RTNE" and s >= 8 * codes.dtype.itemsize:
         return np.zeros_like(codes)  # |c / 2^s| <= 1/2, ties to even 0
+    if scheme == "RTN" and s > 1:
+        q = codes >> (s - 1)
+        q += 1
+        q >>= 1
+        return q
     q = codes >> s
     if scheme == "RTN":
         half_bit = codes >> (s - 1)
@@ -366,7 +382,10 @@ def int_votes(
 
 
 def routing_weighted_sum(
-    votes_t: np.ndarray, coupling: np.ndarray, carrier: Optional[str]
+    votes_t: np.ndarray,
+    coupling: np.ndarray,
+    carrier: Optional[str],
+    out_dtype: np.dtype = np.dtype(np.int64),
 ) -> np.ndarray:
     """Routing ``mul`` + ``sum`` ``s_j = Σ_i c_ij û_{j|i}`` as one
     batched matmul ``(B,J,1,I) @ (B,J,I,D)``, with no product array.
@@ -374,26 +393,31 @@ def routing_weighted_sum(
     ``votes_t`` is the votes as ``(B, J, I, D)`` already on the carrier
     (:func:`carrier_cast`; a transposed view of the ``(B, I, J, D)``
     votes serves), ``coupling`` is ``(B, I, J)``; returns
-    ``(B, J, D)`` int64.
+    ``(B, J, D)`` as ``out_dtype`` (pass the ``sum`` op's sealed dtype:
+    the certificate bounds the sums by it).
     """
     batch, out_caps, _, out_dim = votes_t.shape
     c = np.asarray(coupling).transpose(0, 2, 1)[:, :, None, :]
-    sums = carrier_matmul(c, votes_t, carrier)
+    sums = carrier_matmul(c, votes_t, carrier, out_dtype=out_dtype)
     return sums.reshape(batch, out_caps, out_dim)
 
 
 def routing_agreement(
-    votes_t: np.ndarray, activation: np.ndarray, carrier: Optional[str]
+    votes_t: np.ndarray,
+    activation: np.ndarray,
+    carrier: Optional[str],
+    out_dtype: np.dtype = np.dtype(np.int64),
 ) -> np.ndarray:
     """Routing ``mul`` + ``sum`` ``a_ij = û_{j|i} · v_j`` as one batched
     matmul ``(B,J,I,D) @ (B,J,D,1)``, with no product array.
 
     ``votes_t`` as for :func:`routing_weighted_sum`, ``activation`` is
-    ``(B, J, D)``; returns ``(B, I, J)`` int64.
+    ``(B, J, D)``; returns ``(B, I, J)`` as ``out_dtype``.
     """
     batch, out_caps, in_caps, _ = votes_t.shape
     agreement = carrier_matmul(
-        votes_t, np.asarray(activation)[..., None], carrier, axes=(0, 2, 1, 3)
+        votes_t, np.asarray(activation)[..., None], carrier,
+        axes=(0, 2, 1, 3), out_dtype=out_dtype,
     )
     return agreement.reshape(batch, in_caps, out_caps)
 
@@ -438,15 +462,20 @@ def _floor_div(
 
 
 def _trunc_div(
-    numerator: np.ndarray, denominator: np.ndarray, carrier: Optional[str]
+    numerator: np.ndarray,
+    denominator: np.ndarray,
+    carrier: Optional[str],
+    out_dtype: np.dtype = np.dtype(np.int64),
 ) -> np.ndarray:
-    """``n / d`` rounded toward zero as int64, for integers ``n`` and
-    ``d >= 1``.  On a carrier it divides ``numerator`` in place (the
-    caller's temporary) and the cast to int64 truncates."""
+    """``n / d`` rounded toward zero as ``out_dtype``, for integers
+    ``n`` and ``d >= 1`` whose quotient fits it.  On a carrier it
+    divides ``numerator`` in place (the caller's temporary) and the
+    cast truncates."""
     if carrier is None:
         quotient = np.abs(numerator) // denominator
-        return np.where(numerator < 0, -quotient, quotient)
-    return np.divide(numerator, denominator, out=numerator).astype(np.int64)  # qlint: disable=QL044 (squash carrier)
+        quotient = np.where(numerator < 0, -quotient, quotient)
+        return quotient.astype(out_dtype, copy=False)
+    return np.divide(numerator, denominator, out=numerator).astype(out_dtype)  # qlint: disable=QL044 (squash carrier)
 
 
 def _isqrt(values: np.ndarray, carrier: Optional[str]) -> np.ndarray:
@@ -476,6 +505,8 @@ def squash_codes(
     fractional_bits: int,
     axis: int = -1,
     carrier: Optional[str] = None,
+    scale_carrier: Optional[str] = None,
+    out_dtype: np.dtype = np.dtype(np.int64),
 ) -> np.ndarray:
     """Integer squash (Eq. 2) of capsule codes in a ⟨QI.QF⟩ format.
 
@@ -490,8 +521,17 @@ def squash_codes(
       is 0, which forces every ``c`` of the capsule to 0).
 
     Each output satisfies ``|v| <= ratio < 2^QF`` (``c² <= N2``), so it
-    fits the format without saturation.  The result is int64 and
-    bit-identical to :func:`repro.hw.fixed_ref.fixed_squash`.
+    fits the format without saturation, and any ``out_dtype`` of at
+    least ``QF + 1`` bits holds it: the result is written once, as
+    ``out_dtype``.  It is bit-identical to
+    :func:`repro.hw.fixed_ref.fixed_squash`.
+
+    The datapath is split by size.  The capsule stage (``N2``,
+    ``ratio``, ``norm``: one value per capsule) runs on ``carrier``;
+    ``N2`` is summed on integers (squares of int8/int16 codes in int32,
+    wider codes in int64, summed in int64) and only the per-capsule sum
+    moves to the carrier.  The full-size scale stage (``v``) runs on
+    ``scale_carrier``, or on ``carrier`` when that is ``None``.
 
     ``carrier`` is the plan op's carrier.  ``"float64"`` is exact when
     ``B = caps_dim · int_max² · 2^QF < 2^52``
@@ -513,16 +553,39 @@ def squash_codes(
       ``1/(2(r+1))`` below ``r + 1``, while the rounding error is below
       ``(r+1) · 2^-53 <= 1/(2(r+1))``.
 
+    ``scale_carrier`` ``"float32"`` is exact when, with ``W`` the
+    operand wordlength, ``2^(W-1) · (2^QF - 1) < 2^24`` and every
+    ``norm < 2^24``
+    (:func:`repro.analysis.lowering.choose_squash_scale_carrier`).
+    The argument is the float64 one with ``2^24`` in place of
+    ``2^53``: ``c``, ``ratio < 2^QF`` and ``norm`` are integers below
+    ``2^24``, so float32 holds them and the product
+    ``|c · ratio| <= 2^(W-1) · (2^QF - 1)`` exactly; and for
+    ``|n| < 2^24`` the rounding error of ``fl(n/d)`` is at most
+    ``(|n|/d) · 2^-24 < 1/d``, so truncating it gives ``trunc(n/d)``.
+
     Without a carrier (``None``: plans saved before squash carriers, or
-    ``B >= 2^52``) the same steps run on int64 with ``//`` and the
-    integer-only :func:`_isqrt`.
+    ``B >= 2^52``) the capsule stage runs on int64 with ``//`` and the
+    integer-only :func:`_isqrt`, and so does the scale stage unless
+    ``scale_carrier`` names a float.
     """
     qf = fractional_bits
-    c = carrier_cast(codes, carrier)
-    norm2 = (c * c).sum(axis=axis, keepdims=True)
+    codes = np.asarray(codes)
+    square = np.int32 if codes.dtype.itemsize <= 2 else np.int64
+    norm2 = carrier_cast(
+        np.square(codes, dtype=square).sum(
+            axis=axis, keepdims=True, dtype=np.int64
+        ),
+        carrier,
+    )
     ratio = _floor_div(norm2 * (1 << qf), norm2 + (1 << (2 * qf)), carrier)
-    norm = _isqrt(norm2, carrier)
-    return _trunc_div(c * ratio, np.maximum(norm, 1), carrier)
+    norm = np.maximum(_isqrt(norm2, carrier), 1)
+    scale = scale_carrier or carrier
+    c = carrier_cast(codes, scale)
+    ratio = carrier_cast(ratio, scale)
+    # In place on a carrier copy; the int64 route may alias ``codes``.
+    numerator = c * ratio if c is codes else np.multiply(c, ratio, out=c)
+    return _trunc_div(numerator, carrier_cast(norm, scale), scale, out_dtype)
 
 
 def int_squash(
@@ -532,15 +595,23 @@ def int_squash(
     axis: int = -1,
     gen: Optional[np.random.Generator] = None,
     carrier: Optional[str] = None,
+    scale_carrier: Optional[str] = None,
 ) -> np.ndarray:
     """Certified squash: operand rescale onto the op format, then the
-    integer datapath :func:`squash_codes` on the op's ``carrier``.
-    Output codes live on grid ``2^operand_exp``."""
+    integer datapath :func:`squash_codes` on the op's ``carrier`` and
+    ``scale_carrier``.  Output codes live on grid ``2^operand_exp``,
+    stored at ``QF + 1`` bits (:func:`storage_dtype`), which hold every
+    output; the clipped operand is stored at its format's wordlength."""
     fmt_op = FixedPointFormat(approx.integer_bits, approx.operand_bits)
     operand = shift_round(codes, rescale.shift, rescale.rounding, gen=gen)
-    np.clip(operand, fmt_op.int_min, fmt_op.int_max, out=operand)
+    operand = np.clip(
+        operand, fmt_op.int_min, fmt_op.int_max,
+        out=np.empty(operand.shape, storage_dtype(fmt_op.wordlength)),
+    )
     return squash_codes(
-        operand, fmt_op.fractional_bits, axis=axis, carrier=carrier
+        operand, fmt_op.fractional_bits, axis=axis, carrier=carrier,
+        scale_carrier=scale_carrier,
+        out_dtype=storage_dtype(fmt_op.fractional_bits + 1),
     )
 
 

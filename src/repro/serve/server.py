@@ -112,7 +112,15 @@ def _decode_b64(encoded: object, shape: object) -> np.ndarray:
             f"'images_b64' holds {len(raw)} bytes, but a float32 batch "
             f"of the given shape needs {4 * math.prod(shape)}",
         )
-    return np.frombuffer(raw, "<f4").reshape(shape).astype(np.float32)
+    flat = np.frombuffer(raw, "<f4")
+    try:
+        batch = flat.reshape(shape)
+    except ValueError as error:
+        # A zero-size shape whose other dims overflow numpy's index type.
+        raise RequestError(
+            400, f"'shape' {shape} is not a valid array shape: {error}"
+        ) from error
+    return batch.astype(np.float32)
 
 
 def validate_images(

@@ -33,9 +33,21 @@ float64, the same kernel on int64, and the reference datapath
 the square-root and floor-division edges of the float64 carrier; every
 zoo plan records ``float64`` on its squash ops, and removing those
 carriers leaves the int codes unchanged.
+
+Squash's full-size scale stage ``trunc(c·ratio/norm)`` carries its own
+``scale_carrier``: ``float32`` when ``2^(W-1)·(2^QF - 1)`` and the
+largest norm are below ``2^24``.  The split kernel (capsule stage on
+float64 or int64, scale stage on float32 or either of those) equals
+the reference bit for bit on int16/int32/int64 operands, writes its
+result at ``QF + 1`` bits and leaves the caller's codes untouched; the
+bound is strict at ``2^24``; every traced zoo squash is stored at
+``QF + 1`` bits, and plans without the field give identical codes.
+The routing contractions write the ``sum`` op's sealed dtype, and the
+walk's ``add`` computes at the width its operands prove.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,14 +58,18 @@ from test_backend import copy_plan, make_ready, snap
 
 from repro.analysis import lower_artifact, lower_model
 from repro.analysis.lowering import (
+    KIND_EXACT,
     SQUASH_CARRIER_LIMIT,
+    OpPlan,
     choose_carrier,
     choose_squash_carrier,
+    choose_squash_scale_carrier,
     squash_bound,
 )
 from repro.api.artifact import ModelArtifact
 from repro.api.session import build_model
 from repro.backend import int_kernels as k
+from repro.backend.int_backend import _Codes, _PlanWalk
 from repro.baselines import LeNet5
 from repro.data import synth_digits
 from repro.hw.fixed_ref import fixed_squash
@@ -273,6 +289,11 @@ class TestCarrierKernels:
         assert np.array_equal(k.int_votes(u, weight), reference)
 
 
+def sealed_dtype(reference):
+    """The narrowest storage dtype holding every code of ``reference``."""
+    return k.storage_dtype(int(np.abs(reference).max()).bit_length() + 1)
+
+
 class TestFusedRouting:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -296,6 +317,12 @@ class TestFusedRouting:
         fused = k.routing_weighted_sum(votes_t, coupling, carrier)
         assert fused.dtype == np.int64
         assert np.array_equal(fused, reference)
+        sealed = sealed_dtype(reference)
+        narrow = k.routing_weighted_sum(
+            votes_t, coupling, carrier, out_dtype=sealed
+        )
+        assert narrow.dtype == sealed
+        assert np.array_equal(narrow, reference)
         if not signed:
             assert reference.max() == bound
 
@@ -321,6 +348,12 @@ class TestFusedRouting:
         fused = k.routing_agreement(votes_t, activation, carrier)
         assert fused.flags.c_contiguous
         assert np.array_equal(fused, reference)
+        sealed = sealed_dtype(reference)
+        narrow = k.routing_agreement(
+            votes_t, activation, carrier, out_dtype=sealed
+        )
+        assert narrow.dtype == sealed and narrow.flags.c_contiguous
+        assert np.array_equal(narrow, reference)
 
 
 class TestPlanBound:
@@ -431,6 +464,103 @@ class TestSquashCarrier:
             assert on_float64.dtype == np.int64
             assert np.array_equal(on_float64, reference)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        operand=squash_operands(),
+        dtype=st.sampled_from([np.int16, np.int32, np.int64]),
+    )
+    def test_split_kernel_matches_reference(self, operand, dtype):
+        """Every capsule-stage route × every scale-stage route the bounds
+        admit equals the reference, as ``QF + 1``-bit codes, and leaves
+        the operand as it was."""
+        codes, fmt, axis = operand
+        codes = codes.astype(dtype)
+        before = codes.copy()
+        dim, qf = codes.shape[axis], fmt.fractional_bits
+        reference = fixed_squash(codes, fmt, axis=axis)
+        carrier = choose_squash_carrier(
+            squash_bound(dim, fmt.integer_bits, qf)
+        )
+        scale = choose_squash_scale_carrier(dim, fmt.integer_bits, qf)
+        out_dtype = k.storage_dtype(qf + 1)
+        for route in {carrier, None}:
+            for scale_route in {scale, None}:
+                got = k.squash_codes(
+                    codes, qf, axis=axis, carrier=route,
+                    scale_carrier=scale_route, out_dtype=out_dtype,
+                )
+                assert got.dtype == out_dtype
+                assert np.array_equal(got, reference)
+                assert codes.dtype == dtype
+                assert np.array_equal(codes, before)
+
+    def test_int64_route_aliases_but_keeps_the_operand(self):
+        """On the int64 route ``carrier_cast`` hands back the caller's
+        own array; the kernel still never writes into it."""
+        fmt = FixedPointFormat(3, 6)
+        codes = np.array(
+            [[fmt.int_min, fmt.int_max, 0, 5], [0, 0, 0, 0]], np.int64
+        )
+        before = codes.copy()
+        assert k.carrier_cast(codes, None) is codes
+        for route in (None, "float64"):
+            for scale in (None, "float32"):
+                got = k.squash_codes(codes, 6, carrier=route,
+                                     scale_carrier=scale)
+                assert np.array_equal(got, fixed_squash(codes, fmt))
+                assert np.array_equal(codes, before)
+
+    @pytest.mark.parametrize("dim, integer_bits, qf, scale", [
+        # 2^15 · (2^9 - 1) = 2^24 - 2^15: the widest 16-bit operand.
+        (255, 7, 9, "float32"),
+        (1, 6, 10, None),  # 2^15 · (2^10 - 1) > 2^24
+        (1, 23, 1, "float32"),  # 2^23 · 1 < 2^24
+        (1, 24, 1, None),  # 2^24 · 1 = 2^24: the bound is strict
+        # norm <= isqrt(dim · 2^30): just below and at 2^24.
+        (2 ** 18 - 1, 15, 1, "float32"),
+        (2 ** 18, 15, 1, None),
+    ])
+    def test_scale_carrier_is_strict_at_2_24(
+        self, dim, integer_bits, qf, scale
+    ):
+        assert choose_squash_scale_carrier(dim, integer_bits, qf) == scale
+
+    def test_scale_stage_at_the_float32_bound(self):
+        """⟨7.9⟩ rows of ``int_min`` drive ``ratio`` to ``2^9 - 1`` and
+        ``|c|·ratio`` to ``2^24 - 2^15``; float32 stays exact there."""
+        fmt = FixedPointFormat(7, 9)
+        rng = np.random.default_rng(9)
+        codes = rng.choice(np.array([fmt.int_min, fmt.int_max]), (6, 4))
+        codes[0] = fmt.int_min
+        ratio = (4 * 2 ** 30 << 9) // (2 ** 18 + 4 * 2 ** 30)
+        assert ratio == 2 ** 9 - 1
+        assert -fmt.int_min * ratio == 2 ** 24 - 2 ** 15
+        got = k.squash_codes(
+            codes, 9, carrier="float64", scale_carrier="float32",
+            out_dtype=np.int16,
+        )
+        assert np.array_equal(got, fixed_squash(codes, fmt))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        denominator=st.integers(1, 2 ** 12),
+        quotient=st.integers(1, 2 ** 12), sign=st.sampled_from([-1, 1]),
+    )
+    def test_float32_division_up_to_2_24_minus_1(
+        self, denominator, quotient, sign
+    ):
+        """trunc(fl32(n/d)) = trunc(n/d) for |n| <= 2^24 - 1, with n one
+        below a multiple of d (1/d below an integer quotient)."""
+        numerator = min(quotient * denominator, 2 ** 24 - 1)
+        for n in (numerator - 1, numerator):
+            as_float = sign * np.array([n], np.float32)
+            d = np.array([denominator], np.float32)
+            got = k._trunc_div(as_float, d, "float32", np.int32)
+            assert got.dtype == np.int32
+            assert got[0] == sign * (n // denominator)
+        # Past the bound float32 no longer holds every numerator.
+        assert int(np.float32(2 ** 24 + 1)) != 2 ** 24 + 1
+
     @pytest.mark.parametrize("dim, carrier", [(128, "float64"), (129, None)])
     def test_bound_edge_at_the_widest_operand(self, dim, carrier):
         """⟨1.15⟩ is the widest operand: 128 dims sit just below 2^52,
@@ -522,6 +652,82 @@ class TestSquashPlans:
             assert op["carrier"] == "float64"
 
     @pytest.mark.parametrize("family", ["shallow", "deep"])
+    def test_traced_squash_is_stored_at_qf_plus_one_bits(
+        self, family, squash_zoo
+    ):
+        """Every squash seals at its output width, whatever its
+        datapath's ``accumulator_bits``; its scale stage runs on the
+        plan's ``scale_carrier``.  Each fused routing ``mul`` is traced
+        in its ``sum``'s sealed dtype."""
+        model, artifact, images = squash_zoo[family]
+        plan = artifact.lowering_plan
+        squashes = [
+            op for layer in plan["layers"] for op in layer["ops"]
+            if op["op"] == "squash"
+        ]
+        for op in squashes:
+            approx = op["approx"]
+            assert op["scale_carrier"] == choose_squash_scale_carrier(
+                approx["tables"]["caps_dim"], approx["integer_bits"],
+                approx["operand_bits"],
+            ) == "float32"
+        trace = []
+        artifact.bind(model, backend="int").predict(
+            images, batch_size=8, trace=trace
+        )
+        traced = [r for r in trace if r["op"] == "squash"]
+        batches = -(-len(images) // 8)
+        assert len(traced) == batches * len(squashes)
+        for record, op in zip(traced, squashes * batches):
+            assert record["layer"] == op["layer"]
+            bits = op["approx"]["operand_bits"] + 1
+            assert record["dtype"] == str(k.storage_dtype(bits))
+            assert record["scale_carrier"] == "float32"
+        assert any(
+            op["accumulator_bits"] > 16 for op in squashes
+        )  # the datapath is wider than the stored result
+        for mul, total in zip(trace, trace[1:]):
+            if mul.get("fused") == "sum":
+                assert total["op"] == "sum"
+                assert mul["dtype"] == total["dtype"] != "int64"
+
+    @pytest.mark.parametrize("family", ["shallow", "deep"])
+    def test_plan_without_scale_carriers_gives_identical_codes(
+        self, family, squash_zoo, monkeypatch
+    ):
+        """A plan saved before ``scale_carrier`` runs the scale stage on
+        the op's float64 carrier, with the same codes and dtypes."""
+        model, artifact, images = squash_zoo[family]
+        legacy = copy_plan(artifact)
+        for layer in legacy.lowering_plan["layers"]:
+            for op in layer["ops"]:
+                op.pop("scale_carrier", None)
+        captured = []
+        predict = k.int_capsule_predictions
+
+        def capture(codes):
+            captured.append(np.array(codes))
+            return predict(codes)
+
+        monkeypatch.setattr(k, "int_capsule_predictions", capture)
+        traces = []
+        for source in (artifact, legacy):
+            traces.append([])
+            source.bind(model, backend="int").predict(
+                images, batch_size=8, trace=traces[-1]
+            )
+        split, whole = traces
+        assert not any("scale_carrier" in r for r in whole)
+        for record in split + whole:
+            record.pop("table_id", None)  # an id(), differs per bind
+            record.pop("scale_carrier", None)
+        assert split == whole
+        half = len(captured) // 2
+        assert half and len(captured) == 2 * half
+        for with_field, without in zip(captured[:half], captured[half:]):
+            assert np.array_equal(with_field, without)
+
+    @pytest.mark.parametrize("family", ["shallow", "deep"])
     def test_plan_without_squash_carriers_gives_identical_codes(
         self, family, squash_zoo, monkeypatch
     ):
@@ -561,3 +767,54 @@ class TestSquashPlans:
         assert half and len(captured) == 2 * half
         for with_carrier, without in zip(captured[:half], captured[half:]):
             assert np.array_equal(with_carrier, without)
+
+
+# ----------------------------------------------------------------------
+# The walk's add: a work width proven from the operands
+# ----------------------------------------------------------------------
+class TestAddWidth:
+    @staticmethod
+    def walk(accumulator_bits):
+        op = OpPlan(
+            layer="L", op="add", kind=KIND_EXACT, out_exp=-4,
+            accumulator_bits=accumulator_bits,
+        )
+        backend = SimpleNamespace(plan=None, _ops={"L": (op,)})
+        return _PlanWalk(backend, None, None, None)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    @pytest.mark.parametrize("shift", [0, 1, 17])
+    def test_extreme_codes_sum_exactly(self, dtype, shift):
+        """Operands at their dtype's extremes, left-aligned by ``shift``,
+        sum exactly and seal at the op's width."""
+        info = np.iinfo(dtype)
+        # int64 operands stay small enough for the sum to fit int64.
+        top = info.max if info.bits < 64 else 2 ** (61 - shift) - 1
+        low = -top - 1
+        a = np.array([[low, top, 0, low], [top, 1, -1, top]], dtype)
+        b = np.array([[low, top, low, 0], [top, -1, top, low]], dtype)
+        exact = (a.astype(object) << shift) + b.astype(object)
+        bits = max(int(abs(v)).bit_length() for v in exact.ravel()) + 1
+        out = self.walk(bits).add(
+            "L", _Codes(a, -4 + shift), _Codes(b, -4)
+        )
+        assert out.codes.dtype == k.storage_dtype(bits)
+        assert out.codes.tolist() == exact.tolist()
+        assert out.exp == -4
+
+    def test_two_int16_squash_outputs_add_in_int32(self, monkeypatch):
+        """The sum of two int16 operands is computed in int32 (int64 is
+        never touched), then sealed at the op's width."""
+        seen = []
+        add = np.add
+
+        def spy(*terms, dtype=None):
+            seen.append(np.dtype(dtype))
+            return add(*terms, dtype=dtype)
+
+        monkeypatch.setattr(np, "add", spy)
+        a = np.full((2, 3), -2 ** 15, np.int16)
+        out = self.walk(17).add("L", _Codes(a, -4), _Codes(a, -4))
+        assert seen == [np.dtype(np.int32)]
+        assert out.codes.dtype == np.int32
+        assert (out.codes == -2 ** 16).all()
