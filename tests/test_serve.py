@@ -520,7 +520,6 @@ class TestValidation:
         ({"images_b64": "AAAA!!!!", "shape": [1, 1, 1, 2]}, "base64"),
         ({"images_b64": "AAAAAA==", "shape": [1, 1, 1, 2]}, "bytes"),
         ({"images_b64": "", "shape": [2**62, 2**62, 2, 2]}, "bytes"),
-        ({"images_b64": "", "shape": [0, 2**62, 2**62]}, "shape"),
         ({"images_b64": 7, "shape": [1, 1, 14, 14]}, "base64 string"),
         ({"images_b64": "", "shape": [1, 1, 14.0, 14]}, "shape"),
         ({"images_b64": "", "shape": [1, True, 14, 14]}, "shape"),
@@ -533,6 +532,7 @@ class TestValidation:
          "exactly one"),
         ({"images_b64": "", "shape": [1, 1, 1, 1], "dtype": "float64"},
          "float32"),
+        ({"images_b64": "", "shape": [0, 2**62, 2**62]}, "shape"),
     ])
     def test_hostile_b64_bodies(self, body, match):
         self._check(body, match)
